@@ -42,7 +42,6 @@ from .sudoku import (
     SudokuReport,
     build_from_canonical,
     build_from_plane,
-    grid_from_cosets,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,

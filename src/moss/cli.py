@@ -3,8 +3,8 @@
 Subcommands: field (parameters and element table), alpha (residue search
 and census), family (emit and verify a complete family), generate (one
 square from a generator matrix), verify (check documents), render (text
-grid).  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.
+grid).  Exit codes: 0 success, 1 verification failure, 2 usage, parse or
+I/O error; field and I/O errors are mapped to exit 2 in main.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from .family import alpha_census, build_family, derive_lambda, find_alpha, verify_family
-from .gf import GF, Field, NotOddPrime, OrderTooLarge
+from .gf import GF, NotOddPrime, OrderTooLarge
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import NotAGenerator, render_grid, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import SudokuGrid, render_grid, verify_orthogonal_bruteforce, verify_sudoku
 
 
 def _fail(message, code: int = 2) -> int:
@@ -26,15 +26,8 @@ def _fail(message, code: int = 2) -> int:
     return code
 
 
-def _field_for(q: int) -> Field:
-    return GF(q)
-
-
 def _cmd_field(args) -> int:
-    try:
-        field = _field_for(args.q)
-    except (NotOddPrime, OrderTooLarge) as exc:
-        return _fail(exc)
+    field = GF(args.q)
     print(f"q: {field.q}")
     print(f"p: {field.p}")
     print(f"k: {field.k}")
@@ -46,10 +39,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    try:
-        field = _field_for(args.q)
-    except (NotOddPrime, OrderTooLarge) as exc:
-        return _fail(exc)
+    field = GF(args.q)
     alpha = find_alpha(field)
     print(f"alpha: {alpha.index}")
     print(f"lambda: {derive_lambda(field, alpha).index}")
@@ -61,17 +51,10 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    field = GF(args.q)
     try:
-        field = _field_for(args.q)
-    except (NotOddPrime, OrderTooLarge) as exc:
-        return _fail(exc)
-    try:
-        matrix = parse_mat2(field, args.c)
-    except ValueError as exc:
-        return _fail(exc)
-    try:
-        doc = SquareDocument.from_matrix(matrix)
-    except NotAGenerator as exc:
+        doc = SquareDocument.from_matrix(parse_mat2(field, args.c))
+    except ValueError as exc:  # a malformed literal, or NotAGenerator
         return _fail(exc)
     text = doc.to_json()
     if args.out:
@@ -90,8 +73,6 @@ def _cmd_render(args) -> int:
     path = Path(args.file)
     try:
         doc = _load_document(path)
-    except OSError as exc:
-        return _fail(exc)
     except json.JSONDecodeError as exc:
         return _fail(f"{path}: not valid JSON ({exc})")
     except SchemaViolation as exc:
@@ -101,31 +82,29 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    loaded: list[tuple[Path, SquareDocument]] = []
+    grids: list[tuple[Path, SudokuGrid]] = []
     failures = 0
     for name in args.files:
         path = Path(name)
         try:
             doc = _load_document(path)
-        except OSError as exc:
-            return _fail(exc)
         except json.JSONDecodeError as exc:
             return _fail(f"{path}: not valid JSON ({exc})")
         except SchemaViolation as exc:
             print(f"FAIL {path}: {exc}")
             failures += 1
             continue
-        report = verify_sudoku(doc.to_grid())
+        grid = doc.to_grid()
+        report = verify_sudoku(grid)
         if report.ok:
             print(f"OK {path}")
-            loaded.append((path, doc))
+            grids.append((path, grid))
         else:
             print(f"FAIL {path}: {report!r}")
             failures += 1
-    orders = {doc.q for _, doc in loaded}
+    orders = {grid.q for _, grid in grids}
     if len(orders) > 1:
         return _fail("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))
-    grids = [(path, doc.to_grid()) for path, doc in loaded]
     pairs = 0
     for i in range(len(grids)):
         for j in range(i + 1, len(grids)):
@@ -138,11 +117,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        field = _field_for(args.q)
-    except (NotOddPrime, OrderTooLarge) as exc:
-        return _fail(exc)
+    field = GF(args.q)
     fam = build_family(field)
+    report = None
+    if args.verify:
+        try:
+            report = verify_family(fam, args.verify)
+        except ValueError as exc:
+            return _fail(exc)
     docs = [SquareDocument.from_matrix(m) for m in fam]
     if args.format == "json":
         contents = [doc.to_json() for doc in docs]
@@ -163,11 +145,7 @@ def _cmd_family(args) -> int:
             if i and args.format != "json":
                 print()
             sys.stdout.write(content)
-    if args.verify:
-        try:
-            report = verify_family(fam, args.verify)
-        except ValueError as exc:
-            return _fail(exc)
+    if report is not None:
         if not report.ok:
             for kind, members in report.violations:
                 print(f"violation: {kind} {','.join(str(m) for m in members)}")
@@ -225,7 +203,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NotOddPrime, OrderTooLarge, OSError) as exc:
+        return _fail(exc)
 
 
 def entry() -> None:

@@ -192,7 +192,7 @@ class Field:
                  max_order: int = DEFAULT_MAX_ORDER):
         if not is_prime(p) or p == 2:
             raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise DegreeTooSmall(f"extension degree must be >= 1, got {k}")
         q = p ** k
         if q > max_order:

@@ -1,4 +1,4 @@
-"""Order-q^2 sudoku grids built from planes of GF(q)^4 by coset labeling.
+"""Order-q^2 sudoku grids built from canonical generators [I; C].
 
 Every cell of the grid has an address (x1, x2, x3, x4) in F^4: x1 is the
 large row (the row of subsquares), x2 the mini row within it, x3 the large
@@ -11,12 +11,18 @@ A generating plane g assigns one symbol per coset of g.  Symbols are fixed
 by the coset's unique representative (0, a, 0, b) inside the top-left
 subsquare: the coset gets symbol q*index(a) + index(b).  Any other choice
 of symbols is a relabeling of the same square.
+
+build_from_canonical computes that label in closed form for g = [I; C];
+build_from_plane canonicalizes first.  The brute-force coset labeling that
+checks them is in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from .gf import Field, FieldElement
-from .planes import Mat2, Plane, is_sudoku_generator, is_valid_generator
+from operator import itemgetter
+
+from .gf import FieldElement
+from .planes import Mat2, NotCanonicalizable, Plane, canonicalize
 
 
 class NotAGenerator(ValueError):
@@ -83,72 +89,50 @@ class SudokuReport:
                 f"latin_cols={self.latin_cols}, subsquares={self.subsquares})")
 
 
-def _span_offsets(field: Field, plane: Plane) -> list[tuple[int, int, int, int]]:
-    """All q^2 elements of the plane, as index vectors u*v1 + w*v2."""
-    add, mul = field.add_table, field.mul_table
-    v1 = tuple(x.index for x in plane.v1)
-    v2 = tuple(x.index for x in plane.v2)
-    offsets = []
-    for u in range(field.q):
-        uv = [mul[u][x] for x in v1]
-        for w in range(field.q):
-            offsets.append(tuple(add[uv[i]][mul[w][v2[i]]] for i in range(4)))
-    return offsets
+def build_from_canonical(c: Mat2) -> SudokuGrid:
+    """Sudoku grid generated by the column span of [I; C], C = [[a, b], [c, d]].
+
+    Cell (x1, x2, x3, x4) gets symbol q*(x2 - t) + (x4 - c*x1 - d*t) with
+    t = (x3 - a*x1)/b.  Row (x1, x2) is therefore row (x1, 0) pushed through
+    the permutation q*alpha + beta -> q*(x2 + alpha) + beta, which depends on
+    x2 alone.  Raises NotAGenerator when C is singular or lower triangular.
+    """
+    field = c.field
+    q = field.q
+    add, sub, mul, neg = field.add_table, field.sub_table, field.mul_table, field.neg_table
+    (a, b), (cc, d) = c.indices()
+    if not b or mul[a][d] == mul[b][cc]:
+        raise NotAGenerator(f"{c!r} is singular or lower triangular")
+    inv_b = field.inv_table[b]
+    # perms[x2 - 1] sends symbol q*alpha + beta to q*(x2 + alpha) + beta.
+    perms = [[q * add[x2][alpha] + beta for alpha in range(q) for beta in range(q)]
+             for x2 in range(1, q)]
+    rows = []
+    for x1 in range(q):
+        ax1, cx1 = mul[a][x1], mul[cc][x1]
+        base = []
+        for x3 in range(q):
+            t = mul[sub[x3][ax1]][inv_b]
+            hi, shift = q * neg[t], add[cx1][mul[d][t]]
+            base.extend(hi + sub[x4][shift] for x4 in range(q))
+        rows.append(base)
+        pick = itemgetter(*base)
+        rows.extend(list(pick(perm)) for perm in perms)
+    return SudokuGrid(q, rows, generator=c)
 
 
 def build_from_plane(plane: Plane) -> SudokuGrid:
-    """Sudoku grid generated by a plane, symbols fixed by top-left-subsquare cosets.
+    """Sudoku grid generated by a plane: the grid of its canonical generator.
 
-    Raises NotAGenerator when the plane fails the generator criterion.
+    A plane generates a sudoku square exactly when it is canonicalizable
+    (it meets the row plane trivially) and its canonical C is valid (det C
+    != 0 for the column plane, b != 0 for the subsquare plane).  Raises
+    NotAGenerator otherwise.
     """
-    field = plane.field
-    if not is_sudoku_generator(plane):
-        raise NotAGenerator(f"{plane!r} does not generate a sudoku square")
-    q, n = field.q, field.q * field.q
-    add = field.add_table
-    offsets = _span_offsets(field, plane)
-    rows = [[0] * n for _ in range(n)]
-    for a in range(q):
-        for b in range(q):
-            symbol = q * a + b
-            for x1, o2, x3, o4 in offsets:
-                rows[q * x1 + add[a][o2]][q * x3 + add[b][o4]] = symbol
-    return SudokuGrid(q, rows)
-
-
-def build_from_canonical(c: Mat2) -> SudokuGrid:
-    """Sudoku grid generated by the column span of [I; C].
-
-    Raises NotAGenerator when C is singular or lower triangular.
-    """
-    if not is_valid_generator(c):
-        raise NotAGenerator(f"{c!r} is singular or lower triangular")
-    grid = build_from_plane(Plane.from_generator(c))
-    grid.generator = c
-    return grid
-
-
-def grid_from_cosets(plane: Plane) -> SudokuGrid:
-    """Label the cosets of any plane with symbols in first-encounter order.
-
-    No generator precondition: the result passes verify_sudoku exactly when
-    the plane satisfies the generator criterion, which makes this the
-    brute-force counterpart of is_sudoku_generator.
-    """
-    field = plane.field
-    q, n = field.q, field.q * field.q
-    add = field.add_table
-    offsets = _span_offsets(field, plane)
-    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
-    symbol = 0
-    for r in range(n):
-        for col in range(n):
-            if rows[r][col] is None:
-                x1, x2, x3, x4 = r // q, r % q, col // q, col % q
-                for o1, o2, o3, o4 in offsets:
-                    rows[q * add[x1][o1] + add[x2][o2]][q * add[x3][o3] + add[x4][o4]] = symbol
-                symbol += 1
-    return SudokuGrid(q, rows)
+    try:
+        return build_from_canonical(canonicalize(plane))
+    except (NotCanonicalizable, NotAGenerator):
+        raise NotAGenerator(f"{plane!r} does not generate a sudoku square") from None
 
 
 def verify_sudoku(grid: SudokuGrid) -> SudokuReport:

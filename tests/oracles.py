@@ -3,14 +3,16 @@
 Everything here deliberately avoids the library's own code paths: the
 polynomial helpers work least-significant-coefficient-first (the library
 works most-significant-first), irreducibility is decided by enumerating
-factor products instead of trial division, and residue sets come from
-exhaustive squaring instead of exponentiation.
+factor products instead of trial division, residue sets come from
+exhaustive squaring instead of exponentiation, and coset grids walk each
+plane's span instead of using the builder's closed form.
 """
 
 from functools import lru_cache
 from itertools import product
 
 from moss.gf import GF
+from moss.sudoku import SudokuGrid
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 
@@ -92,3 +94,27 @@ def squares_by_squaring(field):
 def count_planes_formula(q):
     """Number of 2-dimensional subspaces of a 4-dimensional space over GF(q)."""
     return (q**4 - 1) * (q**4 - q) // ((q**2 - 1) * (q**2 - q))
+
+
+# -- coset oracle ---------------------------------------------------------------
+
+def grid_from_cosets(plane):
+    """Label the cosets of any plane with symbols in first-encounter order.
+
+    No generator precondition: the result passes verify_sudoku exactly when
+    the plane generates a sudoku square.
+    """
+    field = plane.field
+    q, n, add, elems = field.q, field.q * field.q, field.add_table, field.elements()
+    span = {tuple((u * x + w * y).index for x, y in zip(plane.v1, plane.v2))
+            for u in elems for w in elems}
+    rows = [[None] * n for _ in range(n)]
+    symbol = 0
+    for r in range(n):
+        for col in range(n):
+            if rows[r][col] is None:
+                x1, x2, x3, x4 = r // q, r % q, col // q, col % q
+                for o1, o2, o3, o4 in span:
+                    rows[q * add[x1][o1] + add[x2][o2]][q * add[x3][o3] + add[x4][o4]] = symbol
+                symbol += 1
+    return SudokuGrid(q, rows)

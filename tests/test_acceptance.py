@@ -17,11 +17,10 @@ from moss.serialize import SquareDocument
 from moss.sudoku import (
     build_from_canonical,
     build_from_plane,
-    grid_from_cosets,
     verify_orthogonal_bruteforce,
     verify_sudoku,
 )
-from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, ODD_PRIME_POWERS_49, get_field
+from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, ODD_PRIME_POWERS_49, get_field, grid_from_cosets
 
 
 def _check(num, description, ok, elapsed, limit):

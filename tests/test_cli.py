@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,18 @@ def test_generate_errors(capsys):
     capsys.readouterr()
 
 
+def test_generate_out_to_directory_is_io_error(tmp_path, capsys):
+    assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_family_out_below_regular_file_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["family", "--q", "3", "--out", str(blocker / "fam")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_and_help(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -128,9 +141,24 @@ def test_family_verify_report(capsys):
     assert out.splitlines()[-1] == "20 squares, 190 orthogonal pairs"
 
 
-def test_family_bruteforce_capped(capsys):
+def test_family_bruteforce_capped(tmp_path, capsys):
     assert main(["family", "--q", "11", "--verify", "bruteforce"]) == 2
     assert "capped" in capsys.readouterr().err
+    outdir = tmp_path / "fam"
+    assert main(["family", "--q", "11", "--out", str(outdir), "--verify", "bruteforce"]) == 2
+    captured = capsys.readouterr()
+    assert "capped" in captured.err
+    assert captured.out == ""
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("args, digest", [
+    ([], "7a829b6ead26e07d3ad263d32fdb7b930dc8988ac7bcf1aeef41ec4b9b7709b9"),
+    (["--format", "grid"], "24781021df4c70bf704b6ba56df68c82b8a1bdae62a25e830c0035eed0349e32"),
+])
+def test_family_q9_stdout_golden_bytes(args, digest, capsys):
+    assert main(["family", "--q", "9", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_family_grid_and_csv_formats(tmp_path, capsys):

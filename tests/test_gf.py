@@ -57,6 +57,8 @@ def test_new_field_errors():
         GF(4)
     with pytest.raises(DegreeTooSmall):
         Field(3, 0)
+    with pytest.raises(DegreeTooSmall):
+        Field(3, True)
     with pytest.raises(OrderTooLarge):
         Field(3, 5)
     with pytest.raises(OrderTooLarge):

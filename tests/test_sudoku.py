@@ -4,6 +4,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moss.planes import Plane, all_valid_generators, canonicalize, column_plane, row_plane, subsquare_plane
 from moss.sudoku import (
@@ -13,12 +15,11 @@ from moss.sudoku import (
     SudokuGrid,
     build_from_canonical,
     build_from_plane,
-    grid_from_cosets,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
 )
-from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, get_field
+from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, get_field, grid_from_cosets
 
 
 def golden_plane():
@@ -64,6 +65,34 @@ def test_plane_and_canonical_builds_agree():
     for plane in all_planes(f3):
         if is_sudoku_generator(plane):
             assert build_from_plane(plane) == build_from_canonical(canonicalize(plane))
+        else:
+            with pytest.raises(NotAGenerator):
+                build_from_plane(plane)
+
+
+def relabel_by_top_left(grid):
+    """Rename each symbol class q*a + b after its cell in row a, column b."""
+    q = grid.q
+    name = {grid.rows[a][b]: q * a + b for a in range(q) for b in range(q)}
+    return [[name[s] for s in row] for row in grid.rows]
+
+
+@pytest.mark.parametrize("q, examples", [(3, 40), (5, 40), (7, 25), (9, 25), (25, 5)])
+def test_builder_matches_coset_oracle(q, examples):
+    field = get_field(q)
+    element = st.integers(0, q - 1)
+    valid = st.builds(
+        lambda a, b, c, d: mat(field, ((a, b), (c, d))),
+        element, st.integers(1, q - 1), element, element,
+    ).filter(lambda m: bool(m.det()))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(valid)
+    def check(c):
+        oracle = grid_from_cosets(Plane.from_generator(c))
+        assert build_from_canonical(c).rows == relabel_by_top_left(oracle)
+
+    check()
 
 
 def test_every_valid_generator_builds_a_sudoku_square_q3():
