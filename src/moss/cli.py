@@ -18,7 +18,8 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF, NotOddPrime, OrderTooLarge
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import SudokuGrid, render_grid, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import (SudokuGrid, build_from_canonical, render_grid,
+                     verify_orthogonal_bruteforce, verify_sudoku)
 
 
 def _fail(message, code: int = 2) -> int:
@@ -125,26 +126,29 @@ def _cmd_family(args) -> int:
             report = verify_family(fam, args.verify)
         except ValueError as exc:
             return _fail(exc)
-    docs = [SquareDocument.from_matrix(m) for m in fam]
     if args.format == "json":
-        contents = [doc.to_json() for doc in docs]
+        def render(m):
+            return SquareDocument.from_matrix(m).to_json()
         ext = "json"
     else:
         style = "text" if args.format == "grid" else "csv"
-        contents = [render_grid(doc.to_grid(), style) + "\n" for doc in docs]
+        def render(m):
+            return render_grid(build_from_canonical(m), style) + "\n"
         ext = "txt" if args.format == "grid" else "csv"
+    # One square at a time: build, render, write, so memory does not grow
+    # with the family.
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         width = max(2, len(str(fam.size - 1)))
-        for i, content in enumerate(contents):
-            (outdir / f"square_{i:0{width}d}.{ext}").write_text(content)
+        for i, m in enumerate(fam):
+            (outdir / f"square_{i:0{width}d}.{ext}").write_text(render(m))
         print(f"wrote {fam.size} squares to {outdir}")
     else:
-        for i, content in enumerate(contents):
+        for i, m in enumerate(fam):
             if i and args.format != "json":
                 print()
-            sys.stdout.write(content)
+            sys.stdout.write(render(m))
     if report is not None:
         if not report.ok:
             for kind, members in report.violations:

@@ -5,19 +5,28 @@ matrix c as a 2x2 array of element indices, and the full grid.  Keys are
 emitted in that fixed order and all values are integers, so serialization
 is byte-stable and documents round-trip exactly.  Deserialization
 revalidates everything, including that rebuilding the grid from c
-reproduces the stored grid cell for cell.
+reproduces the stored grid cell for cell.  Fields are cached by
+(p, k, modulus), so loading and rebuilding a document construct its field
+at most once per process.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf import DegreeTooSmall, Field, NotOddPrime, OrderTooLarge
 from .planes import Mat2, is_valid_generator
 from .sudoku import SudokuGrid, build_from_canonical
 
 KEY_ORDER = ("q", "p", "k", "modulus", "c", "grid")
+
+
+@lru_cache(maxsize=16)
+def _field(p: int, k: int, modulus: tuple[int, ...]) -> Field:
+    """The field of a document; a raised error is not cached."""
+    return Field(p, k, modulus=modulus)
 
 
 class SchemaViolation(ValueError):
@@ -70,7 +79,7 @@ class SquareDocument:
                    c=c.indices(), grid=[list(row) for row in grid.rows])
 
     def to_field(self) -> Field:
-        return Field(self.p, self.k, modulus=self.modulus)
+        return _field(self.p, self.k, tuple(self.modulus))
 
     def to_matrix(self, field: Field | None = None) -> Mat2:
         return Mat2.from_indices(field or self.to_field(), self.c)
@@ -124,7 +133,7 @@ class SquareDocument:
             raise SchemaViolation("modulus", "expected a list")
         modulus = tuple(_require_int(m, f"modulus[{i}]") for i, m in enumerate(modulus))
         try:
-            field = Field(p, k, modulus=modulus)
+            field = _field(p, k, modulus)
         except NotOddPrime as exc:
             raise SchemaViolation("p", str(exc)) from None
         except DegreeTooSmall as exc:

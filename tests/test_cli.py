@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import moss.serialize
 from moss.cli import main
 from moss.family import build_family
+from moss.gf import Field
 from moss.serialize import SquareDocument
 from oracles import get_field
 
@@ -175,6 +177,31 @@ def test_family_grid_and_csv_formats(tmp_path, capsys):
     assert all(len(row.split(",")) == 9 for row in first_rows)
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_family_emission_memory_does_not_hold_the_family(tmp_path):
+    """A fresh process writing the 156 q = 13 squares stays small.
+
+    Rendering every document before the first write peaked near 69 MB.  The
+    child reports VmHWM, the peak of its own address space: ru_maxrss would
+    carry over the RSS of this test process across fork and exec.
+    """
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    code = (
+        "import sys\n"
+        "import moss.cli\n"
+        "assert moss.cli.main(['family', '--q', '13', '--out', sys.argv[1]]) == 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
+        "          file=sys.stderr)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fam")],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert len(list((tmp_path / "fam").iterdir())) == 156
+    peak_mb = int(run.stderr.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 40
+
+
 def _write_family(tmp_path, q=3):
     outdir = tmp_path / f"family{q}"
     assert main(["family", "--q", str(q), "--out", str(outdir)]) == 0
@@ -186,6 +213,22 @@ def test_verify_accepts_clean_family(tmp_path, capsys):
     assert main(["verify", "--files", *files]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
+
+
+def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
+    files = _write_family(tmp_path)
+    capsys.readouterr()
+    moss.serialize._field.cache_clear()
+    calls = []
+    original = Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    assert main(["verify", "--files", *files]) == 0
+    assert len(calls) <= 1
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import moss.family
 from moss.family import (
     Family,
     alpha_census,
@@ -158,6 +161,66 @@ def test_verify_family_guards():
         verify_family(fam, "bruteforce")  # default cap is q <= 9
     with pytest.raises(ValueError):
         verify_family(fam, "thorough")
+
+
+def test_verify_family_fast_q121():
+    report = verify_family(build_family(get_field(121)), "fast")
+    assert report.ok
+    assert report.size == 14520
+    assert report.pairs == 105_407_940
+
+
+def test_mode_and_cap_are_checked_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("verification work started before the argument checks")
+
+    monkeypatch.setattr(moss.family, "_orthogonality_violations", no_work)
+    monkeypatch.setattr(moss.family, "is_valid_generator", no_work)
+    fam = build_family(get_field(11))
+    with pytest.raises(ValueError, match="capped"):
+        verify_family(fam, "bruteforce")
+    with pytest.raises(ValueError, match="unknown mode"):
+        verify_family(fam, "thorough")
+
+
+@pytest.mark.parametrize("q, examples", [(3, 60), (5, 60), (7, 40), (9, 40), (25, 20)])
+def test_direction_scan_matches_pairwise_oracle(q, examples):
+    """The fast violations are exactly the pairs meets_trivially rejects.
+
+    Random matrices rarely collide, so duplicates and members that differ
+    from another by a rank-1 matrix (a singular nonzero difference) are
+    injected, and the list is shuffled so they land on either side.
+    """
+    field = get_field(q)
+    alpha = find_alpha(field)
+    lam = derive_lambda(field, alpha)
+    element = st.integers(0, q - 1)
+    entries = st.tuples(element, element, element, element)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.lists(entries, min_size=1, max_size=30), st.data())
+    def check(rows, data):
+        matrices = [Mat2.from_indices(field, ((a, b), (c, d))) for a, b, c, d in rows]
+        member = st.integers(0, len(matrices) - 1)
+        for i in data.draw(st.lists(member, max_size=4), label="duplicates"):
+            matrices.append(matrices[i])
+        for i, uv in data.draw(st.lists(st.tuples(member, entries), max_size=4), label="rank-1"):
+            u1, u2, v1, v2 = (field(x) for x in uv)
+            m = matrices[i]
+            matrices.append(Mat2(m.a + u1 * v1, m.b + u1 * v2, m.c + u2 * v1, m.d + u2 * v2))
+        matrices = data.draw(st.permutations(matrices), label="order")
+        n = len(matrices)
+        report = verify_family(Family(field, alpha, lam, matrices), "fast")
+        expected = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not meets_trivially(matrices[i], matrices[j])
+        ]
+        assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
+        assert report.pairs == n * (n - 1) // 2
+
+    check()
 
 
 def test_fast_scan_agrees_with_meets_trivially_q3():

@@ -105,9 +105,10 @@ def corrupt_cases():
 @pytest.mark.parametrize("name", sorted(corrupt_cases()))
 def test_schema_violations(name):
     text, path = corrupt_cases()[name]
-    with pytest.raises(SchemaViolation) as exc_info:
-        SquareDocument.from_json(text)
-    assert exc_info.value.path.startswith(path)
+    for _ in range(2):  # fields are cached, a failed construction is not
+        with pytest.raises(SchemaViolation) as exc_info:
+            SquareDocument.from_json(text)
+        assert exc_info.value.path.startswith(path)
 
 
 def test_unparseable_text_is_not_a_schema_violation():
