@@ -20,19 +20,11 @@ from .planes import (
     Mat2,
     NotCanonicalizable,
     Plane,
-    all_planes,
-    all_valid_generators,
     canonicalize,
-    column_plane,
     format_mat2,
-    is_sudoku_generator,
     is_valid_generator,
     meets_trivially,
     parse_mat2,
-    planes_intersect_trivially,
-    rank,
-    row_plane,
-    subsquare_plane,
 )
 from .sudoku import (
     MalformedGrid,

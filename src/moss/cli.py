@@ -65,16 +65,20 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# Text that cannot be read as JSON: a usage error (exit 2), not a failed check.
+_NOT_JSON = (json.JSONDecodeError, UnicodeDecodeError)
+
+
 def _load_document(path: Path) -> SquareDocument:
     """Read and validate one document; raises for unreadable or invalid files."""
-    return SquareDocument.from_json(path.read_text())
+    return SquareDocument.from_json(path.read_text(encoding="utf-8"))
 
 
 def _cmd_render(args) -> int:
     path = Path(args.file)
     try:
         doc = _load_document(path)
-    except json.JSONDecodeError as exc:
+    except _NOT_JSON as exc:
         return _fail(f"{path}: not valid JSON ({exc})")
     except SchemaViolation as exc:
         return _fail(f"{path}: {exc}")
@@ -89,7 +93,7 @@ def _cmd_verify(args) -> int:
         path = Path(name)
         try:
             doc = _load_document(path)
-        except json.JSONDecodeError as exc:
+        except _NOT_JSON as exc:
             return _fail(f"{path}: not valid JSON ({exc})")
         except SchemaViolation as exc:
             print(f"FAIL {path}: {exc}")

@@ -12,6 +12,8 @@ yields either another matrix of the same shape (w1 != w2) or a nonzero
 diagonal matrix (w1 == w2), both invertible.  Each member is itself
 invertible and non-lower-triangular, so the family generates q(q-1)
 mutually orthogonal sudoku squares of order q^2, the maximum possible.
+build_family makes the members straight from the field's tables, as
+matrices of element indices; only the residue search uses FieldElement.
 
 verify_family certifies any list of matrices without visiting its
 n(n-1)/2 pairs.  C1 - C2 is singular iff C1 x = C2 x for some nonzero x,
@@ -45,11 +47,10 @@ def find_alpha(field: Field) -> FieldElement:
 
     Existence is guaranteed for every odd prime power order.
     """
-    one = field.one
-    for a in field.elements():
-        if field.is_square(a) and not field.is_square(a + one):
-            return a
-    raise AssertionError(f"{field} has no square with non-square successor")
+    census = alpha_census(field)
+    if not census:
+        raise AssertionError(f"{field} has no square with non-square successor")
+    return census[0]
 
 
 def count_alphas(field: Field) -> int:
@@ -99,11 +100,11 @@ def build_family(field: Field) -> Family:
     """
     alpha = find_alpha(field)
     lam = derive_lambda(field, alpha)
-    elements = field.elements()
+    q, add, lam_times = field.q, field.add_table, field.mul_table[lam.index]
     matrices = [
-        Mat2(v, w, w, lam * w + v)
-        for v in elements
-        for w in elements[1:]
+        Mat2(field, v, w, w, add[lam_times[w]][v])
+        for v in range(q)
+        for w in range(1, q)
     ]
     return Family(field, alpha, lam, matrices)
 
@@ -138,10 +139,10 @@ def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[
     """
     q = field.q
     add, mul = field.add_table, field.mul_table
-    a = [m.a.index for m in matrices]
-    b = [m.b.index for m in matrices]
-    c = [m.c.index for m in matrices]
-    d = [m.d.index for m in matrices]
+    a = [m.a for m in matrices]
+    b = [m.b for m in matrices]
+    c = [m.c for m in matrices]
+    d = [m.d for m in matrices]
     bad = set()
     for x1, x2 in [(0, 1)] + [(1, s) for s in range(q)]:
         m1, m2 = mul[x1], mul[x2]

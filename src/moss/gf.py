@@ -190,13 +190,18 @@ class Field:
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None,
                  max_order: int = DEFAULT_MAX_ORDER):
+        # The cap is checked before any work that grows with p or k: p is
+        # tested for primality only below the cap, and p ** k is taken only
+        # for k below the cap's bit length (p >= 3, so p ** k > 2 ** k).
+        if p > max_order:
+            raise OrderTooLarge(f"characteristic {p} exceeds cap {max_order}")
         if not is_prime(p) or p == 2:
             raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise DegreeTooSmall(f"extension degree must be >= 1, got {k}")
+        if k >= max_order.bit_length() or p ** k > max_order:
+            raise OrderTooLarge(f"order {p}^{k} exceeds cap {max_order}")
         q = p ** k
-        if q > max_order:
-            raise OrderTooLarge(f"order {q} exceeds cap {max_order}")
         self.p = p
         self.k = k
         self.q = q
@@ -335,7 +340,13 @@ class Field:
 
 
 def GF(q: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
-    """Field of order q, with q an odd prime power."""
+    """Field of order q, with q an odd prime power.
+
+    An order above the cap is rejected before q is factored, since trial
+    division costs O(sqrt(q)).
+    """
+    if q > max_order:
+        raise OrderTooLarge(f"order {q} exceeds cap {max_order}")
     try:
         p, k = factor_prime_power(q)
     except ValueError:

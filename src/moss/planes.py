@@ -1,5 +1,8 @@
 """2x2 matrices over GF(q) and 2-dimensional subspaces of GF(q)^4.
 
+Matrix entries and basis coordinates are element indices (ints), and all
+arithmetic is done on the field's add/sub/mul/neg/inv tables.
+
 A plane (2-dimensional subspace) whose column-stacked basis has an
 invertible top 2x2 block A can be rewritten as the column span of [I; C]
 with C = B A^-1, where B is the bottom block.  Such a C is the canonical
@@ -12,175 +15,124 @@ squares exactly when their difference is invertible.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
-from .gf import Field, FieldElement, FieldMismatch
+from .gf import Field, FieldMismatch
 
 
 class NotCanonicalizable(ValueError):
     """The plane has no basis of the form [I; C]."""
 
 
+def _index(field: Field, i: int) -> int:
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < field.q:
+        raise IndexError(f"element index must lie in [0, {field.q}), got {i!r}")
+    return i
+
+
 class Mat2:
-    """2x2 matrix over a single field, entries row-major a, b, c, d."""
+    """2x2 matrix over a field, row-major entries a, b, c, d as element indices.
 
-    __slots__ = ("a", "b", "c", "d")
+    The constructor trusts its indices; from_indices checks them.
+    """
 
-    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
-        field = a.field
-        for entry in (b, c, d):
-            if entry.field != field:
-                raise FieldMismatch("matrix entries from different fields")
+    __slots__ = ("field", "a", "b", "c", "d")
+
+    def __init__(self, field: Field, a: int, b: int, c: int, d: int):
+        self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
     def from_indices(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Mat2":
         (a, b), (c, d) = rows
-        return cls(field(a), field(b), field(c), field(d))
-
-    @property
-    def field(self) -> Field:
-        return self.a.field
+        return cls(field, *(_index(field, i) for i in (a, b, c, d)))
 
     def indices(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.a.index, self.b.index), (self.c.index, self.d.index)
+        return (self.a, self.b), (self.c, self.d)
 
-    def det(self) -> FieldElement:
-        return self.a * self.d - self.b * self.c
+    def det(self) -> int:
+        mul = self.field.mul_table
+        return self.field.sub_table[mul[self.a][self.d]][mul[self.b][self.c]]
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        sub = self.field.sub_table
+        return Mat2(self.field, sub[self.a][other.a], sub[self.b][other.b],
+                    sub[self.c][other.c], sub[self.d][other.d])
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        add, mul = self.field.add_table, self.field.mul_table
+        a, b, c, d = self.a, self.b, self.c, self.d
         return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            self.field,
+            add[mul[a][other.a]][mul[b][other.c]],
+            add[mul[a][other.b]][mul[b][other.d]],
+            add[mul[c][other.a]][mul[d][other.c]],
+            add[mul[c][other.b]][mul[d][other.d]],
         )
 
     def inverse(self) -> "Mat2":
-        det = self.det()
-        if not det:
+        field = self.field
+        inv = field.inv_table[self.det()]
+        if inv is None:
             raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
+        mul, neg = field.mul_table, field.neg_table
+        return Mat2(field, mul[self.d][inv], mul[neg[self.b]][inv],
+                    mul[neg[self.c]][inv], mul[self.a][inv])
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat2)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            and (self.field, self.a, self.b, self.c, self.d)
+            == (other.field, other.a, other.b, other.c, other.d)
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self.field, self.a, self.b, self.c, self.d))
 
     def __repr__(self):
-        (a, b), (c, d) = self.indices()
-        return f"Mat2({self.field!r}, [[{a},{b}],[{c},{d}]])"
+        return f"Mat2({self.field!r}, [[{self.a},{self.b}],[{self.c},{self.d}]])"
 
 
-Vector4 = tuple[FieldElement, FieldElement, FieldElement, FieldElement]
+Vector4 = tuple[int, int, int, int]
 
 
 class Plane:
-    """2-dimensional subspace of F^4, given by two independent basis vectors."""
+    """2-dimensional subspace of F^4, given by two independent basis vectors.
 
-    __slots__ = ("v1", "v2")
+    Coordinates are element indices; the constructor trusts them and
+    from_indices checks them.
+    """
 
-    def __init__(self, v1: Sequence[FieldElement], v2: Sequence[FieldElement]):
+    __slots__ = ("field", "v1", "v2")
+
+    def __init__(self, field: Field, v1: Sequence[int], v2: Sequence[int]):
         v1, v2 = tuple(v1), tuple(v2)
         if len(v1) != 4 or len(v2) != 4:
             raise ValueError("basis vectors must have 4 coordinates")
-        field = v1[0].field
-        for x in (*v1, *v2):
-            if x.field != field:
-                raise FieldMismatch("basis coordinates from different fields")
-        if rank([v1, v2]) != 2:
+        # Independent iff some 2x2 minor of the stacked basis is nonzero.
+        mul = field.mul_table
+        if all(mul[v1[i]][v2[j]] == mul[v1[j]][v2[i]] for i, j in combinations(range(4), 2)):
             raise ValueError("basis vectors are linearly dependent")
+        self.field = field
         self.v1: Vector4 = v1
         self.v2: Vector4 = v2
 
     @classmethod
     def from_indices(cls, field: Field, v1: Sequence[int], v2: Sequence[int]) -> "Plane":
-        return cls(tuple(field(i) for i in v1), tuple(field(i) for i in v2))
+        return cls(field, [_index(field, i) for i in v1], [_index(field, i) for i in v2])
 
     @classmethod
     def from_generator(cls, c: Mat2) -> "Plane":
         """Column span of [I; C]."""
-        field = c.field
-        one, zero = field.one, field.zero
-        return cls((one, zero, c.a, c.c), (zero, one, c.b, c.d))
-
-    @property
-    def field(self) -> Field:
-        return self.v1[0].field
+        return cls(c.field, (1, 0, c.a, c.c), (0, 1, c.b, c.d))
 
     def basis(self) -> tuple[Vector4, Vector4]:
         return self.v1, self.v2
 
     def __repr__(self):
-        fmt = lambda v: "".join(str(x.index) for x in v)
+        fmt = lambda v: "".join(str(x) for x in v)
         return f"Plane({self.field!r}, <{fmt(self.v1)},{fmt(self.v2)}>)"
-
-
-def rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
-    """Rank of a list of vectors, by Gaussian elimination with first-nonzero pivoting."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][col].inverse()
-        rows[r] = [x * scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def column_plane(field: Field) -> Plane:
-    """The plane whose cosets are the columns of the grid: <1000, 0100>."""
-    return Plane.from_indices(field, (1, 0, 0, 0), (0, 1, 0, 0))
-
-
-def row_plane(field: Field) -> Plane:
-    """The plane whose cosets are the rows of the grid: <0010, 0001>."""
-    return Plane.from_indices(field, (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def subsquare_plane(field: Field) -> Plane:
-    """The plane whose cosets are the subsquares of the grid: <0100, 0001>."""
-    return Plane.from_indices(field, (0, 1, 0, 0), (0, 0, 0, 1))
-
-
-def planes_intersect_trivially(g: Plane, h: Plane) -> bool:
-    if g.field != h.field:
-        raise FieldMismatch(f"{g.field} vs {h.field}")
-    return rank([g.v1, g.v2, h.v1, h.v2]) == 4
-
-
-def is_sudoku_generator(plane: Plane) -> bool:
-    """True iff the plane's cosets hit every row, column and subsquare once.
-
-    Checked directly on basis vectors, independent of canonicalization: the
-    plane must intersect each of the three reference planes only at 0.
-    """
-    field = plane.field
-    return all(
-        planes_intersect_trivially(plane, ref)
-        for ref in (column_plane(field), row_plane(field), subsquare_plane(field))
-    )
 
 
 def canonicalize(plane: Plane) -> Mat2:
@@ -190,17 +142,17 @@ def canonicalize(plane: Plane) -> Mat2:
     bottom one; C = B A^-1.  Raises NotCanonicalizable when A is singular
     (the plane meets the row plane nontrivially).
     """
-    v1, v2 = plane.v1, plane.v2
-    top = Mat2(v1[0], v2[0], v1[1], v2[1])
-    bottom = Mat2(v1[2], v2[2], v1[3], v2[3])
+    field, v1, v2 = plane.field, plane.v1, plane.v2
+    top = Mat2(field, v1[0], v2[0], v1[1], v2[1])
     if not top.det():
         raise NotCanonicalizable("top block of the stacked basis is singular")
-    return bottom * top.inverse()
+    return Mat2(field, v1[2], v2[2], v1[3], v2[3]) * top.inverse()
 
 
 def is_valid_generator(c: Mat2) -> bool:
     """True iff [I; C] spans a sudoku-generating plane: det(C) != 0 and b != 0."""
-    return bool(c.det()) and bool(c.b)
+    mul = c.field.mul_table
+    return c.b != 0 and mul[c.a][c.d] != mul[c.b][c.c]
 
 
 def meets_trivially(c1: Mat2, c2: Mat2) -> bool:
@@ -211,39 +163,7 @@ def meets_trivially(c1: Mat2, c2: Mat2) -> bool:
     """
     if c1.field != c2.field:
         raise FieldMismatch(f"{c1.field} vs {c2.field}")
-    return bool((c1 - c2).det())
-
-
-def all_planes(field: Field) -> Iterator[Plane]:
-    """All 2-dimensional subspaces of F^4, one canonical basis each.
-
-    Enumerates reduced row echelon bases by pivot-column pattern, so the
-    order is deterministic and no subspace appears twice.
-    """
-    elems = field.elements()
-    zero, one = field.zero, field.one
-    for c1, c2 in combinations(range(4), 2):
-        free1 = [j for j in range(c1 + 1, 4) if j != c2]
-        free2 = [j for j in range(c2 + 1, 4)]
-        for values in product(range(field.q), repeat=len(free1) + len(free2)):
-            row1, row2 = [zero] * 4, [zero] * 4
-            row1[c1] = one
-            row2[c2] = one
-            for pos, v in zip(free1, values):
-                row1[pos] = elems[v]
-            for pos, v in zip(free2, values[len(free1):]):
-                row2[pos] = elems[v]
-            yield Plane(tuple(row1), tuple(row2))
-
-
-def all_valid_generators(field: Field) -> list[Mat2]:
-    """Every valid canonical generator over the field, in index order."""
-    out = []
-    for a, b, c, d in product(range(field.q), repeat=4):
-        m = Mat2.from_indices(field, ((a, b), (c, d)))
-        if is_valid_generator(m):
-            out.append(m)
-    return out
+    return (c1 - c2).det() != 0
 
 
 def parse_mat2(field: Field, text: str) -> Mat2:
@@ -258,12 +178,11 @@ def parse_mat2(field: Field, text: str) -> Mat2:
             raise ValueError(f"expected two ','-separated entries in {row!r}")
         for cell in cells:
             try:
-                entries.append(field.from_index(int(cell.strip())))
+                entries.append(_index(field, int(cell.strip())))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"bad matrix entry {cell.strip()!r}: {exc}") from None
-    return Mat2(*entries)
+    return Mat2(field, *entries)
 
 
 def format_mat2(m: Mat2) -> str:
-    (a, b), (c, d) = m.indices()
-    return f"{a},{b};{c},{d}"
+    return f"{m.a},{m.b};{m.c},{m.d}"

@@ -76,7 +76,7 @@ class SquareDocument:
         field = c.field
         grid = build_from_canonical(c)
         return cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus,
-                   c=c.indices(), grid=[list(row) for row in grid.rows])
+                   c=((c.a, c.b), (c.c, c.d)), grid=[list(row) for row in grid.rows])
 
     def to_field(self) -> Field:
         return _field(self.p, self.k, tuple(self.modulus))
@@ -106,9 +106,15 @@ class SquareDocument:
 
         Raises json.JSONDecodeError for text that is not JSON at all, and
         SchemaViolation (with the offending field path) for anything that
-        parses but breaks the schema.
+        parses but breaks the schema, including an integer literal longer
+        than the interpreter converts.
         """
-        data = json.loads(text, parse_float=_reject_float)
+        try:
+            data = json.loads(text, parse_float=_reject_float)
+        except (json.JSONDecodeError, SchemaViolation):
+            raise
+        except ValueError as exc:  # int()'s digit limit
+            raise SchemaViolation("$", str(exc)) from None
         return cls._validate(data)
 
     @classmethod
@@ -125,7 +131,9 @@ class SquareDocument:
         q = _require_int(data["q"], "q")
         p = _require_int(data["p"], "p")
         k = _require_int(data["k"], "k")
-        if k < 1 or p < 2 or p ** k != q:
+        # p ** k has more than k * (bit_length(p) - 1) bits, so the power is
+        # taken only when it is about as small as q.
+        if k < 1 or p < 2 or k * (p.bit_length() - 1) >= q.bit_length() or p ** k != q:
             raise SchemaViolation("q", f"q = {q} is not p^k = {p}^{k}")
 
         modulus = data["modulus"]

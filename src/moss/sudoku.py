@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .gf import FieldElement
-from .planes import Mat2, NotCanonicalizable, Plane, canonicalize
+from .planes import Mat2, NotCanonicalizable, Plane, canonicalize, is_valid_generator
 
 
 class NotAGenerator(ValueError):
@@ -57,11 +56,10 @@ class SudokuGrid:
             self._flat = tuple(s for row in self.rows for s in row)
         return self._flat
 
-    def symbol_at(self, x1: FieldElement, x2: FieldElement, x3: FieldElement,
-                  x4: FieldElement) -> int:
-        """Symbol housed at address (x1, x2, x3, x4)."""
+    def symbol_at(self, x1: int, x2: int, x3: int, x4: int) -> int:
+        """Symbol housed at the address (x1, x2, x3, x4) of element indices."""
         q = self.q
-        return self.rows[q * x1.index + x2.index][q * x3.index + x4.index]
+        return self.rows[q * x1 + x2][q * x3 + x4]
 
     def __eq__(self, other):
         return isinstance(other, SudokuGrid) and self.q == other.q and self.rows == other.rows
@@ -97,12 +95,12 @@ def build_from_canonical(c: Mat2) -> SudokuGrid:
     the permutation q*alpha + beta -> q*(x2 + alpha) + beta, which depends on
     x2 alone.  Raises NotAGenerator when C is singular or lower triangular.
     """
+    if not is_valid_generator(c):
+        raise NotAGenerator(f"{c!r} is singular or lower triangular")
     field = c.field
     q = field.q
     add, sub, mul, neg = field.add_table, field.sub_table, field.mul_table, field.neg_table
-    (a, b), (cc, d) = c.indices()
-    if not b or mul[a][d] == mul[b][cc]:
-        raise NotAGenerator(f"{c!r} is singular or lower triangular")
+    a, b, cc, d = c.a, c.b, c.c, c.d
     inv_b = field.inv_table[b]
     # perms[x2 - 1] sends symbol q*alpha + beta to q*(x2 + alpha) + beta.
     perms = [[q * add[x2][alpha] + beta for alpha in range(q) for beta in range(q)]

@@ -6,12 +6,20 @@ works most-significant-first), irreducibility is decided by enumerating
 factor products instead of trial division, residue sets come from
 exhaustive squaring instead of exponentiation, and coset grids walk each
 plane's span instead of using the builder's closed form.
+
+The rank and enumeration code lives here too, because only tests use it:
+rank (Gaussian elimination through FieldElement operators, not the index
+tables the library computes on), planes_intersect_trivially and
+is_sudoku_generator (rank tests against the column, row and subsquare
+reference planes), all_planes (every 2-dimensional subspace of F^4) and
+all_valid_generators (every valid canonical generator).
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
-from moss.gf import GF
+from moss.gf import GF, FieldMismatch
+from moss.planes import Mat2, Plane, is_valid_generator
 from moss.sudoku import SudokuGrid
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
@@ -106,7 +114,8 @@ def grid_from_cosets(plane):
     """
     field = plane.field
     q, n, add, elems = field.q, field.q * field.q, field.add_table, field.elements()
-    span = {tuple((u * x + w * y).index for x, y in zip(plane.v1, plane.v2))
+    v1, v2 = elements_of(plane)
+    span = {tuple((u * x + w * y).index for x, y in zip(v1, v2))
             for u in elems for w in elems}
     rows = [[None] * n for _ in range(n)]
     symbol = 0
@@ -118,3 +127,99 @@ def grid_from_cosets(plane):
                     rows[q * add[x1][o1] + add[x2][o2]][q * add[x3][o3] + add[x4][o4]] = symbol
                 symbol += 1
     return SudokuGrid(q, rows)
+
+
+# -- rank oracle and exhaustive enumeration -------------------------------------
+
+def elements_of(plane):
+    """The plane's basis vectors as FieldElement tuples."""
+    elems = plane.field.elements()
+    return tuple(tuple(elems[i] for i in v) for v in plane.basis())
+
+
+def rank(vectors):
+    """Rank of FieldElement vectors, by Gaussian elimination with first-nonzero pivoting."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = rows[r][col].inverse()
+        rows[r] = [x * scale for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def column_plane(field):
+    """The plane whose cosets are the columns of the grid: <1000, 0100>."""
+    return Plane.from_indices(field, (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def row_plane(field):
+    """The plane whose cosets are the rows of the grid: <0010, 0001>."""
+    return Plane.from_indices(field, (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def subsquare_plane(field):
+    """The plane whose cosets are the subsquares of the grid: <0100, 0001>."""
+    return Plane.from_indices(field, (0, 1, 0, 0), (0, 0, 0, 1))
+
+
+def planes_intersect_trivially(g, h):
+    if g.field != h.field:
+        raise FieldMismatch(f"{g.field} vs {h.field}")
+    return rank([*elements_of(g), *elements_of(h)]) == 4
+
+
+def is_sudoku_generator(plane):
+    """True iff the plane's cosets hit every row, column and subsquare once.
+
+    Checked directly on basis vectors, independent of canonicalization: the
+    plane must intersect each of the three reference planes only at 0.
+    """
+    field = plane.field
+    return all(
+        planes_intersect_trivially(plane, ref)
+        for ref in (column_plane(field), row_plane(field), subsquare_plane(field))
+    )
+
+
+def all_planes(field):
+    """All 2-dimensional subspaces of F^4, one canonical basis each.
+
+    Enumerates reduced row echelon bases by pivot-column pattern, so the
+    order is deterministic and no subspace appears twice.
+    """
+    for c1, c2 in combinations(range(4), 2):
+        free1 = [j for j in range(c1 + 1, 4) if j != c2]
+        free2 = [j for j in range(c2 + 1, 4)]
+        for values in product(range(field.q), repeat=len(free1) + len(free2)):
+            row1, row2 = [0] * 4, [0] * 4
+            row1[c1] = 1
+            row2[c2] = 1
+            for pos, v in zip(free1, values):
+                row1[pos] = v
+            for pos, v in zip(free2, values[len(free1):]):
+                row2[pos] = v
+            yield Plane(field, row1, row2)
+
+
+def all_valid_generators(field):
+    """Every valid canonical generator over the field, in index order."""
+    out = []
+    for a, b, c, d in product(range(field.q), repeat=4):
+        m = Mat2(field, a, b, c, d)
+        if is_valid_generator(m):
+            out.append(m)
+    return out

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from moss.cli import main
 from moss.family import build_family, count_alphas, find_alpha, verify_family
-from moss.planes import Mat2, Plane, all_planes, all_valid_generators, is_sudoku_generator, meets_trivially
+from moss.planes import Plane, meets_trivially
 from moss.serialize import SquareDocument
 from moss.sudoku import (
     build_from_canonical,
@@ -20,7 +20,16 @@ from moss.sudoku import (
     verify_orthogonal_bruteforce,
     verify_sudoku,
 )
-from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, ODD_PRIME_POWERS_49, get_field, grid_from_cosets
+from oracles import (
+    GOLDEN_GRID_Q3,
+    GOLDEN_PLANE_Q3,
+    ODD_PRIME_POWERS_49,
+    all_planes,
+    all_valid_generators,
+    get_field,
+    grid_from_cosets,
+    is_sudoku_generator,
+)
 
 
 def _check(num, description, ok, elapsed, limit):
@@ -35,7 +44,7 @@ def test_criterion_1_golden_grid():
     f3 = get_field(3)
     grid = build_from_plane(Plane.from_indices(f3, *GOLDEN_PLANE_Q3))
     ok = grid.rows == GOLDEN_GRID_Q3
-    ok = ok and grid.symbol_at(f3(0), f3(1), f3(2), f3(2)) == 1
+    ok = ok and grid.symbol_at(0, 1, 2, 2) == 1
     _check(1, "golden grid reproduced cell-for-cell", ok, time.perf_counter() - start, 1)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,10 @@ def test_field_rejects_bad_orders(capsys):
     assert main(["field", "--q", "12"]) == 2
     capsys.readouterr()
     assert main(["field", "--q", "169"]) == 2
+    assert "cap" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["field", "--q", "1000000000000000003"]) == 2
+    assert time.perf_counter() - start < 0.5
     assert "cap" in capsys.readouterr().err
 
 
@@ -267,6 +272,27 @@ def test_verify_unparseable_is_usage_error(tmp_path, capsys):
     assert main(["render", "--file", str(bad)]) == 2
     assert main(["verify", "--files", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_oversized_integer_literal_is_a_schema_failure(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(path)]) == 0
+    text = path.read_text()
+    path.write_text(text.replace('"q":3', '"q":' + "9" * 5000, 1))
+    capsys.readouterr()
+    assert main(["verify", "--files", str(path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["render", "--file", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"q": "\xe9"}')
+    assert main(["verify", "--files", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert main(["render", "--file", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):

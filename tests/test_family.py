@@ -17,8 +17,8 @@ from moss.family import (
     verify_family,
 )
 from moss.gf import GF
-from moss.planes import Mat2, all_valid_generators, is_valid_generator, meets_trivially
-from oracles import ODD_PRIME_POWERS_49, get_field, squares_by_squaring
+from moss.planes import Mat2, is_valid_generator, meets_trivially
+from oracles import ODD_PRIME_POWERS_49, all_valid_generators, get_field, squares_by_squaring
 
 
 def test_find_alpha_spec_values():
@@ -102,9 +102,9 @@ def test_build_family_structure(q):
     for m in fam.matrices:
         assert m.b == m.c, "off-diagonal entries must both equal w"
         assert m.b, "w must be nonzero"
-        assert m.d == lam * m.b + m.a
+        assert field(m.d) == lam * field(m.b) + field(m.a)
         assert is_valid_generator(m)
-        seen.append((m.a.index, m.b.index))
+        seen.append((m.a, m.b))
     # v runs in the outer loop, w in the inner one, both lexicographically
     assert seen == [(v, w) for v in range(q) for w in range(1, q)]
 
@@ -116,8 +116,8 @@ def test_golden_generator_uses_the_other_root():
     golden = Mat2.from_indices(f3, ((0, 2), (2, 1)))
     assert golden not in fam.matrices
     other_root = -fam.lam
-    v, w = f3(0), f3(2)
-    assert Mat2(v, w, w, other_root * w + v) == golden
+    v, w = 0, 2
+    assert Mat2(f3, v, w, w, (other_root * f3(w) + f3(v)).index) == golden
 
 
 def test_verify_family_bruteforce_q3():
@@ -207,7 +207,11 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
         for i, uv in data.draw(st.lists(st.tuples(member, entries), max_size=4), label="rank-1"):
             u1, u2, v1, v2 = (field(x) for x in uv)
             m = matrices[i]
-            matrices.append(Mat2(m.a + u1 * v1, m.b + u1 * v2, m.c + u2 * v1, m.d + u2 * v2))
+            a, b, c, d = (field(x) for x in (m.a, m.b, m.c, m.d))
+            matrices.append(Mat2.from_indices(field, (
+                ((a + u1 * v1).index, (b + u1 * v2).index),
+                ((c + u2 * v1).index, (d + u2 * v2).index),
+            )))
         matrices = data.draw(st.permutations(matrices), label="order")
         n = len(matrices)
         report = verify_family(Family(field, alpha, lam, matrices), "fast")
@@ -249,9 +253,10 @@ def test_difference_case_split(q):
             d = mats[i] - mats[j]
             if d.b:
                 assert d.b == d.c
-                assert d.d == lam * d.b + d.a  # same template shape, so invertible
+                # same template shape, so invertible
+                assert field(d.d) == lam * field(d.b) + field(d.a)
             else:
-                assert d.c.index == 0
+                assert d.c == 0
                 assert d.a == d.d
                 assert d.a  # nonzero diagonal
             assert d.det()

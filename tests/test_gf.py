@@ -1,5 +1,6 @@
 """Field construction, arithmetic tables and residue machinery."""
 
+import time
 from itertools import product
 
 import pytest
@@ -63,6 +64,19 @@ def test_new_field_errors():
         Field(3, 5)
     with pytest.raises(OrderTooLarge):
         GF(13, max_order=11)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GF(10**14 + 31),
+    lambda: GF(1000000000000000003),
+    lambda: Field(10**14 + 31),
+    lambda: Field(3, 10**7),
+])
+def test_order_cap_is_checked_before_work_that_grows(build):
+    start = time.perf_counter()
+    with pytest.raises(OrderTooLarge):
+        build()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_explicit_modulus():

@@ -1,29 +1,38 @@
 """Canonicalization, generator validity and the orthogonality criterion."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from moss.gf import GF, FieldMismatch
+from moss.family import build_family, verify_family
+from moss.gf import GF, FieldElement, FieldMismatch
 from moss.planes import (
     Mat2,
     NotCanonicalizable,
     Plane,
-    all_planes,
-    all_valid_generators,
     canonicalize,
-    column_plane,
     format_mat2,
-    is_sudoku_generator,
     is_valid_generator,
     meets_trivially,
     parse_mat2,
+)
+from moss.serialize import SquareDocument
+from moss.sudoku import build_from_canonical
+from oracles import (
+    GOLDEN_C_Q3,
+    GOLDEN_PLANE_Q3,
+    all_planes,
+    all_valid_generators,
+    column_plane,
+    count_planes_formula,
+    elements_of,
+    get_field,
+    is_sudoku_generator,
     planes_intersect_trivially,
     rank,
     row_plane,
     subsquare_plane,
 )
-from oracles import GOLDEN_C_Q3, GOLDEN_PLANE_Q3, count_planes_formula, get_field
 
 
 def mat(field, rows):
@@ -36,9 +45,9 @@ def golden_plane(field):
 
 def test_det_spec_values():
     f3 = GF(3)
-    assert mat(f3, ((0, 2), (2, 1))).det().index == 2
-    assert mat(f3, ((1, 0), (0, 1))).det() == f3.one
-    assert mat(f3, ((1, 2), (2, 1))).det() == f3.zero
+    assert mat(f3, ((0, 2), (2, 1))).det() == 2
+    assert mat(f3, ((1, 0), (0, 1))).det() == 1
+    assert mat(f3, ((1, 2), (2, 1))).det() == 0
 
 
 def test_mat2_algebra():
@@ -49,8 +58,8 @@ def test_mat2_algebra():
     assert m - m == mat(f3, ((0, 0), (0, 0)))
     with pytest.raises(ZeroDivisionError):
         mat(f3, ((1, 2), (2, 1))).inverse()
-    with pytest.raises(FieldMismatch):
-        Mat2(f3(1), f3(1), f3(1), GF(5)(1))
+    with pytest.raises(IndexError):
+        Mat2.from_indices(f3, ((1, 1), (1, 3)))  # 3 is not an element index of GF(3)
 
 
 def test_plane_constructor_validates():
@@ -60,17 +69,29 @@ def test_plane_constructor_validates():
     with pytest.raises(ValueError):
         Plane.from_indices(f3, (0, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
-        Plane((f3(1), f3(0), f3(0)), (f3(0), f3(1), f3(0)))
-    with pytest.raises(FieldMismatch):
-        Plane((f3(1), f3(0), f3(0), f3(0)), (GF(5)(0), GF(5)(1), GF(5)(0), GF(5)(0)))
+        Plane(f3, (1, 0, 0), (0, 1, 0))
+    with pytest.raises(IndexError):
+        Plane.from_indices(f3, (1, 0, 0, 0), (0, 1, 0, 3))  # 3 is not an element index of GF(3)
+
+
+def test_plane_independence_matches_rank_oracle():
+    """Plane accepts a basis by its 2x2 minors exactly when its rank is 2."""
+    f3 = GF(3)
+    elems = f3.elements()
+    vectors = list(product(range(3), repeat=4))
+    for v1, v2 in product(vectors, repeat=2):
+        if rank([[elems[i] for i in v1], [elems[i] for i in v2]]) == 2:
+            Plane(f3, v1, v2)
+        else:
+            with pytest.raises(ValueError):
+                Plane(f3, v1, v2)
 
 
 def test_special_plane_literals():
     f3 = GF(3)
-    as_indices = lambda plane: tuple(tuple(x.index for x in v) for v in plane.basis())
-    assert as_indices(column_plane(f3)) == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert as_indices(row_plane(f3)) == ((0, 0, 1, 0), (0, 0, 0, 1))
-    assert as_indices(subsquare_plane(f3)) == ((0, 1, 0, 0), (0, 0, 0, 1))
+    assert column_plane(f3).basis() == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert row_plane(f3).basis() == ((0, 0, 1, 0), (0, 0, 0, 1))
+    assert subsquare_plane(f3).basis() == ((0, 1, 0, 0), (0, 0, 0, 1))
 
 
 def test_rank_basics():
@@ -91,7 +112,7 @@ def test_canonicalize_golden_plane():
     assert c.indices() == GOLDEN_C_Q3
     # column span of [I; C] equals the original plane: stacked rank stays 2
     rebuilt = Plane.from_generator(c)
-    assert rank([*plane.basis(), *rebuilt.basis()]) == 2
+    assert rank([*elements_of(plane), *elements_of(rebuilt)]) == 2
 
 
 def test_canonicalize_edge_cases():
@@ -196,3 +217,32 @@ def test_matrix_literals():
     for bad in ("0,2;2", "0;2;1", "0,2,1;2,1,0", "a,b;c,d", "0,9;2,1", ""):
         with pytest.raises(ValueError):
             parse_mat2(f3, bad)
+
+
+def test_matrix_paths_build_no_field_elements(monkeypatch):
+    """Matrix, family and document paths compute on element indices alone."""
+    f9 = GF(9)
+    fam = build_family(f9)
+    c, other = fam.matrices[0], fam.matrices[5]
+    text = SquareDocument.from_matrix(c).to_json()
+    plane = Plane.from_generator(c)
+
+    built = []
+    original = FieldElement.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    build_from_canonical(c)
+    is_valid_generator(c)
+    meets_trivially(c, other)
+    canonicalize(plane)
+    assert verify_family(fam, "fast").ok
+    assert SquareDocument.from_json(text).to_json() == text
+    assert built == []
+    for q in (9, 25):
+        built.clear()
+        build_family(GF(q))
+        assert len(built) <= 4 * q  # O(q) for the residue search, none per member

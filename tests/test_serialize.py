@@ -1,6 +1,7 @@
 """Canonical JSON documents: round trips and schema enforcement."""
 
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,7 @@ def corrupt_cases():
         "bool-symbol": (_mutate("q", True), "q"),
         "float-value": (_mutate("k", 1.0), "$"),
         "top-level-array": ("[1,2,3]", "$"),
+        "integer-beyond-digit-limit": (_mutate("q", 0).replace('"q": 0', '"q": ' + "9" * 5000), "$"),
     }
     return cases
 
@@ -109,6 +111,19 @@ def test_schema_violations(name):
         with pytest.raises(SchemaViolation) as exc_info:
             SquareDocument.from_json(text)
         assert exc_info.value.path.startswith(path)
+
+
+@pytest.mark.parametrize("fields", [
+    {"p": 3, "k": 10_000_000},  # p ** k would have millions of digits
+    {"q": 10**14 + 31, "p": 10**14 + 31, "k": 1},  # primality by trial division
+])
+def test_oversized_fields_are_rejected_cheaply(fields):
+    data = dict(json.loads(golden_document().to_json()), **fields)
+    start = time.perf_counter()
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert exc_info.value.path == "q"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unparseable_text_is_not_a_schema_violation():

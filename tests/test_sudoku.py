@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moss.planes import Plane, all_valid_generators, canonicalize, column_plane, row_plane, subsquare_plane
+from moss.planes import Plane, canonicalize
 from moss.sudoku import (
     MalformedGrid,
     NotAGenerator,
@@ -19,7 +19,18 @@ from moss.sudoku import (
     verify_orthogonal_bruteforce,
     verify_sudoku,
 )
-from oracles import GOLDEN_GRID_Q3, GOLDEN_PLANE_Q3, get_field, grid_from_cosets
+from oracles import (
+    GOLDEN_GRID_Q3,
+    GOLDEN_PLANE_Q3,
+    all_planes,
+    all_valid_generators,
+    column_plane,
+    get_field,
+    grid_from_cosets,
+    is_sudoku_generator,
+    row_plane,
+    subsquare_plane,
+)
 
 
 def golden_plane():
@@ -34,12 +45,11 @@ def mat(field, rows):
 def test_golden_grid_from_plane():
     grid = build_from_plane(golden_plane())
     assert grid.rows == GOLDEN_GRID_Q3
-    f3 = get_field(3)
     # address (0,1,2,2): row 1, column 8
-    assert grid.symbol_at(f3(0), f3(1), f3(2), f3(2)) == 1
+    assert grid.symbol_at(0, 1, 2, 2) == 1
     # address (2,0,2,0): its coset representative in the top-left subsquare
     # is (0,2,0,1), hence symbol 3*2 + 1
-    assert grid.symbol_at(f3(2), f3(0), f3(2), f3(0)) == 7
+    assert grid.symbol_at(2, 0, 2, 0) == 7
 
 
 def test_golden_grid_from_canonical():
@@ -61,7 +71,6 @@ def test_build_rejects_non_generators():
 
 def test_plane_and_canonical_builds_agree():
     f3 = get_field(3)
-    from moss.planes import all_planes, is_sudoku_generator
     for plane in all_planes(f3):
         if is_sudoku_generator(plane):
             assert build_from_plane(plane) == build_from_canonical(canonicalize(plane))
