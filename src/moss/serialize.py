@@ -18,9 +18,10 @@ from functools import lru_cache
 
 from .gf import DegreeTooSmall, Field, NotOddPrime, OrderTooLarge
 from .planes import Mat2, is_valid_generator
-from .sudoku import SudokuGrid, build_from_canonical
+from .sudoku import NotAGenerator, SudokuGrid, build_from_canonical
 
 KEY_ORDER = ("q", "p", "k", "modulus", "c", "grid")
+_NOT_A_GENERATOR = "not a valid generator (singular or lower triangular)"
 
 
 @lru_cache(maxsize=16)
@@ -47,15 +48,19 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
                         upper: int) -> list[list[int]]:
     if not isinstance(value, list) or len(value) != nrows:
         raise SchemaViolation(path, f"expected {nrows} rows")
+    ints = {int}
     out = []
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise SchemaViolation(f"{path}[{r}]", f"expected {ncols} entries")
-        for c, cell in enumerate(row):
-            v = _require_int(cell, f"{path}[{r}][{c}]")
-            if not 0 <= v < upper:
-                raise SchemaViolation(f"{path}[{r}][{c}]",
-                                      f"value {v} out of range [0, {upper})")
+        # A row of plain ints in range passes on C-level passes; any other
+        # row is walked cell by cell to name its first bad entry.
+        if set(map(type, row)) != ints or min(row) < 0 or max(row) >= upper:
+            for c, cell in enumerate(row):
+                v = _require_int(cell, f"{path}[{r}][{c}]")
+                if not 0 <= v < upper:
+                    raise SchemaViolation(f"{path}[{r}][{c}]",
+                                          f"value {v} out of range [0, {upper})")
         out.append(list(row))
     return out
 
@@ -153,11 +158,19 @@ class SquareDocument:
 
         c_rows = _require_int_matrix(data["c"], "c", 2, 2, q)
         matrix = Mat2.from_indices(field, c_rows)
-        if not is_valid_generator(matrix):
-            raise SchemaViolation("c", "not a valid generator (singular or lower triangular)")
 
-        grid_rows = _require_int_matrix(data["grid"], "grid", q * q, q * q, q * q)
-        rebuilt = build_from_canonical(matrix)
+        # The grid field is read before the O(q^4) build, so a short grid is
+        # rejected at the cost of its own size; a bad c still comes first.
+        try:
+            grid_rows = _require_int_matrix(data["grid"], "grid", q * q, q * q, q * q)
+        except SchemaViolation:
+            if not is_valid_generator(matrix):
+                raise SchemaViolation("c", _NOT_A_GENERATOR) from None
+            raise
+        try:
+            rebuilt = build_from_canonical(matrix)
+        except NotAGenerator:
+            raise SchemaViolation("c", _NOT_A_GENERATOR) from None
         if rebuilt.rows != grid_rows:
             raise SchemaViolation("grid", "grid disagrees with the square rebuilt from c")
 

@@ -15,11 +15,21 @@ of symbols is a relabeling of the same square.
 build_from_canonical computes that label in closed form for g = [I; C];
 build_from_plane canonicalizes first.  The brute-force coset labeling that
 checks them is in tests/oracles.py.
+
+The checks read the grid itself and share nothing with the builder.
+verify_sudoku compares each row, column (a zip of the rows) and subsquare
+(chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
+superimposes two grids on integer keys: a cell holding s in A and t in B
+gets the key n*s + t, which is one-to-one on symbol pairs in [0, n), so
+the grids are orthogonal iff their n^2 keys are distinct.  Each grid caches
+its n*s values, and building them checks that every symbol is in [0, n);
+a grid's rows must therefore not change after its first census.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import chain
+from operator import add, itemgetter
 
 from .planes import Mat2, NotCanonicalizable, Plane, canonicalize, is_valid_generator
 
@@ -37,24 +47,38 @@ class OrderMismatch(ValueError):
 
 
 class SudokuGrid:
-    """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure."""
+    """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    __slots__ = ("q", "rows", "generator", "_flat")
+    The first orthogonality census of a grid caches its keys and the range
+    check that came with them, so its rows must not change after that: a
+    changed grid is checked as a new SudokuGrid over the changed rows.
+    """
+
+    __slots__ = ("q", "rows", "generator", "_keys")
 
     def __init__(self, q: int, rows: list[list[int]], generator: Mat2 | None = None):
         self.q = q
         self.rows = rows
         self.generator = generator
-        self._flat: tuple[int, ...] | None = None
+        self._keys: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
         return self.q * self.q
 
-    def flat(self) -> tuple[int, ...]:
-        if self._flat is None:
-            self._flat = tuple(s for row in self.rows for s in row)
-        return self._flat
+    def _scaled_keys(self) -> tuple[int, ...]:
+        """n*s for every symbol s, row by row, cached after the first call.
+
+        Raises MalformedGrid, as verify_sudoku does, on wrong dimensions or
+        a symbol that is not an int in [0, n).  The rows are read only on
+        the first call.
+        """
+        if self._keys is None:
+            n = self.order
+            _check_rows(self.rows, n)
+            scale = [n * s for s in range(n)]
+            self._keys = tuple(map(scale.__getitem__, chain.from_iterable(self.rows)))
+        return self._keys
 
     def symbol_at(self, x1: int, x2: int, x3: int, x4: int) -> int:
         """Symbol housed at the address (x1, x2, x3, x4) of element indices."""
@@ -140,28 +164,49 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
     """
     q, n = grid.q, grid.order
     rows = grid.rows
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise MalformedGrid(f"grid must be {n}x{n}")
-    for row in rows:
-        for s in row:
-            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
-                raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
+    _check_rows(rows, n)
     full = set(range(n))
     latin_rows = all(set(row) == full for row in rows)
-    latin_cols = all({rows[r][col] for r in range(n)} == full for col in range(n))
+    latin_cols = all(set(col) == full for col in zip(*rows))
     subsquares = all(
-        {rows[r][col] for r in range(br, br + q) for col in range(bc, bc + q)} == full
+        set(chain.from_iterable(row[bc:bc + q] for row in rows[br:br + q])) == full
         for br in range(0, n, q)
         for bc in range(0, n, q)
     )
     return SudokuReport(latin_rows, latin_cols, subsquares)
 
 
+def _check_rows(rows: list[list[int]], n: int) -> None:
+    """Raise MalformedGrid unless rows is n x n with int symbols in [0, n).
+
+    A row of plain ints in range passes on C-level passes (type set, min,
+    max); any other row is walked cell by cell to name its first bad symbol.
+    """
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise MalformedGrid(f"grid must be {n}x{n}")
+    ints = {int}
+    for row in rows:
+        if set(map(type, row)) == ints and min(row) >= 0 and max(row) < n:
+            continue
+        for s in row:
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
+                raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
+
+
 def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
-    """True iff superimposing the grids yields every ordered symbol pair once."""
+    """True iff superimposing the grids yields every ordered symbol pair once.
+
+    Counts the distinct keys n*s + t over the cells, s from a and t from b.
+    Raises OrderMismatch for grids of different orders and MalformedGrid,
+    as verify_sudoku does, for a grid of the wrong shape or with a symbol
+    that is not an int in [0, n).
+    """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
-    return len(set(zip(a.flat(), b.flat()))) == a.order * a.order
+    keys = a._scaled_keys()
+    b._scaled_keys()  # range-checks b once; its symbols enter as they are
+    n = a.order
+    return len(set(map(add, keys, chain.from_iterable(b.rows)))) == n * n
 
 
 def render_grid(grid: SudokuGrid, style: str = "text") -> str:

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own code paths: the
 polynomial helpers work least-significant-coefficient-first (the library
 works most-significant-first), irreducibility is decided by enumerating
 factor products instead of trial division, residue sets come from
-exhaustive squaring instead of exponentiation, and coset grids walk each
-plane's span instead of using the builder's closed form.
+exhaustive squaring instead of exponentiation, coset grids walk each
+plane's span instead of using the builder's closed form, and the grid
+checks count (a, b) symbol tuples and walk cells one at a time instead of
+the library's integer keys and C-level row passes.
 
 The rank and enumeration code lives here too, because only tests use it:
 rank (Gaussian elimination through FieldElement operators, not the index
@@ -20,7 +22,7 @@ from itertools import combinations, product
 
 from moss.gf import GF, FieldMismatch
 from moss.planes import Mat2, Plane, is_valid_generator
-from moss.sudoku import SudokuGrid
+from moss.sudoku import MalformedGrid, SudokuGrid
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 
@@ -127,6 +129,40 @@ def grid_from_cosets(plane):
                     rows[q * add[x1][o1] + add[x2][o2]][q * add[x3][o3] + add[x4][o4]] = symbol
                 symbol += 1
     return SudokuGrid(q, rows)
+
+
+# -- grid check oracles -----------------------------------------------------------
+
+def orthogonal_by_pair_census(a, b):
+    """True iff superimposing the grids shows n^2 distinct (a, b) symbol tuples.
+
+    No range check: symbols are compared as they are.
+    """
+    def cells(grid):
+        return [s for row in grid.rows for s in row]
+    return len(set(zip(cells(a), cells(b)))) == a.order * a.order
+
+
+def sudoku_flags_per_cell(grid):
+    """(latin_rows, latin_cols, subsquares), checked one cell at a time.
+
+    Raises MalformedGrid on wrong dimensions or on the first symbol, row by
+    row, that is not an int (bools excluded) in [0, n).
+    """
+    q, n, rows = grid.q, grid.order, grid.rows
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise MalformedGrid(f"grid must be {n}x{n}")
+    for row in rows:
+        for s in row:
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
+                raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
+    full = set(range(n))
+    return (
+        all({rows[r][col] for col in range(n)} == full for r in range(n)),
+        all({rows[r][col] for r in range(n)} == full for col in range(n)),
+        all({rows[r][col] for r in range(br, br + q) for col in range(bc, bc + q)} == full
+            for br in range(0, n, q) for bc in range(0, n, q)),
+    )
 
 
 # -- rank oracle and exhaustive enumeration -------------------------------------

@@ -113,6 +113,54 @@ def test_schema_violations(name):
         assert exc_info.value.path.startswith(path)
 
 
+@pytest.mark.parametrize("cell, message", [
+    (True, "expected an integer, got True"),
+    (-1, "value -1 out of range [0, 81)"),
+    (81, "value 81 out of range [0, 81)"),
+    ("7", "expected an integer, got '7'"),
+])
+@pytest.mark.parametrize("later", [None, -5])
+def test_schema_violation_deep_in_the_grid(cell, message, later):
+    data = json.loads(SquareDocument.from_matrix(
+        Mat2.from_indices(get_field(9), ((0, 1), (1, 1)))).to_json())
+    data["grid"][40][17] = cell
+    if later is not None:  # a later bad cell in the same row is not the one named
+        data["grid"][40][60] = later
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert exc_info.value.path == "grid[40][17]"
+    assert str(exc_info.value) == f"grid[40][17]: {message}"
+
+
+def test_generator_is_tested_once_per_document(monkeypatch):
+    import moss
+    from moss import planes
+    calls = []
+    original = planes.is_valid_generator
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (moss, *(getattr(moss, name) for name in ("planes", "sudoku", "serialize", "family"))):
+        if getattr(module, "is_valid_generator", None) is original:
+            monkeypatch.setattr(module, "is_valid_generator", counted)
+    texts = [SquareDocument.from_matrix(Mat2.from_indices(get_field(5), c)).to_json()
+             for c in (((0, 1), (1, 1)), ((1, 2), (2, 3)), ((4, 1), (1, 0)))]
+    calls.clear()
+    for text in texts:
+        SquareDocument.from_json(text)
+    assert len(calls) == len(texts)
+
+    # a singular c is still named as c, ahead of a grid of the wrong shape
+    data = json.loads(golden_document().to_json())
+    data["c"], data["grid"] = [[1, 2], [2, 1]], [[0]]
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert exc_info.value.path == "c"
+    assert str(exc_info.value) == "c: not a valid generator (singular or lower triangular)"
+
+
 @pytest.mark.parametrize("fields", [
     {"p": 3, "k": 10_000_000},  # p ** k would have millions of digits
     {"q": 10**14 + 31, "p": 10**14 + 31, "k": 1},  # primality by trial division
@@ -123,6 +171,23 @@ def test_oversized_fields_are_rejected_cheaply(fields):
     with pytest.raises(SchemaViolation) as exc_info:
         SquareDocument.from_json(json.dumps(data))
     assert exc_info.value.path == "q"
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("c, grid, path, message", [
+    ([[0, 1], [1, 1]], [], "grid", "grid: expected 16129 rows"),
+    ([[0, 1], [1, 1]], [[0]] * 16129, "grid[0]", "grid[0]: expected 16129 entries"),
+    ([[1, 2], [2, 4]], [], "c", "c: not a valid generator (singular or lower triangular)"),
+])
+def test_short_grid_is_rejected_before_the_build(c, grid, path, message):
+    # q = 127 is within the order cap; rebuilding its 16129 x 16129 grid
+    # from c would take minutes, so a short grid must fail before that.
+    field = get_field(127)
+    data = {"q": 127, "p": 127, "k": 1, "modulus": list(field.modulus), "c": c, "grid": grid}
+    start = time.perf_counter()
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert (exc_info.value.path, str(exc_info.value)) == (path, message)
     assert time.perf_counter() - start < 0.5
 
 

@@ -2,11 +2,13 @@
 
 import copy
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moss.family import build_family
 from moss.planes import Plane, canonicalize
 from moss.sudoku import (
     MalformedGrid,
@@ -28,8 +30,10 @@ from oracles import (
     get_field,
     grid_from_cosets,
     is_sudoku_generator,
+    orthogonal_by_pair_census,
     row_plane,
     subsquare_plane,
+    sudoku_flags_per_cell,
 )
 
 
@@ -176,6 +180,138 @@ def test_orthogonality_bruteforce():
     assert not verify_orthogonal_bruteforce(a, b)
     with pytest.raises(OrderMismatch):
         verify_orthogonal_bruteforce(golden, build_from_canonical(mat(get_field(5), ((0, 1), (1, 1)))))
+
+
+def test_orthogonality_rejects_symbols_out_of_range():
+    f3 = get_field(3)
+    golden = build_from_plane(golden_plane())
+    partner = build_from_canonical(mat(f3, ((0, 1), (1, 1))))
+    assert verify_orthogonal_bruteforce(partner, golden)
+    # the tuple census alone calls a relabelled copy orthogonal
+    shifted = SudokuGrid(3, [[s + 100 for s in row] for row in GOLDEN_GRID_Q3])
+    assert orthogonal_by_pair_census(partner, shifted)
+    cases = [(shifted, "symbol 100 out of range [0, 9)")]
+    for bad, text in ((-1, "-1"), (9, "9"), (True, "True")):
+        rows = copy.deepcopy(GOLDEN_GRID_Q3)
+        rows[5][7] = bad
+        cases.append((SudokuGrid(3, rows), f"symbol {text} out of range [0, 9)"))
+    for grid, message in cases:
+        for pair in ((partner, grid), (grid, partner)):
+            with pytest.raises(MalformedGrid) as exc_info:
+                verify_orthogonal_bruteforce(*pair)
+            assert str(exc_info.value) == message
+    with pytest.raises(MalformedGrid, match="grid must be 9x9"):
+        verify_orthogonal_bruteforce(partner, SudokuGrid(3, GOLDEN_GRID_Q3[:8]))
+
+
+def test_changed_rows_are_checked_as_a_new_grid():
+    # A grid's rows must not change after its first census, which caches
+    # its keys and range check; the changed rows go into a new SudokuGrid.
+    f3 = get_field(3)
+    golden = build_from_plane(golden_plane())
+    partner = build_from_canonical(mat(f3, ((0, 1), (1, 1))))
+    assert verify_orthogonal_bruteforce(partner, golden)
+    rows = copy.deepcopy(golden.rows)
+    rows[0][0] = 100
+    for pair in ((partner, SudokuGrid(3, rows)), (SudokuGrid(3, rows), partner)):
+        with pytest.raises(MalformedGrid, match=r"^symbol 100 out of range \[0, 9\)$"):
+            verify_orthogonal_bruteforce(*pair)
+    rows[0][0] = golden.rows[0][0]
+    assert verify_orthogonal_bruteforce(partner, SudokuGrid(3, rows))
+
+
+@lru_cache(maxsize=None)
+def family_rows(q):
+    return tuple(build_from_canonical(m).rows for m in build_family(get_field(q)))
+
+
+def _grid(q, rows):
+    return SudokuGrid(q, [list(row) for row in rows])
+
+
+@st.composite
+def grid_pairs(draw, q):
+    """Two grids, each a family member as it is, with one cell rewritten or
+    with two cells swapped, or a grid of random symbols."""
+    n = q * q
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    members = family_rows(q)
+    pair = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(("member", "one-cell", "two-cell", "random")))
+        if kind == "random":
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            pair.append(SudokuGrid(q, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+            continue
+        grid = _grid(q, draw(st.sampled_from(members)))
+        if kind == "one-cell":
+            (r, c), s = draw(cell), draw(st.integers(0, n - 1))
+            grid.rows[r][c] = s
+        elif kind == "two-cell":
+            (r1, c1), (r2, c2) = draw(cell), draw(cell)
+            grid.rows[r1][c1], grid.rows[r2][c2] = grid.rows[r2][c2], grid.rows[r1][c1]
+        pair.append(grid)
+    return pair
+
+
+@pytest.mark.parametrize("q, examples", [(3, 200), (5, 100), (7, 80), (9, 60)])
+def test_census_matches_pair_oracle(q, examples):
+    members = [_grid(q, rows) for rows in family_rows(q)[:6]]
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            assert verify_orthogonal_bruteforce(a, b) is (a is not b)
+            assert orthogonal_by_pair_census(a, b) is (a is not b)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(grid_pairs(q))
+    def check(pair):
+        a, b = pair
+        assert verify_orthogonal_bruteforce(a, b) == orthogonal_by_pair_census(a, b)
+        assert verify_orthogonal_bruteforce(b, a) == orthogonal_by_pair_census(b, a)
+
+    check()
+
+
+class Symbol(int):
+    """An int subclass: accepted as a symbol, but not on the C-level pass."""
+
+
+def _outcome(check, *grids):
+    try:
+        return "ok", check(*grids)
+    except MalformedGrid as exc:
+        return "malformed", str(exc)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_checks_match_per_cell_oracle_on_malformed_rows(q):
+    n = q * q
+    bad_symbol = st.sampled_from((True, False, -1, n, n + 7)) | st.builds(
+        Symbol, st.integers(-1, n))
+    bad_cells = st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), bad_symbol), max_size=3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_pairs(q), bad_cells, bad_cells)
+    def check(pair, bad_a, bad_b):
+        for grid, bad in zip(pair, (bad_a, bad_b)):
+            for r, c, s in bad:
+                grid.rows[r][c] = s
+        a, b = pair
+        expected = _outcome(sudoku_flags_per_cell, a)
+        report = _outcome(verify_sudoku, a)
+        if report[0] == "ok":
+            report = "ok", (report[1].latin_rows, report[1].latin_cols, report[1].subsquares)
+        assert report == expected
+        # the census applies the same range check, to a and then to b
+        census = _outcome(verify_orthogonal_bruteforce, a, b)
+        if expected[0] == "ok":
+            expected = _outcome(sudoku_flags_per_cell, b)
+        if expected[0] == "ok":
+            expected = "ok", orthogonal_by_pair_census(a, b)
+        assert census == expected
+
+    check()
 
 
 def test_orthogonality_census_without_generator_precondition():
