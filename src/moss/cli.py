@@ -34,8 +34,8 @@ def _cmd_field(args) -> int:
     print(f"k: {field.k}")
     print("modulus: " + ",".join(str(c) for c in field.modulus))
     print("index\tcoeffs")
-    for e in field.elements():
-        print(f"{e.index}\t" + ",".join(str(c) for c in e.coeffs))
+    for i, coeffs in enumerate(field._coeffs):
+        print(f"{i}\t" + ",".join(str(c) for c in coeffs))
     return 0
 
 

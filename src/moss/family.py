@@ -12,8 +12,9 @@ yields either another matrix of the same shape (w1 != w2) or a nonzero
 diagonal matrix (w1 == w2), both invertible.  Each member is itself
 invertible and non-lower-triangular, so the family generates q(q-1)
 mutually orthogonal sudoku squares of order q^2, the maximum possible.
-build_family makes the members straight from the field's tables, as
-matrices of element indices; only the residue search uses FieldElement.
+The residue search and build_family compute on the field's tables with
+element indices; the search returns alpha and lambda as FieldElement
+records, and the members are matrices of indices.
 
 verify_family certifies any list of matrices without visiting its
 n(n-1)/2 pairs.  C1 - C2 is singular iff C1 x = C2 x for some nonzero x,
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, FieldMismatch
 from .planes import Mat2, is_valid_generator
 from .sudoku import NotAGenerator, build_from_canonical, verify_orthogonal_bruteforce, verify_sudoku
 
@@ -37,9 +38,9 @@ DEFAULT_BRUTEFORCE_CAP = 9
 
 def alpha_census(field: Field) -> list[FieldElement]:
     """All elements that are squares while their successor is not, in index order."""
-    one = field.one
-    return [a for a in field.elements()
-            if field.is_square(a) and not field.is_square(a + one)]
+    add, is_square = field.add_table, field.is_square
+    return [FieldElement(field, a) for a in range(field.q)
+            if is_square(a) and not is_square(add[a][1])]
 
 
 def find_alpha(field: Field) -> FieldElement:
@@ -60,9 +61,13 @@ def count_alphas(field: Field) -> int:
 
 def derive_lambda(field: Field, alpha: FieldElement) -> FieldElement:
     """The smaller-index root of lambda^2 = 4*alpha; nonzero for nonzero alpha."""
-    if not alpha or not field.is_square(alpha):
+    if alpha.field != field:
+        raise FieldMismatch(f"{alpha.field} vs {field}")
+    a = alpha.index
+    if not a or not field.is_square(a):
         raise ValueError("alpha must be a nonzero square")
-    return field.sqrt(field.const(4) * alpha)
+    four = 4 % field.p  # the index of 4 = 1 + 1 + 1 + 1
+    return FieldElement(field, field.sqrt(field.mul_table[four][a]))
 
 
 class Family:

@@ -1,19 +1,23 @@
 """Finite fields GF(p^k) of odd characteristic.
 
 Elements are length-k coefficient vectors over Z_p, most significant
-coefficient first, so the integer index of an element is simply the base-p
-value of its coefficient tuple.  Enumerating elements by index therefore
-walks them in increasing lexicographic order with 0 < 1 < ... < p-1.
+coefficient first, and the package handles them as plain int indices: the
+index of an element is the base-p value of its coefficient tuple.
+Enumerating elements by index therefore walks them in increasing
+lexicographic order with 0 < 1 < ... < p-1, and the integer n embedded as
+n times 1 has index n mod p.
 
 A field is constructed from (p, k) and reduces modulo the lexicographically
 smallest monic irreducible polynomial of degree k, so two fields built from
-the same parameters are always identical.  Addition and multiplication
+the same parameters are always identical.  The add, sub, mul, neg and inv
 tables are precomputed at construction (the order cap keeps them small),
-which makes element arithmetic a pair of list lookups.
+which makes element arithmetic a pair of list lookups.  FieldElement is
+only the read-only (field, index) record that the residue search returns.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -118,68 +122,19 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no monic irreducible of degree {k} over Z_{p}")
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An element of a Field, identified by its lexicographic index."""
+    """A read-only (field, index) record, returned by the residue search.
 
-    __slots__ = ("field", "index")
+    It has no arithmetic: compute on the field's tables with its index.
+    """
 
-    def __init__(self, field: "Field", index: int):
-        self.field = field
-        self.index = index
+    field: Field
+    index: int
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.field._coeffs[self.index]
-
-    def _idx_of(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected a field element, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add_table[self.index][self._idx_of(other)])
-
-    def __sub__(self, other):
-        j = self.field.neg_table[self._idx_of(other)]
-        return FieldElement(self.field, self.field.add_table[self.index][j])
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_table[self.index])
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul_table[self.index][self._idx_of(other)])
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(self.field, self.field._pow_idx(self.index, exponent))
-
-    def __truediv__(self, other):
-        return self * FieldElement(self.field, self._idx_of(other)).inverse()
-
-    def inverse(self) -> "FieldElement":
-        inv = self.field.inv_table[self.index]
-        if inv is None:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(self.field, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.index == other.index
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.field))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __int__(self):
-        return self.index
 
     def __repr__(self):
         return f"{self.field!r}({self.index})"
@@ -262,67 +217,26 @@ class Field:
             e >>= 1
         return result
 
-    # -- element construction -------------------------------------------------
-
-    def from_index(self, index: int) -> FieldElement:
-        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.q:
-            raise IndexError(f"element index must lie in [0, {self.q}), got {index!r}")
-        return FieldElement(self, index)
-
-    def element(self, coeffs: Sequence[int]) -> FieldElement:
-        cs = tuple(int(c) for c in coeffs)
-        if len(cs) != self.k or any(c < 0 or c >= self.p for c in cs):
-            raise ValueError(f"need {self.k} coefficients in [0, {self.p}), got {coeffs!r}")
-        weights = [self.p ** (self.k - 1 - i) for i in range(self.k)]
-        return FieldElement(self, sum(c * w for c, w in zip(cs, weights)))
-
-    def const(self, n: int) -> FieldElement:
-        """The integer n embedded as a constant, i.e. n times the identity."""
-        return FieldElement(self, n % self.p)
-
-    def __call__(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch(f"{self} vs {value.field}")
-            return value
-        if isinstance(value, int):
-            return self.from_index(value)
-        return self.element(value)
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """All q elements in increasing lexicographic (= index) order."""
-        return tuple(FieldElement(self, i) for i in range(self.q))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
     # -- quadratic residues ----------------------------------------------------
 
-    def is_square(self, a: FieldElement) -> bool:
-        """True iff a has a square root; zero counts as a square."""
-        a = self(a)
-        if a.index == 0:
-            return True
-        return self._pow_idx(a.index, (self.q - 1) // 2) == 1
+    def is_square(self, a: int) -> bool:
+        """True iff element a has a square root; zero counts as a square.
 
-    def sqrt(self, a: FieldElement) -> FieldElement:
-        """Square root of smallest index, by exhaustive search.
-
-        Raises NoSquareRoot when a is a non-residue.
+        Euler's criterion: a nonzero a is a square iff a^((q-1)/2) = 1.  Like
+        the tables, it trusts a to be an element index in [0, q).
         """
-        a = self(a)
-        for i in range(self.q):
-            if self.mul_table[i][i] == a.index:
-                return FieldElement(self, i)
-        raise NoSquareRoot(f"{a!r} is not a square")
+        return a == 0 or self._pow_idx(a, (self.q - 1) // 2) == 1
 
-    def element_index(self, a: FieldElement) -> int:
-        return self(a).index
+    def sqrt(self, a: int) -> int:
+        """Square root of a of smallest index, by exhaustive search.
+
+        Raises NoSquareRoot when a is a non-residue (or not an index).
+        """
+        mul = self.mul_table
+        for i in range(self.q):
+            if mul[i][i] == a:
+                return i
+        raise NoSquareRoot(f"element {a} of {self!r} is not a square")
 
     def __eq__(self, other):
         return (

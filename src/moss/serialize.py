@@ -49,7 +49,6 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
     if not isinstance(value, list) or len(value) != nrows:
         raise SchemaViolation(path, f"expected {nrows} rows")
     ints = {int}
-    out = []
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise SchemaViolation(f"{path}[{r}]", f"expected {ncols} entries")
@@ -61,8 +60,7 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
                 if not 0 <= v < upper:
                     raise SchemaViolation(f"{path}[{r}][{c}]",
                                           f"value {v} out of range [0, {upper})")
-        out.append(list(row))
-    return out
+    return value
 
 
 @dataclass
@@ -81,7 +79,7 @@ class SquareDocument:
         field = c.field
         grid = build_from_canonical(c)
         return cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus,
-                   c=((c.a, c.b), (c.c, c.d)), grid=[list(row) for row in grid.rows])
+                   c=((c.a, c.b), (c.c, c.d)), grid=grid.rows)
 
     def to_field(self) -> Field:
         return _field(self.p, self.k, tuple(self.modulus))
@@ -95,14 +93,9 @@ class SquareDocument:
                           generator=self.to_matrix(field))
 
     def to_json(self) -> str:
-        payload = {
-            "q": self.q,
-            "p": self.p,
-            "k": self.k,
-            "modulus": list(self.modulus),
-            "c": [list(row) for row in self.c],
-            "grid": [list(row) for row in self.grid],
-        }
+        # json.dumps writes tuples as lists, so nothing is copied first.
+        payload = {"q": self.q, "p": self.p, "k": self.k, "modulus": self.modulus,
+                   "c": self.c, "grid": self.grid}
         return json.dumps(payload, separators=(",", ":")) + "\n"
 
     @classmethod

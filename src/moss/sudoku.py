@@ -21,9 +21,10 @@ verify_sudoku compares each row, column (a zip of the rows) and subsquare
 (chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
 superimposes two grids on integer keys: a cell holding s in A and t in B
 gets the key n*s + t, which is one-to-one on symbol pairs in [0, n), so
-the grids are orthogonal iff their n^2 keys are distinct.  Each grid caches
-its n*s values, and building them checks that every symbol is in [0, n);
-a grid's rows must therefore not change after its first census.
+the grids are orthogonal iff their n^2 keys are distinct.  Both checks
+first check that every symbol is in [0, n), once per grid, and the census
+caches each grid's n*s values; a grid's rows must therefore not change
+after its first check.
 """
 
 from __future__ import annotations
@@ -49,35 +50,46 @@ class OrderMismatch(ValueError):
 class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    The first orthogonality census of a grid caches its keys and the range
-    check that came with them, so its rows must not change after that: a
-    changed grid is checked as a new SudokuGrid over the changed rows.
+    The first check of a grid (verify_sudoku or an orthogonality census)
+    range-checks its rows once, and its first census caches its keys, so its
+    rows must not change after that: a changed grid is checked as a new
+    SudokuGrid over the changed rows.
     """
 
-    __slots__ = ("q", "rows", "generator", "_keys")
+    __slots__ = ("q", "rows", "generator", "_checked", "_keys")
 
     def __init__(self, q: int, rows: list[list[int]], generator: Mat2 | None = None):
         self.q = q
         self.rows = rows
         self.generator = generator
+        self._checked = False
         self._keys: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
         return self.q * self.q
 
+    def _checked_rows(self) -> list[list[int]]:
+        """The rows, after the range check that only the first call runs.
+
+        Raises MalformedGrid on wrong dimensions or a symbol that is not an
+        int in [0, n).
+        """
+        if not self._checked:
+            _check_rows(self.rows, self.order)
+            self._checked = True
+        return self.rows
+
     def _scaled_keys(self) -> tuple[int, ...]:
         """n*s for every symbol s, row by row, cached after the first call.
 
-        Raises MalformedGrid, as verify_sudoku does, on wrong dimensions or
-        a symbol that is not an int in [0, n).  The rows are read only on
-        the first call.
+        Raises MalformedGrid, as _checked_rows does.  The rows are read only
+        on the first call.
         """
         if self._keys is None:
-            n = self.order
-            _check_rows(self.rows, n)
+            rows, n = self._checked_rows(), self.order
             scale = [n * s for s in range(n)]
-            self._keys = tuple(map(scale.__getitem__, chain.from_iterable(self.rows)))
+            self._keys = tuple(map(scale.__getitem__, chain.from_iterable(rows)))
         return self._keys
 
     def symbol_at(self, x1: int, x2: int, x3: int, x4: int) -> int:
@@ -163,8 +175,7 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
     Raises MalformedGrid on wrong dimensions or out-of-range symbols.
     """
     q, n = grid.q, grid.order
-    rows = grid.rows
-    _check_rows(rows, n)
+    rows = grid._checked_rows()
     full = set(range(n))
     latin_rows = all(set(row) == full for row in rows)
     latin_cols = all(set(col) == full for col in zip(*rows))
@@ -204,9 +215,8 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
     keys = a._scaled_keys()
-    b._scaled_keys()  # range-checks b once; its symbols enter as they are
     n = a.order
-    return len(set(map(add, keys, chain.from_iterable(b.rows)))) == n * n
+    return len(set(map(add, keys, chain.from_iterable(b._checked_rows())))) == n * n
 
 
 def render_grid(grid: SudokuGrid, style: str = "text") -> str:

@@ -9,10 +9,16 @@ plane's span instead of using the builder's closed form, and the grid
 checks count (a, b) symbol tuples and walk cells one at a time instead of
 the library's integer keys and C-level row passes.
 
+Field arithmetic here is PolyElement's: polynomial products reduced by
+poly_mod_lsf, with each index mapped to its coefficients by this module's
+own base-p enumeration.  It reads only p, k and the modulus of a field,
+never the add/sub/mul/neg/inv tables or the coefficient table that the
+library computes on, so a wrong table entry cannot fool both sides.  rank,
+elements_of, grid_from_cosets and squares_by_squaring compute with it.
+
 The rank and enumeration code lives here too, because only tests use it:
-rank (Gaussian elimination through FieldElement operators, not the index
-tables the library computes on), planes_intersect_trivially and
-is_sudoku_generator (rank tests against the column, row and subsquare
+rank (Gaussian elimination on PolyElement vectors), planes_intersect_trivially
+and is_sudoku_generator (rank tests against the column, row and subsquare
 reference planes), all_planes (every 2-dimensional subspace of F^4) and
 all_valid_generators (every valid canonical generator).
 """
@@ -96,9 +102,79 @@ def is_irreducible_by_products(p, msf_coeffs):
     return degree >= 1
 
 
+class PolyElement:
+    """An element of GF(p^k) as its k coefficients, least significant first.
+
+    + - * and inverse() are polynomial arithmetic modulo the field's modulus;
+    the index is the base-p value of the coefficients, as in the library.
+    """
+
+    __slots__ = ("p", "modulus", "coeffs")
+
+    def __init__(self, p, modulus, coeffs):
+        k = len(modulus) - 1
+        self.p, self.modulus = p, modulus
+        self.coeffs = tuple(coeffs) + (0,) * (k - len(coeffs))
+
+    @classmethod
+    def of(cls, field, index):
+        p, k = field.p, field.k
+        return cls(p, tuple(lsf(field.modulus)), [index // p**i % p for i in range(k)])
+
+    @property
+    def index(self):
+        return sum(c * self.p**i for i, c in enumerate(self.coeffs))
+
+    def _like(self, coeffs):
+        return PolyElement(self.p, self.modulus, coeffs)
+
+    def __add__(self, other):
+        return self._like([(a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._like([-a % self.p for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        p = self.p
+        full = poly_mul_lsf(p, self.coeffs, other.coeffs)
+        return self._like(poly_mod_lsf(p, full, self.modulus))
+
+    def __pow__(self, exponent):
+        result, base = self._like([1]), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base, exponent = base * base, exponent >> 1
+        return result
+
+    def inverse(self):
+        """x^(q-2), since x^(q-1) = 1 for every nonzero x."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.p ** (len(self.modulus) - 1) - 2)
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, PolyElement)
+                and (self.p, self.modulus, self.coeffs) == (other.p, other.modulus, other.coeffs))
+
+    def __repr__(self):
+        return f"PolyElement({self.index}, mod {self.p})"
+
+
+def poly_elements(field):
+    """All q elements as PolyElements, in index order."""
+    return [PolyElement.of(field, i) for i in range(field.q)]
+
+
 def squares_by_squaring(field):
     """Index set of squares found by exhaustively squaring every element."""
-    return {(e * e).index for e in field.elements()}
+    return {(e * e).index for e in poly_elements(field)}
 
 
 def count_planes_formula(q):
@@ -115,7 +191,8 @@ def grid_from_cosets(plane):
     the plane generates a sudoku square.
     """
     field = plane.field
-    q, n, add, elems = field.q, field.q * field.q, field.add_table, field.elements()
+    q, n, elems = field.q, field.q * field.q, poly_elements(field)
+    plus = [[(x + y).index for y in elems] for x in elems]  # by polynomial addition
     v1, v2 = elements_of(plane)
     span = {tuple((u * x + w * y).index for x, y in zip(v1, v2))
             for u in elems for w in elems}
@@ -126,7 +203,7 @@ def grid_from_cosets(plane):
             if rows[r][col] is None:
                 x1, x2, x3, x4 = r // q, r % q, col // q, col % q
                 for o1, o2, o3, o4 in span:
-                    rows[q * add[x1][o1] + add[x2][o2]][q * add[x3][o3] + add[x4][o4]] = symbol
+                    rows[q * plus[x1][o1] + plus[x2][o2]][q * plus[x3][o3] + plus[x4][o4]] = symbol
                 symbol += 1
     return SudokuGrid(q, rows)
 
@@ -168,13 +245,12 @@ def sudoku_flags_per_cell(grid):
 # -- rank oracle and exhaustive enumeration -------------------------------------
 
 def elements_of(plane):
-    """The plane's basis vectors as FieldElement tuples."""
-    elems = plane.field.elements()
-    return tuple(tuple(elems[i] for i in v) for v in plane.basis())
+    """The plane's basis vectors as PolyElement tuples."""
+    return tuple(tuple(PolyElement.of(plane.field, i) for i in v) for v in plane.basis())
 
 
 def rank(vectors):
-    """Rank of FieldElement vectors, by Gaussian elimination with first-nonzero pivoting."""
+    """Rank of PolyElement vectors, by Gaussian elimination with first-nonzero pivoting."""
     rows = [list(v) for v in vectors]
     if not rows:
         return 0

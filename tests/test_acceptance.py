@@ -24,11 +24,13 @@ from oracles import (
     GOLDEN_GRID_Q3,
     GOLDEN_PLANE_Q3,
     ODD_PRIME_POWERS_49,
+    PolyElement,
     all_planes,
     all_valid_generators,
     get_field,
     grid_from_cosets,
     is_sudoku_generator,
+    squares_by_squaring,
 )
 
 
@@ -103,7 +105,9 @@ def test_criterion_5_residue_census():
         field = get_field(q)
         alpha = find_alpha(field)
         count = count_alphas(field)
-        ok = ok and field.is_square(alpha) and not field.is_square(alpha + field.one)
+        squares = squares_by_squaring(field)
+        successor = PolyElement.of(field, alpha.index) + PolyElement.of(field, 1)
+        ok = ok and alpha.index in squares and successor.index not in squares
         ok = ok and math.floor((q - 1) / 4) - 2 <= count <= math.ceil((q - 1) / 4) + 2
     ok = ok and count_alphas(get_field(13)) == 3 == (13 - 1) // 4
     _check(5, "residue search succeeds and counts track (q-1)/4 up to q = 49",

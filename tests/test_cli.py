@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import moss.serialize
+import moss.sudoku
 from moss.cli import main
 from moss.family import build_family
 from moss.gf import Field
@@ -34,6 +35,86 @@ GOLDEN_TEXT = "\n".join([
 ]) + "\n"
 
 
+# sha256 of the stdout of `moss field --q Q` and `moss alpha --q Q --all`
+# for every odd prime power Q up to the order cap.
+FIELD_ALPHA_SHA256 = {
+    ("field", 3): "691a132efdc16ad7083b06b2b313f162299ea6c902a51ff4cd10f19f4f82db1d",
+    ("alpha", 3): "ce709d70e6cd091069ea9b749e4623f2e29e02d9ea5f2dba048e149b6000550e",
+    ("field", 5): "f688330886a88adf2a8de0cf918f42eba2735a9c60e85652494c944733ad7404",
+    ("alpha", 5): "7a0b1d6ca7d7fd81c3bb4a7fc098cc27eb1ed16d6fba31617a4b5558461dfe6c",
+    ("field", 7): "bfa7ca3a7e9c3c095d01c10d0e022d73cf25eb0e3dd9d1eaf17e11b69d4b10fe",
+    ("alpha", 7): "0b2dbb59f3beadae5314c02a7c677783df978c8a1f0bb0ffadd605b9704de377",
+    ("field", 9): "1a9dfa3991964f0a9763184a289906baa46be4664305a25425dc14a3d24a63b0",
+    ("alpha", 9): "616314fe48b84497e09441b228208e8a1f5025932c8ce830043e4c5c192447b4",
+    ("field", 11): "b04e6f2824be10b2ba87e88b6c6fcf0c1f787f695bfbdda827e2a8684212275a",
+    ("alpha", 11): "f1af4b9457ba5ecd91722bb81a21371a98aba205fa62745ad55a6c489e589ccf",
+    ("field", 13): "5427a7078b4eece24d73a1e1dbeaa90047468e82df9ac9607b4f52d987b4d961",
+    ("alpha", 13): "cd4af11d6a4ba83c2bd790b40768f9d6f8f5056390e0485fc7b8a97f8f4d4ecb",
+    ("field", 17): "0069831438923cbb81fe46ff094da528e2c8af658c384746fc375517a2e80b2e",
+    ("alpha", 17): "dff85a3a78e3d4535d0a92092dd66bba30148f33441877e41bd88ecda1598a76",
+    ("field", 19): "f07ab9ed36c46133aa7913944322628e22e5d60d7fafdf481960f812118e60cf",
+    ("alpha", 19): "120ebcea65276ad036522e203a7f1854e5f52a5aa5a65b7bbab4e5666f783b36",
+    ("field", 23): "2d244a540869b71801f3bc0d55ea7bede5ba687131fefb4d7e1871979dd220dd",
+    ("alpha", 23): "412318f469e7e255fdad5740ffcd2c21b9fdde9abf3d4601621078f992b32a26",
+    ("field", 25): "e2804454d7ce9ede8715d7b45ca6f12ea5fa4c0230cb5a364ae6ff2ad527aa1b",
+    ("alpha", 25): "9c1da70154faf11ae2804242b22512bf85d2387117819835f823033ffa10a70b",
+    ("field", 27): "983acaa8c978f415407fe42a149d252e7b5e084180e0b9ff949c11e604629460",
+    ("alpha", 27): "aefb5c3ba48bbb074d9791a2e80b2df877178dedba3fe20aac71a5425d85891a",
+    ("field", 29): "866454bcb85cd6efd08dc9b2fa5af6b5d73d4df0eff4a60e9c42133ce661ba86",
+    ("alpha", 29): "83344c2c143ccce0ac091eed6636ceae5e429179193e3eb9568cfc66b3f7a391",
+    ("field", 31): "1179915ff6f1bb34179c939047ae18c467d8757a7d6b703739cc9ab57b04ff8f",
+    ("alpha", 31): "c7dc2c3f21f1ed62c1003252c1f0e6d2dd0673db24123e57ba266accf79cbda6",
+    ("field", 37): "1c934f8bda4e9c8e19e82dde7607e379059013a25df66eb808268e83afec2ebb",
+    ("alpha", 37): "97c8bb1f855780d2d84318a748f7b6e012c2ff805c8f255d0c3772b97ee7fc4b",
+    ("field", 41): "806cbde4194dfb1729b2962eda96f4012ed5fd2a41aec07a391459e490b5dc8d",
+    ("alpha", 41): "4602ed3eb21c35ba96e399ad8433cf6194901d90253656486fdeb6a8d1f42db7",
+    ("field", 43): "7fd4c70a4c8047b3e91f3a2562c4618b528778dc04318dd8b681479a8df47ddc",
+    ("alpha", 43): "190c2f971393bf93fecfe13fac8183207e28ca41062f6ecd50e467510d932579",
+    ("field", 47): "e20c191456979ec14ed40e2217c505d95bbbd85189349f96b6ece093ae356a3d",
+    ("alpha", 47): "c0adbe603e85541fcd23bfc451cd14013ac7432ea82ec0ea232e6c6941e04208",
+    ("field", 49): "e598e968d74be4851cff8fe064ca1fc4c653045cdd77fd9f4b941f8f99f17b7e",
+    ("alpha", 49): "e3d9ce80f2cc1f36f7830589d7fdd336a19d441e8b997ddf0536d13ff87b459e",
+    ("field", 53): "e8062cbc365865ac5293e4788b65485e717a22f90ff0569e3e4a0c66f02ddf91",
+    ("alpha", 53): "bd863784d0038c3df9d1fad80e2b997d91c96c165dd2d182da35527984a07dde",
+    ("field", 59): "5fb0115d094e538dcc56fa8bfd5da6b4b4c2a5c63355819be1ebfe3aa8b9e8f0",
+    ("alpha", 59): "7feb17b0decf3cc4b98420d999ce2c229b88046306c7dd6fc175effc3944a282",
+    ("field", 61): "df1735093149583df7122102f422a9e154e38ba06336927b3cb68fcffdd4f59c",
+    ("alpha", 61): "8504b4db4fdaa54fb9d35957c1055c2bfa7a357d9b9d6411a92487c1990e4260",
+    ("field", 67): "9e2d85728744af1fe5460b186caab0074d698488ca6f7c719768094a7adcf246",
+    ("alpha", 67): "44ea648bc24a9bf37c284fb0f09451d1ecd38981e2e6efd0e997b7f997aabdec",
+    ("field", 71): "83abb36d6d112a2f94daa08f751b270e9cc1c3228bed86c56557bf540aa11b2a",
+    ("alpha", 71): "600fb6ba7ae1eb48aade187fbb00e80a37578879b5678fba922ae6da0de0ea07",
+    ("field", 73): "3fbd658ea77dbc7ed55015b5babf54e59d2350361f304cbe1f59d51fcd4d5637",
+    ("alpha", 73): "cf34614745a8b263d4d195a4ea787621e1a5800f02869f42ea748d2664e9a3a6",
+    ("field", 79): "9bd0babe19051be490c2188731b49a663c0168b02f8cf43f1b7deed2c5e40b4d",
+    ("alpha", 79): "df566393196926d8f07617977d6b078f4e4bd7658e368a8bdd41ed79b6e01138",
+    ("field", 81): "daed6cb9c3764afad1ad4c4a87dcc6aa7f93997be73e0f7f833ff81dd70af597",
+    ("alpha", 81): "7f0d280eaca6268457ff2f6a0fdd9efd4858a81ad4654fcc6de78f9d535da9ef",
+    ("field", 83): "540ef9cff16e0268e300865dba7108a5d47f4c3e30cf0dd56fa21f8d929c586a",
+    ("alpha", 83): "7232e518db7bbfa84581d7f7ec3009b42f6d488022595a23838838c601484b44",
+    ("field", 89): "af36a82060363b09eae408101221d7b679a4273a209e3c9536d716d2c45445c1",
+    ("alpha", 89): "f9fc466cb23c0ddea1da120056be2897ea11763a019f7e390c73596361902edd",
+    ("field", 97): "5497a5aeb3a2cb1e9b725d7147065201352be90ba7a9dfe9031421c2f5c1b876",
+    ("alpha", 97): "5758e558a27924370010ee54a6b05dfe129a9fd6bbae1ccc0b9cd9b83c5c1a66",
+    ("field", 101): "fb1aa905f6f461bb7224e0943e7a29c01603f5210b41dc8ef3adf6d6db1c5418",
+    ("alpha", 101): "aec9091ff3020653f27eaa29bb8dfac4680489499aea8e0fc27e9cf22e7e1339",
+    ("field", 103): "f3e2548550e15661967c14c53c25d65ee82d123d68de8b14e894c005ceb9a388",
+    ("alpha", 103): "3d659c0d1d65d04843ff7aa13d0b26875529a32c4f4f309628c118c7c503c9dd",
+    ("field", 107): "00ee5a3461b9ac318c00aacfc3d42af640557a1da05f6768e6803244434db1c4",
+    ("alpha", 107): "4d226294ad9aa7800b00d3f2b8c82289b6b4fa407f54102f577eb91e8f919c77",
+    ("field", 109): "04ded276d3eba1af00d883b3ee85352ce80c1ea414cb23acdddbf44da3129ab9",
+    ("alpha", 109): "e381277fe60bf0c29ca728fcc434973e1b9b25ddd17b356fa214bf4b7edc6fcb",
+    ("field", 113): "8f410de330a859576a62ef96243f649904e570d524aae441fa0c756acd53647e",
+    ("alpha", 113): "99fadd3bfafe5906460241071bb8dbf8b6a293bd2f519d8fc5f784391d438c1b",
+    ("field", 121): "5ee88683a110d486a957822ce5726c245b7f7de08935e250905fed1846cd155f",
+    ("alpha", 121): "644ac1178806e5f5b70d9d51c3541940181880c11182765c5463b65a1a0cab1f",
+    ("field", 125): "8636ba4e2d7d2fcf1e0b49582baba6fe125a5d1855bcb0284f89dfb82e4a2f5e",
+    ("alpha", 125): "ac7dc6b7d077b42dfb11391365c03a7cda1e2ef4e7ae87d9c186a032d72df607",
+    ("field", 127): "6142ea678dd616968131879c8e793df6a76d03c504bca46f1f79d4bc2bf38cda",
+    ("alpha", 127): "02ccd38bb5f08f63072a1e8544af31b711961f0db4b046eb4d2a37c76665b1da",
+}
+
+
 def test_field_table(capsys):
     assert main(["field", "--q", "9"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -53,6 +134,14 @@ def test_field_rejects_bad_orders(capsys):
     assert main(["field", "--q", "1000000000000000003"]) == 2
     assert time.perf_counter() - start < 0.5
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, q", sorted(FIELD_ALPHA_SHA256))
+def test_field_and_alpha_golden_bytes(command, q, capsys):
+    args = [command, "--q", str(q)] + (["--all"] if command == "alpha" else [])
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FIELD_ALPHA_SHA256[command, q]
 
 
 def test_alpha_census(capsys):
@@ -234,6 +323,21 @@ def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Field, "__init__", counting_init)
     assert main(["verify", "--files", *files]) == 0
     assert len(calls) <= 1
+
+
+def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
+    """verify_sudoku and the orthogonality census share one check per document."""
+    files = _write_family(tmp_path)
+    calls = []
+    original = moss.sudoku._check_rows
+
+    def counting_check(rows, n):
+        calls.append(n)
+        original(rows, n)
+
+    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
+    assert main(["verify", "--files", *files]) == 0
+    assert calls == [9] * len(files) == [9] * 6
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

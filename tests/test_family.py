@@ -16,9 +16,16 @@ from moss.family import (
     find_alpha,
     verify_family,
 )
-from moss.gf import GF
+from moss.gf import GF, FieldElement, FieldMismatch
 from moss.planes import Mat2, is_valid_generator, meets_trivially
-from oracles import ODD_PRIME_POWERS_49, all_valid_generators, get_field, squares_by_squaring
+from oracles import (
+    ODD_PRIME_POWERS_49,
+    PolyElement,
+    all_valid_generators,
+    get_field,
+    poly_elements,
+    squares_by_squaring,
+)
 
 
 def test_find_alpha_spec_values():
@@ -39,7 +46,9 @@ def test_alpha_census_spec_values():
 def test_alpha_against_squaring_oracle(q):
     field = get_field(q)
     squares = squares_by_squaring(field)
-    expected = [i for i in range(q) if i in squares and field.add_table[i][1] not in squares]
+    one = PolyElement.of(field, 1)
+    expected = [e.index for e in poly_elements(field)
+                if e.index in squares and (e + one).index not in squares]
     assert [a.index for a in alpha_census(field)] == expected
     assert find_alpha(field).index == expected[0]
     assert count_alphas(field) == len(expected)
@@ -53,11 +62,11 @@ def test_alpha_count_tracks_quarter(q):
 
 def test_derive_lambda_spec_values():
     f3 = get_field(3)
-    assert derive_lambda(f3, f3(1)).index == 1
+    assert derive_lambda(f3, FieldElement(f3, 1)) == FieldElement(f3, 1)
     f7 = get_field(7)
-    assert derive_lambda(f7, f7(2)).index == 1  # 4*2 = 1 mod 7, roots {1, 6}
+    assert derive_lambda(f7, FieldElement(f7, 2)).index == 1  # 4*2 = 1 mod 7, roots {1, 6}
     f13 = get_field(13)
-    assert derive_lambda(f13, f13(1)).index == 2
+    assert derive_lambda(f13, FieldElement(f13, 1)).index == 2
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
@@ -65,16 +74,19 @@ def test_derive_lambda_properties(q):
     field = get_field(q)
     alpha = find_alpha(field)
     lam = derive_lambda(field, alpha)
-    assert lam
-    assert lam * lam == field.const(4) * alpha
+    assert lam.index != 0
+    root, one = PolyElement.of(field, lam.index), PolyElement.of(field, 1)
+    assert root * root == (one + one + one + one) * PolyElement.of(field, alpha.index)
 
 
 def test_derive_lambda_rejects_bad_alpha():
     f3 = get_field(3)
     with pytest.raises(ValueError):
-        derive_lambda(f3, f3.zero)
+        derive_lambda(f3, FieldElement(f3, 0))
     with pytest.raises(ValueError):
-        derive_lambda(f3, f3(2))  # 2 is a non-square mod 3
+        derive_lambda(f3, FieldElement(f3, 2))  # 2 is a non-square mod 3
+    with pytest.raises(FieldMismatch):
+        derive_lambda(f3, find_alpha(get_field(5)))
 
 
 def test_build_family_q3_frozen():
@@ -97,12 +109,13 @@ def test_build_family_structure(q):
     fam = build_family(field)
     assert fam.size == len(fam.matrices) == q * (q - 1)
     assert len({m.indices() for m in fam.matrices}) == fam.size
-    lam = fam.lam
+    el = poly_elements(field)
+    lam = el[fam.lam.index]
     seen = []
     for m in fam.matrices:
         assert m.b == m.c, "off-diagonal entries must both equal w"
         assert m.b, "w must be nonzero"
-        assert field(m.d) == lam * field(m.b) + field(m.a)
+        assert el[m.d] == lam * el[m.b] + el[m.a]
         assert is_valid_generator(m)
         seen.append((m.a, m.b))
     # v runs in the outer loop, w in the inner one, both lexicographically
@@ -115,9 +128,10 @@ def test_golden_generator_uses_the_other_root():
     fam = build_family(f3)
     golden = Mat2.from_indices(f3, ((0, 2), (2, 1)))
     assert golden not in fam.matrices
-    other_root = -fam.lam
+    el = poly_elements(f3)
+    other_root = -el[fam.lam.index]
     v, w = 0, 2
-    assert Mat2(f3, v, w, w, (other_root * f3(w) + f3(v)).index) == golden
+    assert Mat2(f3, v, w, w, (other_root * el[w] + el[v]).index) == golden
 
 
 def test_verify_family_bruteforce_q3():
@@ -194,6 +208,7 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
     field = get_field(q)
     alpha = find_alpha(field)
     lam = derive_lambda(field, alpha)
+    el = poly_elements(field)
     element = st.integers(0, q - 1)
     entries = st.tuples(element, element, element, element)
 
@@ -205,9 +220,9 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
         for i in data.draw(st.lists(member, max_size=4), label="duplicates"):
             matrices.append(matrices[i])
         for i, uv in data.draw(st.lists(st.tuples(member, entries), max_size=4), label="rank-1"):
-            u1, u2, v1, v2 = (field(x) for x in uv)
+            u1, u2, v1, v2 = (el[x] for x in uv)
             m = matrices[i]
-            a, b, c, d = (field(x) for x in (m.a, m.b, m.c, m.d))
+            a, b, c, d = (el[x] for x in (m.a, m.b, m.c, m.d))
             matrices.append(Mat2.from_indices(field, (
                 ((a + u1 * v1).index, (b + u1 * v2).index),
                 ((c + u2 * v1).index, (d + u2 * v2).index),
@@ -246,7 +261,8 @@ def test_difference_case_split(q):
     """Differences of distinct members are template matrices or nonzero diagonals."""
     field = get_field(q)
     fam = build_family(field)
-    lam = fam.lam
+    el = poly_elements(field)
+    lam = el[fam.lam.index]
     mats = fam.matrices
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -254,7 +270,7 @@ def test_difference_case_split(q):
             if d.b:
                 assert d.b == d.c
                 # same template shape, so invertible
-                assert field(d.d) == lam * field(d.b) + field(d.a)
+                assert el[d.d] == lam * el[d.b] + el[d.a]
             else:
                 assert d.c == 0
                 assert d.a == d.d

@@ -1,14 +1,16 @@
 """Field construction, arithmetic tables and residue machinery."""
 
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from moss.family import build_family, derive_lambda
 from moss.gf import (
     GF,
     DegreeTooSmall,
     Field,
+    FieldElement,
     FieldMismatch,
     NoSquareRoot,
     NotOddPrime,
@@ -16,13 +18,18 @@ from moss.gf import (
     factor_prime_power,
     is_prime,
 )
+from moss.planes import Mat2, Plane, meets_trivially
+from moss.sudoku import build_from_canonical
 from oracles import (
     ODD_PRIME_POWERS_49,
+    PolyElement,
+    column_plane,
+    elements_of,
     get_field,
+    grid_from_cosets,
     is_irreducible_by_products,
-    lsf,
-    poly_mod_lsf,
-    poly_mul_lsf,
+    poly_elements,
+    rank,
     squares_by_squaring,
 )
 
@@ -110,30 +117,62 @@ def test_modulus_is_lex_smallest_irreducible(p, k):
 
 def test_arith_spec_values():
     f3 = GF(3)
-    assert (f3(2) * f3(2)).index == 1
-    assert f3(2).inverse().index == 2
+    two = PolyElement.of(f3, 2)
+    assert (two * two).index == f3.mul_table[2][2] == 1
+    assert two.inverse().index == f3.inv_table[2] == 2
     f9 = GF(9)
-    x = f9.element((1, 0))
-    assert x.index == 3
-    assert (x * x).index == 2  # x^2 = -1 under modulus x^2 + 1
+    x = PolyElement.of(f9, 3)
+    assert x.coeffs == (0, 1)  # the polynomial x, least significant coefficient first
+    assert (x * x).index == f9.mul_table[3][3] == 2  # x^2 = -1 under modulus x^2 + 1
+    assert f9.inv_table[0] is None
     with pytest.raises(ZeroDivisionError):
-        f9.zero.inverse()
+        PolyElement.of(f9, 0).inverse()
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 49])
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125])
 def test_mul_table_matches_polynomial_oracle(q):
+    """All five tables agree with polynomial arithmetic, entry by entry."""
     field = get_field(q)
-    p, modulus = field.p, lsf(field.modulus)
-    coeffs = [lsf(e.coeffs) for e in field.elements()]
-    weights = [p**i for i in range(field.k)]
+    elements = poly_elements(field)
+    for i, x in enumerate(elements):
+        assert field.neg_table[i] == (-x).index
+        assert field.inv_table[i] == (x.inverse().index if x else None)
+        add, sub, mul = field.add_table[i], field.sub_table[i], field.mul_table[i]
+        for j, y in enumerate(elements):
+            assert add[j] == (x + y).index
+            assert sub[j] == (x - y).index
+            assert mul[j] == (x * y).index
 
-    def idx(c_lsf):
-        return sum(c * w for c, w in zip(c_lsf, weights))
 
-    for i in range(q):
-        for j in range(q):
-            r = poly_mod_lsf(p, poly_mul_lsf(p, coeffs[i], coeffs[j]), modulus)
-            assert field.mul_table[i][j] == idx(r)
+class _Untouchable:
+    """Stands in for a field table: any read fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("a field table was read")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = _fail
+
+
+def test_oracles_never_read_the_field_tables():
+    """rank, grid_from_cosets and squares_by_squaring give the same results
+    after the field's tables are replaced by objects that fail on any read."""
+    field = Field(3, 2)  # its own instance, so cached fields keep their tables
+    planes = [Plane.from_generator(m) for m in build_family(field).matrices[:3]]
+    planes.append(column_plane(field))
+
+    def results():
+        return (
+            [rank([*elements_of(g), *elements_of(h)]) for g, h in combinations(planes, 2)],
+            [grid_from_cosets(g).rows for g in planes],
+            squares_by_squaring(field),
+        )
+
+    expected = results()
+    for name in ("add_table", "sub_table", "mul_table", "neg_table", "inv_table", "_coeffs"):
+        setattr(field, name, _Untouchable())
+    with pytest.raises(AssertionError, match="table was read"):
+        build_from_canonical(Mat2(field, 0, 1, 1, 1))  # the library does read them
+    assert results() == expected
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
@@ -173,40 +212,41 @@ def test_field_axioms_triples(q):
 def test_square_census(q):
     field = get_field(q)
     by_squaring = squares_by_squaring(field)
-    by_criterion = {e.index for e in field.elements() if field.is_square(e)}
+    by_criterion = {a for a in range(q) if field.is_square(a)}
     assert by_criterion == by_squaring
     assert len(by_squaring) == (q + 1) // 2
 
 
 def test_square_spec_values():
     f3 = GF(3)
-    assert not f3.is_square(f3(2))
-    assert f3.is_square(f3.zero)
-    assert f3.is_square(f3.one)
+    assert not f3.is_square(2)
+    assert f3.is_square(0)
+    assert f3.is_square(1)
     f13 = GF(13)
-    assert {e.index for e in f13.elements() if f13.is_square(e)} == {0, 1, 3, 4, 9, 10, 12}
+    assert {a for a in range(13) if f13.is_square(a)} == {0, 1, 3, 4, 9, 10, 12}
 
 
 def test_sqrt_spec_values():
     f7 = GF(7)
-    assert f7.sqrt(f7(2)).index == 3  # 3^2 = 4^2 = 2 mod 7; 3 has the smaller index
+    assert f7.sqrt(2) == 3  # 3^2 = 4^2 = 2 mod 7; 3 has the smaller index
     f3 = GF(3)
-    assert f3.sqrt(f3.zero) == f3.zero
+    assert f3.sqrt(0) == 0
     with pytest.raises(NoSquareRoot):
-        f3.sqrt(f3(2))
+        f3.sqrt(2)
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
 def test_sqrt_properties(q):
     field = get_field(q)
+    elements = poly_elements(field)
     failures = 0
-    for a in field.elements():
+    for a in range(q):
         if field.is_square(a):
-            root = field.sqrt(a)
-            assert root * root == a
+            root = elements[field.sqrt(a)]
+            assert (root * root).index == a
             if a:
                 other = -root
-                assert other * other == a
+                assert (other * other).index == a
                 assert root.index < other.index
         else:
             failures += 1
@@ -217,69 +257,78 @@ def test_sqrt_properties(q):
 
 def test_index_bijection_spec_values():
     f3 = GF(3)
-    assert f3(2).coeffs == (2,)
-    assert f3.element((2,)).index == 2
+    assert FieldElement(f3, 2).coeffs == PolyElement.of(f3, 2).coeffs == (2,)
     f9 = GF(9)
-    assert f9.element((1, 0)).index == 3
-    assert f9.from_index(8).coeffs == (2, 2)
-    with pytest.raises(IndexError):
-        f9.from_index(9)
-    with pytest.raises(IndexError):
-        f9.from_index(-1)
-    with pytest.raises(ValueError):
-        f9.element((1, 0, 0))
-    with pytest.raises(ValueError):
-        f9.element((3, 0))
+    assert FieldElement(f9, 3).coeffs == (1, 0)
+    assert PolyElement.of(f9, 3).coeffs == (0, 1)  # least significant first
+    assert FieldElement(f9, 8).coeffs == (2, 2)
+    for bad in (9, -1, True, 1.0):
+        with pytest.raises(IndexError):
+            Mat2.from_indices(f9, ((0, bad), (1, 1)))
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
 def test_index_bijection_roundtrip(q):
     field = get_field(q)
-    elements = field.elements()
-    assert len(elements) == q
-    assert len({e.index for e in elements}) == q
-    for e in elements:
-        assert field.from_index(field.element_index(e)) == e
-        assert field.element(e.coeffs) == e
+    coeffs = field._coeffs
+    assert len(coeffs) == len(set(coeffs)) == q
+    for i, e in enumerate(poly_elements(field)):
+        assert e.index == i
+        assert FieldElement(field, i).coeffs == coeffs[i] == tuple(reversed(e.coeffs))
     # index order is lexicographic order on coefficient tuples
-    assert [e.coeffs for e in elements] == sorted(e.coeffs for e in elements)
+    assert list(coeffs) == sorted(coeffs)
 
 
 def test_const_embedding():
-    f3 = GF(3)
-    assert f3.const(4) == f3.one
-    assert f3.const(-1).index == 2
+    """n times 1 has index n mod p; derive_lambda relies on it for 4."""
+    for field in (GF(3), GF(9), GF(25)):
+        p, one = field.p, PolyElement.of(field, 1)
+        total = PolyElement.of(field, 0)
+        for n in range(1, 2 * p + 2):
+            total = total + one
+            assert total.index == n % p
+            assert total.coeffs == (n % p,) + (0,) * (field.k - 1)
     f9 = GF(9)
-    assert f9.const(4).coeffs == (0, 1)
-    assert f9.const(0) == f9.zero
+    assert FieldElement(f9, 4 % 3).coeffs == (0, 1)
 
 
 def test_powers_and_division():
     f7 = GF(7)
-    three = f7(3)
-    assert three**0 == f7.one
-    assert three**6 == f7.one
-    assert three**-1 == three.inverse()
-    assert (three / three) == f7.one
+    three, one = PolyElement.of(f7, 3), PolyElement.of(f7, 1)
+    assert three**0 == one
+    assert three**6 == one
+    assert (three**2).index == f7._pow_idx(3, 2) == 2
+    assert f7._pow_idx(3, 6) == 1
+    assert three * three.inverse() == one
+    assert three.inverse().index == f7.inv_table[3] == 5
     with pytest.raises(ZeroDivisionError):
-        three / f7.zero
+        PolyElement.of(f7, 0).inverse()
 
 
 def test_field_equality_and_mismatch():
     assert GF(3) == GF(3)
     assert GF(3) != GF(5)
     assert Field(3, 2) != Field(3, 2, modulus=(1, 1, 2))
-    a = GF(3)(1)
-    b = GF(3)(2)  # separate but equal field instance
-    assert (a + b).index == 0
+    a, b = FieldElement(GF(3), 1), FieldElement(GF(3), 1)  # separate but equal fields
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != FieldElement(GF(3), 2)
+    assert a != FieldElement(GF(5), 1)
+    assert PolyElement.of(Field(3, 2), 3) != PolyElement.of(Field(3, 2, modulus=(1, 1, 2)), 3)
     with pytest.raises(FieldMismatch):
-        GF(3)(1) + GF(5)(1)
+        meets_trivially(Mat2(GF(3), 0, 1, 1, 1), Mat2(GF(5), 0, 1, 1, 1))
     with pytest.raises(FieldMismatch):
-        GF(3)(GF(5)(1))
+        derive_lambda(GF(3), FieldElement(GF(5), 1))
 
 
 def test_element_repr_and_bool():
     f9 = GF(9)
-    assert repr(f9(3)) == "GF(9)(3)"
-    assert not f9.zero
-    assert f9.one
+    record = FieldElement(f9, 3)
+    assert repr(record) == "GF(9)(3)"
+    assert FieldElement(f9, 0).index == 0
+    with pytest.raises(TypeError):
+        record + record  # the record has no arithmetic
+    with pytest.raises(AttributeError):
+        record.index = 4  # nor can it change
+    assert not PolyElement.of(f9, 0)
+    assert PolyElement.of(f9, 3)
