@@ -4,7 +4,9 @@ Subcommands: field (parameters and element table), alpha (residue search
 and census), family (emit and verify a complete family), generate (one
 square from a generator matrix), verify (check documents), render (text
 grid).  Exit codes: 0 success, 1 verification failure, 2 usage, parse or
-I/O error; field and I/O errors are mapped to exit 2 in main.
+I/O error.  Every moss error is a ValueError, and main alone maps a
+ValueError or OSError to exit 2; verify reports a document that breaks the
+schema as a FAIL line instead.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ import sys
 from pathlib import Path
 
 from .family import alpha_census, build_family, derive_lambda, find_alpha, verify_family
-from .gf import GF, NotOddPrime, OrderTooLarge
+from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
 from .sudoku import (SudokuGrid, build_from_canonical, render_grid,
                      verify_orthogonal_bruteforce, verify_sudoku)
 
 
-def _fail(message, code: int = 2) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class BadDocument(ValueError):
+    """A document that parses as JSON but breaks the schema; names its file."""
 
 
 def _cmd_field(args) -> int:
@@ -52,12 +53,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    field = GF(args.q)
-    try:
-        doc = SquareDocument.from_matrix(parse_mat2(field, args.c))
-    except ValueError as exc:  # a malformed literal, or NotAGenerator
-        return _fail(exc)
-    text = doc.to_json()
+    text = SquareDocument.from_matrix(parse_mat2(GF(args.q), args.c)).to_json()
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -65,24 +61,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-# Text that cannot be read as JSON: a usage error (exit 2), not a failed check.
-_NOT_JSON = (json.JSONDecodeError, UnicodeDecodeError)
-
-
 def _load_document(path: Path) -> SquareDocument:
-    """Read and validate one document; raises for unreadable or invalid files."""
-    return SquareDocument.from_json(path.read_text(encoding="utf-8"))
+    """Read and validate one document.
+
+    Raises OSError for an unreadable file, ValueError for text that is not
+    JSON and BadDocument for a schema violation; the last two name the path.
+    """
+    try:
+        return SquareDocument.from_json(path.read_text(encoding="utf-8"))
+    except SchemaViolation as exc:
+        raise BadDocument(f"{path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _cmd_render(args) -> int:
-    path = Path(args.file)
-    try:
-        doc = _load_document(path)
-    except _NOT_JSON as exc:
-        return _fail(f"{path}: not valid JSON ({exc})")
-    except SchemaViolation as exc:
-        return _fail(f"{path}: {exc}")
-    print(render_grid(doc.to_grid(), "text"))
+    print(render_grid(_load_document(Path(args.file)).to_grid(), "text"))
     return 0
 
 
@@ -93,10 +87,8 @@ def _cmd_verify(args) -> int:
         path = Path(name)
         try:
             doc = _load_document(path)
-        except _NOT_JSON as exc:
-            return _fail(f"{path}: not valid JSON ({exc})")
-        except SchemaViolation as exc:
-            print(f"FAIL {path}: {exc}")
+        except BadDocument as exc:
+            print(f"FAIL {exc}")
             failures += 1
             continue
         grid = doc.to_grid()
@@ -109,7 +101,7 @@ def _cmd_verify(args) -> int:
             failures += 1
     orders = {grid.q for _, grid in grids}
     if len(orders) > 1:
-        return _fail("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))
+        raise ValueError("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))
     pairs = 0
     for i in range(len(grids)):
         for j in range(i + 1, len(grids)):
@@ -124,12 +116,7 @@ def _cmd_verify(args) -> int:
 def _cmd_family(args) -> int:
     field = GF(args.q)
     fam = build_family(field)
-    report = None
-    if args.verify:
-        try:
-            report = verify_family(fam, args.verify)
-        except ValueError as exc:
-            return _fail(exc)
+    report = verify_family(fam, args.verify) if args.verify else None
     if args.format == "json":
         def render(m):
             return SquareDocument.from_matrix(m).to_json()
@@ -213,8 +200,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (NotOddPrime, OrderTooLarge, OSError) as exc:
-        return _fail(exc)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

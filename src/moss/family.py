@@ -27,11 +27,12 @@ lookups instead of O(n^2) determinants.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import combinations
 
 from .gf import Field, FieldElement, FieldMismatch
 from .planes import Mat2, is_valid_generator
-from .sudoku import NotAGenerator, build_from_canonical, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import build_from_canonical, verify_orthogonal_bruteforce, verify_sudoku
 
 DEFAULT_BRUTEFORCE_CAP = 9
 
@@ -114,17 +115,14 @@ def build_family(field: Field) -> Family:
     return Family(field, alpha, lam, matrices)
 
 
+@dataclass(slots=True)
 class FamilyReport:
     """Verification outcome: empty violations means the family checks out."""
 
-    __slots__ = ("mode", "size", "pairs", "violations")
-
-    def __init__(self, mode: str, size: int, pairs: int,
-                 violations: list[tuple[str, tuple[int, ...]]]):
-        self.mode = mode
-        self.size = size
-        self.pairs = pairs
-        self.violations = violations
+    mode: str
+    size: int
+    pairs: int
+    violations: list[tuple[str, tuple[int, ...]]]
 
     @property
     def ok(self) -> bool:
@@ -142,26 +140,17 @@ def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[
     has a one-dimensional kernel, so its pair collides in one direction only;
     identical matrices collide in all of them, hence the set.
     """
-    q = field.q
+    q, n = field.q, len(matrices)
     add, mul = field.add_table, field.mul_table
-    a = [m.a for m in matrices]
-    b = [m.b for m in matrices]
-    c = [m.c for m in matrices]
-    d = [m.d for m in matrices]
     bad = set()
     for x1, x2 in [(0, 1)] + [(1, s) for s in range(q)]:
         m1, m2 = mul[x1], mul[x2]
-        seen = bytearray(q * q)
-        for ai, bi, ci, di in zip(a, b, c, d):
-            key = q * add[m1[ai]][m2[bi]] + add[m1[ci]][m2[di]]
-            if seen[key]:
-                break
-            seen[key] = 1
-        else:
+        keys = [q * add[m1[m.a]][m2[m.b]] + add[m1[m.c]][m2[m.d]] for m in matrices]
+        if len(set(keys)) == n:
             continue
         groups = defaultdict(list)
-        for i, (ai, bi, ci, di) in enumerate(zip(a, b, c, d)):
-            groups[q * add[m1[ai]][m2[bi]] + add[m1[ci]][m2[di]]].append(i)
+        for i, key in enumerate(keys):
+            groups[key].append(i)
         for members in groups.values():
             bad.update(combinations(members, 2))
     return sorted(bad)
@@ -174,10 +163,10 @@ def verify_family(family: Family, mode: str = "fast",
     Fast mode runs the determinant criteria only: each member must be a
     valid generator, and the pairs with det(C_i - C_j) = 0 are found by the
     direction scan in O((q + 1) n), not pair by pair.  Bruteforce mode also
-    builds all grids, verifies each sudoku property by inspection and each
-    pair by full superimposition census; it is capped at q <= bruteforce_cap
-    because its cost grows as q^4 per pair.  The mode and the cap are
-    checked before any work is done.
+    builds the grids of the valid members, verifies each sudoku property by
+    inspection and each pair by full superimposition census; it is capped at
+    q <= bruteforce_cap because its cost grows as q^4 per pair.  The mode
+    and the cap are checked before any work is done.
     """
     if mode not in ("fast", "bruteforce"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -189,8 +178,11 @@ def verify_family(family: Family, mode: str = "fast",
     n = len(matrices)
     violations: list[tuple[str, tuple[int, ...]]] = []
 
+    valid = []
     for i, m in enumerate(matrices):
-        if not is_valid_generator(m):
+        if is_valid_generator(m):
+            valid.append((i, m))
+        else:
             violations.append(("invalid_generator", (i,)))
     violations.extend(
         ("not_orthogonal", pair)
@@ -198,22 +190,13 @@ def verify_family(family: Family, mode: str = "fast",
     )
 
     if mode == "bruteforce":
-        grids = []
-        for i, m in enumerate(matrices):
-            try:
-                grid = build_from_canonical(m)
-            except NotAGenerator:
-                grids.append(None)
-                continue
-            grids.append(grid)
-            if not verify_sudoku(grid).ok:
-                violations.append(("not_sudoku", (i,)))
-        for i in range(n):
-            if grids[i] is None:
-                continue
-            for j in range(i + 1, n):
-                if grids[j] is not None and not verify_orthogonal_bruteforce(grids[i], grids[j]):
-                    violations.append(("not_orthogonal_bruteforce", (i, j)))
+        grids = [(i, build_from_canonical(m)) for i, m in valid]
+        violations.extend(("not_sudoku", (i,)) for i, grid in grids if not verify_sudoku(grid).ok)
+        violations.extend(
+            ("not_orthogonal_bruteforce", (i, j))
+            for (i, a), (j, b) in combinations(grids, 2)
+            if not verify_orthogonal_bruteforce(a, b)
+        )
 
     violations.sort()
     return FamilyReport(mode, n, n * (n - 1) // 2, violations)

@@ -122,6 +122,13 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no monic irreducible of degree {k} over Z_{p}")
 
 
+def _index(field: Field, i: int) -> int:
+    """i itself, after checking that it is an element index of the field."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < field.q:
+        raise IndexError(f"element index must lie in [0, {field.q}), got {i!r}")
+    return i
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     """A read-only (field, index) record, returned by the residue search.
@@ -222,17 +229,18 @@ class Field:
     def is_square(self, a: int) -> bool:
         """True iff element a has a square root; zero counts as a square.
 
-        Euler's criterion: a nonzero a is a square iff a^((q-1)/2) = 1.  Like
-        the tables, it trusts a to be an element index in [0, q).
+        Euler's criterion: a nonzero a is a square iff a^((q-1)/2) = 1.
+        Raises IndexError unless a is an element index in [0, q).
         """
-        return a == 0 or self._pow_idx(a, (self.q - 1) // 2) == 1
+        return _index(self, a) == 0 or self._pow_idx(a, (self.q - 1) // 2) == 1
 
     def sqrt(self, a: int) -> int:
         """Square root of a of smallest index, by exhaustive search.
 
-        Raises NoSquareRoot when a is a non-residue (or not an index).
+        Raises IndexError unless a is an element index in [0, q), and
+        NoSquareRoot when a is a non-residue.
         """
-        mul = self.mul_table
+        a, mul = _index(self, a), self.mul_table
         for i in range(self.q):
             if mul[i][i] == a:
                 return i

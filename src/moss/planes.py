@@ -18,17 +18,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .gf import Field, FieldMismatch
+from .gf import Field, FieldMismatch, _index
 
 
 class NotCanonicalizable(ValueError):
     """The plane has no basis of the form [I; C]."""
-
-
-def _index(field: Field, i: int) -> int:
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < field.q:
-        raise IndexError(f"element index must lie in [0, {field.q}), got {i!r}")
-    return i
 
 
 class Mat2:

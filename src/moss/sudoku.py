@@ -29,6 +29,7 @@ after its first check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
 from operator import add, itemgetter
 
@@ -104,23 +105,17 @@ class SudokuGrid:
         return f"SudokuGrid(order={self.order}, generator={self.generator!r})"
 
 
+@dataclass(slots=True)
 class SudokuReport:
     """Outcome of the three exactly-once checks on a grid."""
 
-    __slots__ = ("latin_rows", "latin_cols", "subsquares")
-
-    def __init__(self, latin_rows: bool, latin_cols: bool, subsquares: bool):
-        self.latin_rows = latin_rows
-        self.latin_cols = latin_cols
-        self.subsquares = subsquares
+    latin_rows: bool
+    latin_cols: bool
+    subsquares: bool
 
     @property
     def ok(self) -> bool:
         return self.latin_rows and self.latin_cols and self.subsquares
-
-    def __repr__(self):
-        return (f"SudokuReport(latin_rows={self.latin_rows}, "
-                f"latin_cols={self.latin_cols}, subsquares={self.subsquares})")
 
 
 def build_from_canonical(c: Mat2) -> SudokuGrid:

@@ -17,8 +17,9 @@ library computes on, so a wrong table entry cannot fool both sides.  rank,
 elements_of, grid_from_cosets and squares_by_squaring compute with it.
 
 The rank and enumeration code lives here too, because only tests use it:
-rank (Gaussian elimination on PolyElement vectors), planes_intersect_trivially
-and is_sudoku_generator (rank tests against the column, row and subsquare
+rank and index_rank (Gaussian elimination on index tables built once per
+field from PolyElement sums and products), planes_intersect_trivially and
+is_sudoku_generator (rank tests against the column, row and subsquare
 reference planes), all_planes (every 2-dimensional subspace of F^4) and
 all_valid_generators (every valid canonical generator).
 """
@@ -249,11 +250,34 @@ def elements_of(plane):
     return tuple(tuple(PolyElement.of(plane.field, i) for i in v) for v in plane.basis())
 
 
+@lru_cache(maxsize=None)
+def _poly_tables(p, modulus):
+    """add, mul, neg and inv tables on indices, from PolyElement sums and products."""
+    k = len(modulus) - 1
+    elems = [PolyElement(p, modulus, [i // p**j % p for j in range(k)]) for i in range(p**k)]
+    add = [[(x + y).index for y in elems] for x in elems]
+    mul = [[(x * y).index for y in elems] for x in elems]
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
+
+
 def rank(vectors):
     """Rank of PolyElement vectors, by Gaussian elimination with first-nonzero pivoting."""
-    rows = [list(v) for v in vectors]
-    if not rows:
+    if not vectors:
         return 0
+    first = vectors[0][0]
+    return index_rank(first.p, first.modulus, [[x.index for x in v] for v in vectors])
+
+
+def index_rank(p, modulus, rows):
+    """Rank of vectors of element indices, modulus least significant first.
+
+    The elimination runs through the tables that _poly_tables builds once
+    per field by polynomial arithmetic.
+    """
+    add, mul, neg, inv = _poly_tables(p, modulus)
+    rows = [list(v) for v in rows]
     ncols = len(rows[0])
     r = 0
     for col in range(ncols):
@@ -261,12 +285,12 @@ def rank(vectors):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][col].inverse()
-        rows[r] = [x * scale for x in rows[r]]
+        scale = mul[inv[rows[r][col]]]
+        rows[r] = [scale[x] for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                f = mul[neg[rows[i][col]]]
+                rows[i] = [add[x][f[y]] for x, y in zip(rows[i], rows[r])]
         r += 1
         if r == len(rows):
             break
@@ -291,7 +315,8 @@ def subsquare_plane(field):
 def planes_intersect_trivially(g, h):
     if g.field != h.field:
         raise FieldMismatch(f"{g.field} vs {h.field}")
-    return rank([*elements_of(g), *elements_of(h)]) == 4
+    p, modulus = g.field.p, tuple(lsf(g.field.modulus))
+    return index_rank(p, modulus, [*g.basis(), *h.basis()]) == 4
 
 
 def is_sudoku_generator(plane):

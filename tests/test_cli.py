@@ -1,11 +1,13 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -397,6 +399,127 @@ def test_undecodable_file_is_usage_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["render", "--file", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# Exit code, stdout and stderr of failing invocations, with the temporary
+# directory written as <tmp>; the files they read are made by
+# _write_error_fixtures.
+CLI_ERROR_GOLDEN = {
+    "field-even": (
+        ["field", "--q", "4"],
+        2, "",
+        "error: characteristic must be an odd prime, got 2\n"),
+    "field-over-cap": (
+        ["field", "--q", "169"],
+        2, "",
+        "error: order 169 exceeds cap 128\n"),
+    "field-negative": (
+        ["field", "--q", "-3"],
+        2, "",
+        "error: -3 is not an odd prime power\n"),
+    "alpha-composite": (
+        ["alpha", "--q", "12"],
+        2, "",
+        "error: 12 is not an odd prime power\n"),
+    "generate-malformed": (
+        ["generate", "--q", "3", "--c", "0,2;2"],
+        2, "",
+        "error: expected two ','-separated entries in '2'\n"),
+    "generate-singular": (
+        ["generate", "--q", "3", "--c", "1,2;2,1"],
+        2, "",
+        "error: Mat2(GF(3), [[1,2],[2,1]]) is singular or lower triangular\n"),
+    "generate-lower-triangular": (
+        ["generate", "--q", "3", "--c", "1,0;0,1"],
+        2, "",
+        "error: Mat2(GF(3), [[1,0],[0,1]]) is singular or lower triangular\n"),
+    "generate-non-integer": (
+        ["generate", "--q", "3", "--c", "0,x;2,1"],
+        2, "",
+        "error: bad matrix entry 'x': invalid literal for int() with base 10: 'x'\n"),
+    "generate-out-directory": (
+        ["generate", "--q", "3", "--c", "0,2;2,1", "--out", "{tmp}"],
+        2, "",
+        "error: [Errno 21] Is a directory: '<tmp>'\n"),
+    "family-bruteforce-capped": (
+        ["family", "--q", "11", "--verify", "bruteforce"],
+        2, "",
+        "error: bruteforce verification capped at q <= 9, got q = 11\n"),
+    "family-out-below-file": (
+        ["family", "--q", "3", "--out", "{tmp}/file/fam"],
+        2, "",
+        "error: [Errno 20] Not a directory: '<tmp>/file/fam'\n"),
+    "verify-not-json": (
+        ["verify", "--files", "{tmp}/bad.json"],
+        2, "",
+        "error: <tmp>/bad.json: not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))\n"),
+    "verify-latin1": (
+        ["verify", "--files", "{tmp}/latin1.json"],
+        2, "",
+        "error: <tmp>/latin1.json: not valid JSON ('utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte)\n"),
+    "verify-missing": (
+        ["verify", "--files", "{tmp}/missing.json"],
+        2, "",
+        "error: [Errno 2] No such file or directory: '<tmp>/missing.json'\n"),
+    "verify-mixed": (
+        ["verify", "--files", "{tmp}/fam/square_00.json", "{tmp}/singular.json",
+         "{tmp}/fam/square_01.json", "{tmp}/fam/square_02.json", "{tmp}/range.json",
+         "{tmp}/fam/square_03.json"],
+        1, "".join([
+            "OK <tmp>/fam/square_00.json\n",
+            "FAIL <tmp>/singular.json: c: not a valid generator (singular or lower triangular)\n",
+            "OK <tmp>/fam/square_01.json\n",
+            "OK <tmp>/fam/square_02.json\n",
+            "FAIL <tmp>/range.json: grid[0][0]: value 9 out of range [0, 9)\n",
+            "OK <tmp>/fam/square_03.json\n",
+            "4 squares ok, 6 pairs checked, 2 failures\n",
+        ]), ""),
+    "render-not-json": (
+        ["render", "--file", "{tmp}/bad.json"],
+        2, "",
+        "error: <tmp>/bad.json: not valid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))\n"),
+    "render-latin1": (
+        ["render", "--file", "{tmp}/latin1.json"],
+        2, "",
+        "error: <tmp>/latin1.json: not valid JSON ('utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte)\n"),
+    "render-missing": (
+        ["render", "--file", "{tmp}/missing.json"],
+        2, "",
+        "error: [Errno 2] No such file or directory: '<tmp>/missing.json'\n"),
+    "render-singular": (
+        ["render", "--file", "{tmp}/singular.json"],
+        2, "",
+        "error: <tmp>/singular.json: c: not a valid generator (singular or lower triangular)\n"),
+    "render-out-of-range": (
+        ["render", "--file", "{tmp}/range.json"],
+        2, "",
+        "error: <tmp>/range.json: grid[0][0]: value 9 out of range [0, 9)\n"),
+}
+
+
+def _write_error_fixtures(tmp):
+    """A q = 3 family in tmp/fam, bad documents beside it and a regular file."""
+    with redirect_stdout(io.StringIO()):
+        assert main(["family", "--q", "3", "--out", str(tmp / "fam")]) == 0
+    doc = json.loads((tmp / "fam" / "square_00.json").read_text())
+    (tmp / "singular.json").write_text(json.dumps(dict(doc, c=[[1, 2], [2, 1]])))
+    doc["grid"][0][0] = 9
+    (tmp / "range.json").write_text(json.dumps(doc))
+    (tmp / "bad.json").write_text("{not json")
+    (tmp / "latin1.json").write_bytes(b'{"q": "\xe9"}')
+    (tmp / "file").write_text("")
+
+
+@pytest.mark.parametrize("name", list(CLI_ERROR_GOLDEN))
+def test_cli_error_golden_bytes(name, tmp_path):
+    args, code, stdout, stderr = CLI_ERROR_GOLDEN[name]
+    _write_error_fixtures(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        got = main([arg.format(tmp=tmp_path) for arg in args])
+    tmp = str(tmp_path)
+    assert (got, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")) \
+        == (code, stdout, stderr)
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):

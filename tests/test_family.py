@@ -144,6 +144,7 @@ def test_verify_family_bruteforce_q3():
 def test_verify_family_fast_q13():
     report = verify_family(build_family(get_field(13)), "fast")
     assert report.ok
+    assert repr(report) == "FamilyReport(mode='fast', size=156, pairs=12090, ok)"
     assert report.size == 156
     assert report.pairs == 12090
 
@@ -167,6 +168,22 @@ def test_verify_family_flags_invalid_members():
     matrices[2] = Mat2.from_indices(field, ((1, 0), (0, 1)))  # lower triangular
     report = verify_family(Family(field, fam.alpha, fam.lam, matrices), "fast")
     assert ("invalid_generator", (2,)) in report.violations
+
+
+def test_bruteforce_violations_with_copies_and_an_invalid_member():
+    """Bruteforce mode reports the invalid member once and skips it in the census."""
+    field = get_field(5)
+    fam = build_family(field)
+    matrices = fam.matrices[:8] + fam.matrices[:2] + [Mat2(field, 1, 0, 0, 1)]
+    report = verify_family(Family(field, fam.alpha, fam.lam, matrices), "bruteforce")
+    assert report.violations == [
+        ("invalid_generator", (10,)),
+        ("not_orthogonal", (0, 8)),
+        ("not_orthogonal", (1, 9)),
+        ("not_orthogonal_bruteforce", (0, 8)),
+        ("not_orthogonal_bruteforce", (1, 9)),
+    ]
+    assert repr(report) == "FamilyReport(mode='bruteforce', size=11, pairs=55, 5 violations)"
 
 
 def test_verify_family_guards():

@@ -235,6 +235,14 @@ def test_sqrt_spec_values():
         f3.sqrt(2)
 
 
+@pytest.mark.parametrize("bad", [-1, 7, True])
+def test_residue_methods_reject_non_indices(bad):
+    f7 = GF(7)
+    for method in (f7.is_square, f7.sqrt):
+        with pytest.raises(IndexError, match=rf"^element index must lie in \[0, 7\), got {bad!r}$"):
+            method(bad)
+
+
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
 def test_sqrt_properties(q):
     field = get_field(q)

@@ -145,6 +145,8 @@ def test_verify_flags_after_swap_across_blocks():
     assert not report.latin_cols
     assert not report.subsquares
     assert not report.ok
+    # moss verify prints this repr in the FAIL line of such a grid.
+    assert repr(report) == "SudokuReport(latin_rows=True, latin_cols=False, subsquares=False)"
 
 
 def test_verify_flags_constant_columns():
