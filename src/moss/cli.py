@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +27,26 @@ from .sudoku import (SudokuGrid, build_from_canonical, render_grid,
 
 class BadDocument(ValueError):
     """A document that parses as JSON but breaks the schema; names its file."""
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temp file in the same directory.
+
+    The temp file, .<name>.<random hex>.tmp, is moved onto path with
+    os.replace, so path holds either its old bytes or all of text, never a
+    part.  On any exception the temp file is removed, and an OSError names
+    path, as a direct write to it would.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            with open(tmp, "x") as out:
+                out.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _cmd_field(args) -> int:
@@ -55,7 +76,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_generate(args) -> int:
     text = SquareDocument.from_matrix(parse_mat2(GF(args.q), args.c)).to_json()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0
@@ -133,7 +154,7 @@ def _cmd_family(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         width = max(2, len(str(fam.size - 1)))
         for i, m in enumerate(fam):
-            (outdir / f"square_{i:0{width}d}.{ext}").write_text(render(m))
+            _write_atomic(outdir / f"square_{i:0{width}d}.{ext}", render(m))
         print(f"wrote {fam.size} squares to {outdir}")
     else:
         for i, m in enumerate(fam):

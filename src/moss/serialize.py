@@ -3,11 +3,13 @@
 A square document records the field (q, p, k, modulus), the generator
 matrix c as a 2x2 array of element indices, and the full grid.  Keys are
 emitted in that fixed order and all values are integers, so serialization
-is byte-stable and documents round-trip exactly.  Deserialization
-revalidates everything, including that rebuilding the grid from c
-reproduces the stored grid cell for cell.  Fields are cached by
-(p, k, modulus), so loading and rebuilding a document construct its field
-at most once per process.
+is byte-stable and documents round-trip exactly.  A SquareDocument holds
+no grid: the grid is a function of c, which to_json renders from the block
+plan (json.dumps writes only the header) and to_grid builds.
+Deserialization revalidates everything, including that rebuilding the grid
+from c reproduces the stored grid cell for cell.  Fields and their block
+strings are cached by (p, k, modulus), so loading and rebuilding a document
+construct its field at most once per process.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 from .gf import DegreeTooSmall, Field, NotOddPrime, OrderTooLarge
 from .planes import Mat2, is_valid_generator
-from .sudoku import NotAGenerator, SudokuGrid, build_from_canonical
+from .sudoku import NotAGenerator, SudokuGrid, block_plan, block_symbols, build_from_canonical
 
 KEY_ORDER = ("q", "p", "k", "modulus", "c", "grid")
 _NOT_A_GENERATOR = "not a valid generator (singular or lower triangular)"
@@ -63,23 +65,34 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
     return value
 
 
-@dataclass
+@lru_cache(maxsize=16)
+def _block_texts(field: Field) -> tuple[str, ...]:
+    """block_symbols(field) as JSON text, one comma-joined string per block."""
+    return tuple(",".join(map(str, block)) for block in block_symbols(field))
+
+
+@dataclass(frozen=True)
 class SquareDocument:
-    """One generated square: field parameters, generator matrix and grid."""
+    """One generated square: field parameters and generator matrix c.
+
+    The grid is not stored: grid and to_grid() build it from c, and to_json
+    renders it from c, so a document cannot hold a grid that disagrees with
+    its c.
+    """
 
     q: int
     p: int
     k: int
     modulus: tuple[int, ...]
     c: tuple[tuple[int, int], tuple[int, int]]
-    grid: list[list[int]]
 
     @classmethod
     def from_matrix(cls, c: Mat2) -> "SquareDocument":
+        """The document of c; raises NotAGenerator for an invalid c."""
+        if not is_valid_generator(c):
+            raise NotAGenerator(f"{c!r} is singular or lower triangular")
         field = c.field
-        grid = build_from_canonical(c)
-        return cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus,
-                   c=((c.a, c.b), (c.c, c.d)), grid=grid.rows)
+        return cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus, c=c.indices())
 
     def to_field(self) -> Field:
         return _field(self.p, self.k, tuple(self.modulus))
@@ -87,16 +100,30 @@ class SquareDocument:
     def to_matrix(self, field: Field | None = None) -> Mat2:
         return Mat2.from_indices(field or self.to_field(), self.c)
 
+    @property
+    def grid(self) -> list[list[int]]:
+        """The rows of the grid of c, built on each access."""
+        return self.to_grid().rows
+
     def to_grid(self) -> SudokuGrid:
-        field = self.to_field()
-        return SudokuGrid(self.q, [list(row) for row in self.grid],
-                          generator=self.to_matrix(field))
+        """The grid of c.
+
+        The first call after from_json takes the grid that validation built;
+        every other call builds it.
+        """
+        validated = self.__dict__.pop("_validated", None)
+        return validated or build_from_canonical(self.to_matrix())
 
     def to_json(self) -> str:
-        # json.dumps writes tuples as lists, so nothing is copied first.
-        payload = {"q": self.q, "p": self.p, "k": self.k, "modulus": self.modulus,
-                   "c": self.c, "grid": self.grid}
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        """The canonical text: json.dumps writes the header, and the grid is
+        joined from one cached string per block, in the order block_plan
+        gives, so no cell goes through the json encoder."""
+        matrix = self.to_matrix()
+        text = _block_texts(matrix.field).__getitem__
+        grid = "],[".join([",".join(map(text, keys)) for keys in block_plan(matrix)])
+        header = json.dumps({"q": self.q, "p": self.p, "k": self.k,
+                             "modulus": self.modulus, "c": self.c}, separators=(",", ":"))
+        return f'{header[:-1]},"grid":[[{grid}]]}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "SquareDocument":
@@ -167,9 +194,9 @@ class SquareDocument:
         if rebuilt.rows != grid_rows:
             raise SchemaViolation("grid", "grid disagrees with the square rebuilt from c")
 
-        return cls(q=q, p=p, k=k, modulus=modulus,
-                   c=((c_rows[0][0], c_rows[0][1]), (c_rows[1][0], c_rows[1][1])),
-                   grid=grid_rows)
+        doc = cls(q=q, p=p, k=k, modulus=modulus, c=matrix.indices())
+        object.__setattr__(doc, "_validated", rebuilt)  # for the first to_grid()
+        return doc
 
 
 def _reject_float(text: str):

@@ -13,8 +13,11 @@ subsquare: the coset gets symbol q*index(a) + index(b).  Any other choice
 of symbols is a relabeling of the same square.
 
 build_from_canonical computes that label in closed form for g = [I; C];
-build_from_plane canonicalizes first.  The brute-force coset labeling that
-checks them is in tests/oracles.py.
+build_from_plane canonicalizes first.  The closed form works by blocks:
+the q symbols of a row inside one subsquare are one of q^2 fixed blocks
+(block_symbols, built once per field), and block_plan says which, so a
+grid, or its JSON text in moss.serialize, takes q^3 block lookups.  The
+brute-force coset labeling that checks the builder is in tests/oracles.py.
 
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
@@ -29,10 +32,13 @@ after its first check.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
-from operator import add, itemgetter
+from operator import add
 
+from .gf import Field
 from .planes import Mat2, NotCanonicalizable, Plane, canonicalize, is_valid_generator
 
 
@@ -118,36 +124,56 @@ class SudokuReport:
         return self.latin_rows and self.latin_cols and self.subsquares
 
 
-def build_from_canonical(c: Mat2) -> SudokuGrid:
-    """Sudoku grid generated by the column span of [I; C], C = [[a, b], [c, d]].
+def block_plan(c: Mat2) -> Iterator[list[int]]:
+    """The grid of [I; C], C = [[a, b], [c, d]], as block keys, row by row.
 
-    Cell (x1, x2, x3, x4) gets symbol q*(x2 - t) + (x4 - c*x1 - d*t) with
-    t = (x3 - a*x1)/b.  Row (x1, x2) is therefore row (x1, 0) pushed through
-    the permutation q*alpha + beta -> q*(x2 + alpha) + beta, which depends on
-    x2 alone.  Raises NotAGenerator when C is singular or lower triangular.
+    Cell (x1, x2, x3, x4) gets symbol q*(x2 + h) + (x4 - shift) with
+    t = (x3 - a*x1)/b, h = -t and shift = c*x1 + d*t.  So the q symbols of
+    row (x1, x2) in large column x3 are entry q*(x2 + h) + shift of
+    block_symbols(field), and each large row x1 needs only its q pairs
+    (h, shift).  Yields the q keys of each of the q^2 rows, top to bottom.
+    Raises NotAGenerator, before the first row, when C is singular or lower
+    triangular.
     """
     if not is_valid_generator(c):
         raise NotAGenerator(f"{c!r} is singular or lower triangular")
     field = c.field
     q = field.q
     add, sub, mul, neg = field.add_table, field.sub_table, field.mul_table, field.neg_table
-    a, b, cc, d = c.a, c.b, c.c, c.d
-    inv_b = field.inv_table[b]
-    # perms[x2 - 1] sends symbol q*alpha + beta to q*(x2 + alpha) + beta.
-    perms = [[q * add[x2][alpha] + beta for alpha in range(q) for beta in range(q)]
-             for x2 in range(1, q)]
-    rows = []
+    a, cc, d = c.a, c.c, c.d
+    inv_b = field.inv_table[c.b]
+    pairs = []
     for x1 in range(q):
         ax1, cx1 = mul[a][x1], mul[cc][x1]
-        base = []
-        for x3 in range(q):
-            t = mul[sub[x3][ax1]][inv_b]
-            hi, shift = q * neg[t], add[cx1][mul[d][t]]
-            base.extend(hi + sub[x4][shift] for x4 in range(q))
-        rows.append(base)
-        pick = itemgetter(*base)
-        rows.extend(list(pick(perm)) for perm in perms)
-    return SudokuGrid(q, rows, generator=c)
+        ts = [mul[sub[x3][ax1]][inv_b] for x3 in range(q)]
+        pairs.append([(neg[t], add[cx1][mul[d][t]]) for t in ts])
+    return ([q * add_x2[h] + shift for h, shift in row] for row in pairs for add_x2 in add)
+
+
+@lru_cache(maxsize=16)
+def block_symbols(field: Field) -> tuple[tuple[int, ...], ...]:
+    """The q^2 blocks of a field's grids: entry q*u + shift holds the symbols
+    q*u + (x4 - shift), x4 = 0..q-1.  Built on first use, once per field."""
+    q, sub = field.q, field.sub_table
+    return tuple(tuple(q * u + sub[x4][shift] for x4 in range(q))
+                 for u in range(q) for shift in range(q))
+
+
+def build_from_canonical(c: Mat2) -> SudokuGrid:
+    """Sudoku grid generated by the column span of [I; C].
+
+    Each row joins the blocks that block_plan names for it.  Raises
+    NotAGenerator when C is singular or lower triangular.
+    """
+    plan = block_plan(c)
+    blocks = block_symbols(c.field)
+    rows = []
+    for keys in plan:
+        row = []
+        for key in keys:
+            row += blocks[key]
+        rows.append(row[:])  # exact size: growing left spare room in row
+    return SudokuGrid(c.field.q, rows, generator=c)
 
 
 def build_from_plane(plane: Plane) -> SudokuGrid:

@@ -22,14 +22,20 @@ field from PolyElement sums and products), planes_intersect_trivially and
 is_sudoku_generator (rank tests against the column, row and subsquare
 reference planes), all_planes (every 2-dimensional subspace of F^4) and
 all_valid_generators (every valid canonical generator).
+
+reference_document_json is the document text by the encoder: json.dumps of
+the whole payload, with the grid from build_from_canonical (itself checked
+against grid_from_cosets), so SquareDocument.to_json's block-string
+rendering is compared with text that no block table produced.
 """
 
+import json
 from functools import lru_cache
 from itertools import combinations, product
 
 from moss.gf import GF, FieldMismatch
 from moss.planes import Mat2, Plane, is_valid_generator
-from moss.sudoku import MalformedGrid, SudokuGrid
+from moss.sudoku import MalformedGrid, SudokuGrid, build_from_canonical
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 
@@ -360,3 +366,11 @@ def all_valid_generators(field):
         if is_valid_generator(m):
             out.append(m)
     return out
+
+
+def reference_document_json(c):
+    """The canonical document of generator c, every value through json.dumps."""
+    field = c.field
+    payload = {"q": field.q, "p": field.p, "k": field.k, "modulus": list(field.modulus),
+               "c": [[c.a, c.b], [c.c, c.d]], "grid": build_from_canonical(c).rows}
+    return json.dumps(payload, separators=(",", ":")) + "\n"

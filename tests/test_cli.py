@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import moss
+import moss.cli
 import moss.serialize
 import moss.sudoku
 from moss.cli import main
@@ -259,6 +261,30 @@ def test_family_q9_stdout_golden_bytes(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _tree_digest(directory):
+    """sha256 over the bytes of the files, in sorted name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# sha256 of the `family --out` trees, recorded before the block-plan
+# renderer; the q = 13 json digest is the one bench/baseline.json holds.
+@pytest.mark.parametrize("q, fmt, digest", [
+    (13, "json", "8fb670d83789dd33254e9eef598c875059a1fc47316701edb711668f0fd74765"),
+    (11, "json", "711d86475d41c948d58bee38b8d2978058b4176ffa00fb7e0838fd400af70df9"),
+    (11, "grid", "a8fccd7dc3211f1b1820222e59c8153d7b87b254322125de0764f82d86746d4b"),
+    (11, "csv", "5b638938d004adb46f8e5f4138ce3db4543418d4a0bdc7bf0744590fe49a3852"),
+], ids=["q13-json", "q11-json", "q11-grid", "q11-csv"])
+def test_family_out_tree_golden_bytes(q, fmt, digest, tmp_path, capsys):
+    outdir = tmp_path / "fam"
+    assert main(["family", "--q", str(q), "--format", fmt, "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    assert len(list(outdir.iterdir())) == q * (q - 1)
+    assert _tree_digest(outdir) == digest
+
+
 def test_family_grid_and_csv_formats(tmp_path, capsys):
     grid_dir, csv_dir = tmp_path / "grid", tmp_path / "csv"
     assert main(["family", "--q", "3", "--format", "grid", "--out", str(grid_dir)]) == 0
@@ -340,6 +366,108 @@ def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
     assert main(["verify", "--files", *files]) == 0
     assert calls == [9] * len(files) == [9] * 6
+
+
+def _count_builds(monkeypatch):
+    """Count build_from_canonical calls through every moss name bound to it."""
+    calls = []
+    original = moss.sudoku.build_from_canonical
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    for module in (moss, moss.sudoku, moss.serialize, moss.cli):
+        if getattr(module, "build_from_canonical", None) is original:
+            monkeypatch.setattr(module, "build_from_canonical", counted)
+    return calls
+
+
+def test_verify_builds_each_grid_once(tmp_path, monkeypatch, capsys):
+    """from_json builds a document's grid to validate it; verify reuses it."""
+    files = _write_family(tmp_path)
+    calls = _count_builds(monkeypatch)
+    assert main(["verify", "--files", *files]) == 0
+    assert len(calls) == len(files) == 6
+
+
+def test_family_json_builds_no_grid(tmp_path, monkeypatch, capsys):
+    calls = _count_builds(monkeypatch)
+    assert main(["family", "--q", "5", "--out", str(tmp_path / "fam")]) == 0
+    assert len(list((tmp_path / "fam").iterdir())) == 20
+    assert calls == []
+
+
+class _FailingWrite:
+    """open() for moss.cli whose nth file takes half its text, then raises."""
+
+    def __init__(self, nth, exc):
+        self.nth, self.exc, self.opened = nth, exc, 0
+
+    def __call__(self, path, mode):
+        out = open(path, mode)
+        self.opened += 1
+        if self.opened == self.nth:
+            write, exc = out.write, self.exc
+
+            def half_then_fail(text):
+                write(text[:len(text) // 2])
+                out.flush()
+                raise exc
+
+            out.write = half_then_fail
+        return out
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["no-space", "interrupt"])
+def test_family_write_failure_leaves_no_partial_file(exc, tmp_path, monkeypatch, capsys):
+    clean, outdir = tmp_path / "clean", tmp_path / "fam"
+    assert main(["family", "--q", "3", "--out", str(clean)]) == 0
+    expected = {f.name: f.read_bytes() for f in clean.iterdir()}
+
+    def failing_run():
+        monkeypatch.setattr(moss.cli, "open", _FailingWrite(3, exc), raising=False)
+        try:
+            if isinstance(exc, OSError):
+                assert main(["family", "--q", "3", "--out", str(outdir)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: [Errno 28] No space left on device: '{outdir / 'square_02.json'}'\n"
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    main(["family", "--q", "3", "--out", str(outdir)])
+        finally:
+            monkeypatch.delattr(moss.cli, "open")
+
+    # into a new directory: the two files before the failure are whole
+    failing_run()
+    assert {f.name: f.read_bytes() for f in outdir.iterdir()} == {
+        name: expected[name] for name in ("square_00.json", "square_01.json")}
+
+    # over a complete tree: the file being replaced keeps its old bytes
+    assert main(["family", "--q", "3", "--out", str(outdir)]) == 0
+    (outdir / "square_02.json").write_text("old")
+    failing_run()
+    assert {f.name: f.read_bytes() for f in outdir.iterdir()} == dict(expected, **{
+        "square_02.json": b"old"})
+
+    # a rerun replaces the tree
+    assert main(["family", "--q", "3", "--out", str(outdir)]) == 0
+    assert {f.name: f.read_bytes() for f in outdir.iterdir()} == expected
+
+
+def test_generate_out_is_written_atomically(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "square.json"
+    path.write_text("old")
+    monkeypatch.setattr(moss.cli, "open", _FailingWrite(1, OSError(28, "No space left on device")),
+                        raising=False)
+    assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(path)]) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["square.json"]
+    assert path.read_text() == "old"
+    monkeypatch.delattr(moss.cli, "open")
+    assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(path)]) == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["square.json"]
+    assert SquareDocument.from_json(path.read_text()).c == ((0, 2), (2, 1))
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

@@ -4,11 +4,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moss.family import build_family
 from moss.planes import Mat2
 from moss.serialize import KEY_ORDER, SchemaViolation, SquareDocument
-from moss.sudoku import build_from_canonical, verify_sudoku
-from oracles import GOLDEN_C_Q3, GOLDEN_GRID_Q3, get_field
+from moss.sudoku import NotAGenerator, build_from_canonical, verify_sudoku
+from oracles import GOLDEN_C_Q3, GOLDEN_GRID_Q3, get_field, reference_document_json
 
 
 def golden_document():
@@ -197,7 +200,69 @@ def test_unparseable_text_is_not_a_schema_violation():
 
 
 def test_from_matrix_rejects_non_generators():
-    from moss.sudoku import NotAGenerator
     f3 = get_field(3)
-    with pytest.raises(NotAGenerator):
-        SquareDocument.from_matrix(Mat2.from_indices(f3, ((1, 0), (0, 1))))
+    for c in (((1, 0), (0, 1)), ((1, 2), (2, 1)), ((0, 0), (0, 0))):  # lower triangular, singular, zero
+        with pytest.raises(NotAGenerator):
+            SquareDocument.from_matrix(Mat2.from_indices(f3, c))
+
+
+def _assert_text_matches_reference(c):
+    text = SquareDocument.from_matrix(c).to_json()
+    assert text == reference_document_json(c)
+    assert SquareDocument.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_to_json_matches_encoder_on_every_family_member(q):
+    for c in build_family(get_field(q)):
+        _assert_text_matches_reference(c)
+
+
+@pytest.mark.parametrize("q, examples", [(3, 30), (5, 30), (7, 20), (9, 20), (25, 5), (27, 5)])
+def test_to_json_matches_encoder_on_random_generators(q, examples):
+    field = get_field(q)
+    members = {m.indices() for m in build_family(field)}
+    element = st.integers(0, q - 1)
+    valid = st.builds(
+        lambda a, b, c, d: Mat2(field, a, b, c, d),
+        element, st.integers(1, q - 1), element, element,
+    ).filter(lambda m: bool(m.det()) and m.indices() not in members)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(valid)
+    def check(c):
+        _assert_text_matches_reference(c)
+
+    check()
+
+
+def test_grid_is_derived_from_c():
+    doc = golden_document()
+    with pytest.raises(AttributeError):
+        doc.c = ((0, 1), (1, 1))
+    with pytest.raises(TypeError):
+        SquareDocument(q=3, p=3, k=1, modulus=(1, 0), c=GOLDEN_C_Q3, grid=GOLDEN_GRID_Q3)
+    # each access builds a fresh grid, so changing one cannot reach the next
+    doc.grid[0][0] = 8
+    assert doc.grid == GOLDEN_GRID_Q3
+    assert doc.to_grid() is not doc.to_grid()
+
+
+def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
+    import moss.serialize
+    calls = []
+    original = moss.serialize.build_from_canonical
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(moss.serialize, "build_from_canonical", counted)
+    doc = SquareDocument.from_json(golden_document().to_json())
+    assert len(calls) == 1
+    first = doc.to_grid()
+    assert len(calls) == 1
+    second = doc.to_grid()
+    assert len(calls) == 2
+    assert first is not second
+    assert first.rows == second.rows == GOLDEN_GRID_Q3
