@@ -3,10 +3,11 @@
 Subcommands: field (parameters and element table), alpha (residue search
 and census), family (emit and verify a complete family), generate (one
 square from a generator matrix), verify (check documents), render (text
-grid).  Exit codes: 0 success, 1 verification failure, 2 usage, parse or
-I/O error.  Every moss error is a ValueError, and main alone maps a
-ValueError or OSError to exit 2; verify reports a document that breaks the
-schema as a FAIL line instead.
+grid).  Every grid is printed by render_grid or SquareDocument.to_json
+from its generator matrix, never from an int grid.  Exit codes: 0 success,
+1 verification failure, 2 usage, parse or I/O error.  Every moss error is a
+ValueError, and main alone maps a ValueError or OSError to exit 2; verify
+reports a document that breaks the schema as a FAIL line instead.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import (SudokuGrid, build_from_canonical, render_grid,
-                     verify_orthogonal_bruteforce, verify_sudoku)
+from .sudoku import SudokuGrid, render_grid, verify_orthogonal_bruteforce, verify_sudoku
 
 
 class BadDocument(ValueError):
@@ -97,7 +97,7 @@ def _load_document(path: Path) -> SquareDocument:
 
 
 def _cmd_render(args) -> int:
-    print(render_grid(_load_document(Path(args.file)).to_grid(), "text"))
+    print(render_grid(_load_document(Path(args.file)).to_matrix(), "text"))
     return 0
 
 
@@ -138,17 +138,14 @@ def _cmd_family(args) -> int:
     field = GF(args.q)
     fam = build_family(field)
     report = verify_family(fam, args.verify) if args.verify else None
-    if args.format == "json":
-        def render(m):
+    ext = {"grid": "txt", "csv": "csv", "json": "json"}[args.format]
+
+    def render(m):
+        if args.format == "json":
             return SquareDocument.from_matrix(m).to_json()
-        ext = "json"
-    else:
-        style = "text" if args.format == "grid" else "csv"
-        def render(m):
-            return render_grid(build_from_canonical(m), style) + "\n"
-        ext = "txt" if args.format == "grid" else "csv"
-    # One square at a time: build, render, write, so memory does not grow
-    # with the family.
+        return render_grid(m, "text" if args.format == "grid" else "csv") + "\n"
+
+    # One square at a time, so memory does not grow with the family.
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

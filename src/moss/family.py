@@ -156,8 +156,7 @@ def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[
     return sorted(bad)
 
 
-def verify_family(family: Family, mode: str = "fast",
-                  bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP) -> FamilyReport:
+def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     """Check every member and every unordered pair of the family.
 
     Fast mode runs the determinant criteria only: each member must be a
@@ -165,15 +164,15 @@ def verify_family(family: Family, mode: str = "fast",
     direction scan in O((q + 1) n), not pair by pair.  Bruteforce mode also
     builds the grids of the valid members, verifies each sudoku property by
     inspection and each pair by full superimposition census; it is capped at
-    q <= bruteforce_cap because its cost grows as q^4 per pair.  The mode
+    q <= DEFAULT_BRUTEFORCE_CAP because its cost grows as q^4 per pair.  The mode
     and the cap are checked before any work is done.
     """
     if mode not in ("fast", "bruteforce"):
         raise ValueError(f"unknown mode {mode!r}")
     field = family.field
-    if mode == "bruteforce" and field.q > bruteforce_cap:
-        raise ValueError(
-            f"bruteforce verification capped at q <= {bruteforce_cap}, got q = {field.q}")
+    if mode == "bruteforce" and field.q > DEFAULT_BRUTEFORCE_CAP:
+        raise ValueError(f"bruteforce verification capped at q <= {DEFAULT_BRUTEFORCE_CAP}, "
+                         f"got q = {field.q}")
     matrices = family.matrices
     n = len(matrices)
     violations: list[tuple[str, tuple[int, ...]]] = []

@@ -33,7 +33,7 @@ class DegreeTooSmall(ValueError):
 
 
 class OrderTooLarge(ValueError):
-    """The requested field order exceeds the configured cap."""
+    """The requested field order exceeds the cap DEFAULT_MAX_ORDER."""
 
 
 class NoSquareRoot(ArithmeticError):
@@ -150,19 +150,18 @@ class FieldElement:
 class Field:
     """GF(p^k) for an odd prime p, with precomputed arithmetic tables."""
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None,
-                 max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         # The cap is checked before any work that grows with p or k: p is
         # tested for primality only below the cap, and p ** k is taken only
         # for k below the cap's bit length (p >= 3, so p ** k > 2 ** k).
-        if p > max_order:
-            raise OrderTooLarge(f"characteristic {p} exceeds cap {max_order}")
+        if p > DEFAULT_MAX_ORDER:
+            raise OrderTooLarge(f"characteristic {p} exceeds cap {DEFAULT_MAX_ORDER}")
         if not is_prime(p) or p == 2:
             raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise DegreeTooSmall(f"extension degree must be >= 1, got {k}")
-        if k >= max_order.bit_length() or p ** k > max_order:
-            raise OrderTooLarge(f"order {p}^{k} exceeds cap {max_order}")
+        if k >= DEFAULT_MAX_ORDER.bit_length() or p ** k > DEFAULT_MAX_ORDER:
+            raise OrderTooLarge(f"order {p}^{k} exceeds cap {DEFAULT_MAX_ORDER}")
         q = p ** k
         self.p = p
         self.k = k
@@ -261,16 +260,16 @@ class Field:
         return f"GF({self.q})"
 
 
-def GF(q: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
+def GF(q: int) -> Field:
     """Field of order q, with q an odd prime power.
 
     An order above the cap is rejected before q is factored, since trial
     division costs O(sqrt(q)).
     """
-    if q > max_order:
-        raise OrderTooLarge(f"order {q} exceeds cap {max_order}")
+    if q > DEFAULT_MAX_ORDER:
+        raise OrderTooLarge(f"order {q} exceeds cap {DEFAULT_MAX_ORDER}")
     try:
         p, k = factor_prime_power(q)
     except ValueError:
         raise NotOddPrime(f"{q} is not an odd prime power") from None
-    return Field(p, k, max_order=max_order)
+    return Field(p, k)

@@ -4,12 +4,13 @@ A square document records the field (q, p, k, modulus), the generator
 matrix c as a 2x2 array of element indices, and the full grid.  Keys are
 emitted in that fixed order and all values are integers, so serialization
 is byte-stable and documents round-trip exactly.  A SquareDocument holds
-no grid: the grid is a function of c, which to_json renders from the block
-plan (json.dumps writes only the header) and to_grid builds.
+no grid: the grid is a function of c, which to_json renders with
+render_grid (json.dumps writes only the header) and to_grid builds.
 Deserialization revalidates everything, including that rebuilding the grid
-from c reproduces the stored grid cell for cell.  Fields and their block
-strings are cached by (p, k, modulus), so loading and rebuilding a document
-construct its field at most once per process.
+from c reproduces the stored grid cell for cell.  A document keeps the
+matrix it was made from or validated with, so emitting it builds no second
+field; parsed fields are cached by (p, k, modulus), so loading documents
+constructs each field at most once per process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 from .gf import DegreeTooSmall, Field, NotOddPrime, OrderTooLarge
 from .planes import Mat2, is_valid_generator
-from .sudoku import NotAGenerator, SudokuGrid, block_plan, block_symbols, build_from_canonical
+from .sudoku import NotAGenerator, SudokuGrid, build_from_canonical, render_grid
 
 KEY_ORDER = ("q", "p", "k", "modulus", "c", "grid")
 _NOT_A_GENERATOR = "not a valid generator (singular or lower triangular)"
@@ -65,19 +66,13 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
     return value
 
 
-@lru_cache(maxsize=16)
-def _block_texts(field: Field) -> tuple[str, ...]:
-    """block_symbols(field) as JSON text, one comma-joined string per block."""
-    return tuple(",".join(map(str, block)) for block in block_symbols(field))
-
-
 @dataclass(frozen=True)
 class SquareDocument:
     """One generated square: field parameters and generator matrix c.
 
     The grid is not stored: grid and to_grid() build it from c, and to_json
     renders it from c, so a document cannot hold a grid that disagrees with
-    its c.
+    its c.  from_matrix and from_json keep the Mat2 of c for to_matrix.
     """
 
     q: int
@@ -92,13 +87,18 @@ class SquareDocument:
         if not is_valid_generator(c):
             raise NotAGenerator(f"{c!r} is singular or lower triangular")
         field = c.field
-        return cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus, c=c.indices())
+        doc = cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus, c=c.indices())
+        object.__setattr__(doc, "_matrix", c)  # for to_matrix()
+        return doc
 
     def to_field(self) -> Field:
-        return _field(self.p, self.k, tuple(self.modulus))
+        return self.to_matrix().field
 
-    def to_matrix(self, field: Field | None = None) -> Mat2:
-        return Mat2.from_indices(field or self.to_field(), self.c)
+    def to_matrix(self) -> Mat2:
+        """The matrix c, over the document's field.  A document made by the
+        constructor, not by from_matrix or from_json, builds it on each call."""
+        return (self.__dict__.get("_matrix")
+                or Mat2.from_indices(_field(self.p, self.k, tuple(self.modulus)), self.c))
 
     @property
     def grid(self) -> list[list[int]]:
@@ -115,15 +115,12 @@ class SquareDocument:
         return validated or build_from_canonical(self.to_matrix())
 
     def to_json(self) -> str:
-        """The canonical text: json.dumps writes the header, and the grid is
-        joined from one cached string per block, in the order block_plan
-        gives, so no cell goes through the json encoder."""
-        matrix = self.to_matrix()
-        text = _block_texts(matrix.field).__getitem__
-        grid = "],[".join([",".join(map(text, keys)) for keys in block_plan(matrix)])
+        """The canonical text: json.dumps writes the header, and
+        render_grid(c, "json") the grid, so no cell goes through the json
+        encoder."""
         header = json.dumps({"q": self.q, "p": self.p, "k": self.k,
                              "modulus": self.modulus, "c": self.c}, separators=(",", ":"))
-        return f'{header[:-1]},"grid":[[{grid}]]}}\n'
+        return f'{header[:-1]},"grid":{render_grid(self.to_matrix(), "json")}}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "SquareDocument":
@@ -195,6 +192,7 @@ class SquareDocument:
             raise SchemaViolation("grid", "grid disagrees with the square rebuilt from c")
 
         doc = cls(q=q, p=p, k=k, modulus=modulus, c=matrix.indices())
+        object.__setattr__(doc, "_matrix", matrix)
         object.__setattr__(doc, "_validated", rebuilt)  # for the first to_grid()
         return doc
 

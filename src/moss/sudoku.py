@@ -16,8 +16,9 @@ build_from_canonical computes that label in closed form for g = [I; C];
 build_from_plane canonicalizes first.  The closed form works by blocks:
 the q symbols of a row inside one subsquare are one of q^2 fixed blocks
 (block_symbols, built once per field), and block_plan says which, so a
-grid, or its JSON text in moss.serialize, takes q^3 block lookups.  The
-brute-force coset labeling that checks the builder is in tests/oracles.py.
+grid, or its text in any format (render_grid), takes q^3 block lookups.
+The oracles that check both, a brute-force coset labeling and a per-cell
+renderer, are in tests/oracles.py.
 
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
@@ -240,23 +241,26 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     return len(set(map(add, keys, chain.from_iterable(b._checked_rows())))) == n * n
 
 
-def render_grid(grid: SudokuGrid, style: str = "text") -> str:
-    """Render as text (blocks separated by | and rules) or csv (one row per line)."""
-    q, n = grid.q, grid.order
-    if style == "csv":
-        return "\n".join(",".join(str(s) for s in row) for row in grid.rows)
-    if style != "text":
+@lru_cache(maxsize=16)
+def _block_texts(field: Field, padded: bool) -> tuple[str, ...]:
+    """block_symbols(field) as one string per block: space-joined and right-
+    aligned to the widest symbol if padded (text), else comma-joined."""
+    width, sep = (len(str(field.q * field.q - 1)), " ") if padded else (0, ",")
+    return tuple(sep.join(f"{s:>{width}}" for s in block) for block in block_symbols(field))
+
+
+def render_grid(c: Mat2, style: str = "text") -> str:
+    """The grid of [I; C] as text (blocks split by " | ", large rows by -+-
+    rules), csv (a line per row) or json (the array, as json.dumps writes it
+    without spaces): each row joins the block strings block_plan names.
+    Raises ValueError for an unknown style, NotAGenerator for an invalid C."""
+    if style not in ("text", "csv", "json"):
         raise ValueError(f"unknown style {style!r}")
-    width = len(str(n - 1))
-    block_width = q * width + q - 1
-    rule = "-+-".join("-" * block_width for _ in range(q))
-    lines = []
-    for r, row in enumerate(grid.rows):
-        if r and r % q == 0:
-            lines.append(rule)
-        blocks = [
-            " ".join(f"{s:>{width}}" for s in row[bc:bc + q])
-            for bc in range(0, n, q)
-        ]
-        lines.append(" | ".join(blocks))
-    return "\n".join(lines)
+    padded = style == "text"
+    text = _block_texts(c.field, padded).__getitem__
+    rows = [(" | " if padded else ",").join(map(text, keys)) for keys in block_plan(c)]
+    if not padded:
+        return f"[[{'],['.join(rows)}]]" if style == "json" else "\n".join(rows)
+    q = c.field.q
+    rule = "-+-".join(["-" * len(text(0))] * q)  # every block string has one width
+    return f"\n{rule}\n".join("\n".join(rows[r:r + q]) for r in range(0, q * q, q))

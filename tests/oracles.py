@@ -27,11 +27,15 @@ reference_document_json is the document text by the encoder: json.dumps of
 the whole payload, with the grid from build_from_canonical (itself checked
 against grid_from_cosets), so SquareDocument.to_json's block-string
 rendering is compared with text that no block table produced.
+render_rows_per_cell is the grid renderer cell by cell (each symbol through
+str or an f-string, the subsquare layout from row and column indices), the
+reference for render_grid's block strings.
 """
 
 import json
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt
 
 from moss.gf import GF, FieldMismatch
 from moss.planes import Mat2, Plane, is_valid_generator
@@ -374,3 +378,25 @@ def reference_document_json(c):
     payload = {"q": field.q, "p": field.p, "k": field.k, "modulus": list(field.modulus),
                "c": [[c.a, c.b], [c.c, c.d]], "grid": build_from_canonical(c).rows}
     return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def render_rows_per_cell(rows, style="text"):
+    """Grid rows as text (blocks separated by | and rules) or csv (one row
+    per line), one symbol at a time."""
+    n = len(rows)
+    q = isqrt(n)
+    if style == "csv":
+        return "\n".join(",".join(str(s) for s in row) for row in rows)
+    width = len(str(n - 1))
+    block_width = q * width + q - 1
+    rule = "-+-".join("-" * block_width for _ in range(q))
+    lines = []
+    for r, row in enumerate(rows):
+        if r and r % q == 0:
+            lines.append(rule)
+        blocks = [
+            " ".join(f"{s:>{width}}" for s in row[bc:bc + q])
+            for bc in range(0, n, q)
+        ]
+        lines.append(" | ".join(blocks))
+    return "\n".join(lines)

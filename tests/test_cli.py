@@ -255,10 +255,31 @@ def test_family_bruteforce_capped(tmp_path, capsys):
 @pytest.mark.parametrize("args, digest", [
     ([], "7a829b6ead26e07d3ad263d32fdb7b930dc8988ac7bcf1aeef41ec4b9b7709b9"),
     (["--format", "grid"], "24781021df4c70bf704b6ba56df68c82b8a1bdae62a25e830c0035eed0349e32"),
+    (["--format", "csv"], "54831a6f49544add7e18f7d1e403601c2bfcbabd22439e8a31ad0883159ee935"),
 ])
 def test_family_q9_stdout_golden_bytes(args, digest, capsys):
     assert main(["family", "--q", "9", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Recorded with the per-cell renderer, before grid and csv text came from
+# the block plan.
+@pytest.mark.parametrize("fmt, digest", [
+    ("grid", "8232be11f79a3a8cd4ef83ef5b5c1575d3bf4dc05b21d6d809420eb7b359390c"),
+    ("csv", "297e7c17b57c09ef7560c7f42441c257799b63e565175e82d5656170acf39339"),
+])
+def test_family_q13_stdout_golden_bytes(fmt, digest, capsys):
+    assert main(["family", "--q", "13", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_render_q37_golden_bytes(tmp_path, capsys):
+    """Symbols up to 1368 are four digits wide; recorded with the per-cell renderer."""
+    doc_path = tmp_path / "q37.json"
+    assert main(["generate", "--q", "37", "--c", "3,5;7,11", "--out", str(doc_path)]) == 0
+    assert main(["render", "--file", str(doc_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "1af06244eed2d8cc1918a68897d1819eedf7fd96ef6c5421289dde8fdce06304"
 
 
 def _tree_digest(directory):
@@ -351,6 +372,25 @@ def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Field, "__init__", counting_init)
     assert main(["verify", "--files", *files]) == 0
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--q", "5"],
+    ["generate", "--q", "5", "--c", "0,1;1,1"],
+])
+def test_emitting_json_builds_one_field(argv, monkeypatch, capsys):
+    """The document keeps the matrix it was made from, so to_json reuses its field."""
+    moss.serialize._field.cache_clear()
+    calls = []
+    original = Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):

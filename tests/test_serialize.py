@@ -61,7 +61,8 @@ def test_reconstruction_helpers():
     doc = golden_document()
     field = doc.to_field()
     assert field == get_field(3)
-    matrix = doc.to_matrix(field)
+    matrix = doc.to_matrix()
+    assert matrix.field is field
     assert matrix.indices() == GOLDEN_C_Q3
     grid = doc.to_grid()
     assert grid.rows == GOLDEN_GRID_Q3

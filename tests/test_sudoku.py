@@ -31,6 +31,8 @@ from oracles import (
     grid_from_cosets,
     is_sudoku_generator,
     orthogonal_by_pair_census,
+    reference_document_json,
+    render_rows_per_cell,
     row_plane,
     subsquare_plane,
     sudoku_flags_per_cell,
@@ -352,22 +354,64 @@ def test_coset_labeling_exposes_bad_planes():
 
 
 def test_render_text_golden():
-    grid = build_from_plane(golden_plane())
-    text = render_grid(grid)
+    c = canonicalize(golden_plane())
+    text = render_grid(c)
     lines = text.split("\n")
     assert lines[0] == "0 1 2 | 4 5 3 | 8 6 7"
     assert lines[3] == "------+-------+------"
     assert len(lines) == 11  # 9 rows + 2 rules
-    assert render_grid(grid, "csv").split("\n")[0] == "0,1,2,4,5,3,8,6,7"
+    assert render_grid(c, "csv").split("\n")[0] == "0,1,2,4,5,3,8,6,7"
     with pytest.raises(ValueError):
-        render_grid(grid, "latex")
+        render_grid(c, "latex")
 
 
 def test_render_pads_wide_symbols():
     field = get_field(5)
-    grid = build_from_canonical(mat(field, ((0, 1), (1, 1))))
-    lines = render_grid(grid).split("\n")
+    c = mat(field, ((0, 1), (1, 1)))
+    lines = render_grid(c).split("\n")
     assert len(lines) == 25 + 4
     widths = {len(line) for line in lines}
     assert len(widths) == 1  # rules and rows align
     assert all(len(row.split(" | ")) == 5 for row in lines if "|" in row)
+
+
+def _assert_renders_like_reference(c):
+    rows = build_from_canonical(c).rows
+    for style in ("text", "csv"):
+        assert render_grid(c, style) == render_rows_per_cell(rows, style)
+    reference = reference_document_json(c)
+    assert render_grid(c, "json") == reference[reference.index('"grid":') + 7:-2]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_render_matches_per_cell_reference_on_every_family_member(q):
+    for c in build_family(get_field(q)):
+        _assert_renders_like_reference(c)
+
+
+@pytest.mark.parametrize("q", [25, 27, 37])  # symbols 3 and 4 digits wide
+def test_render_matches_per_cell_reference_on_random_generators(q):
+    field = get_field(q)
+    members = {m.indices() for m in build_family(field)}
+    element = st.integers(0, q - 1)
+    valid = st.builds(
+        lambda a, b, c, d: mat(field, ((a, b), (c, d))),
+        element, st.integers(1, q - 1), element, element,
+    ).filter(lambda m: bool(m.det()) and m.indices() not in members)
+
+    @settings(max_examples=3, deadline=None)
+    @given(valid)
+    def check(c):
+        _assert_renders_like_reference(c)
+
+    check()
+
+
+def test_render_rejects_bad_style_and_bad_generators():
+    field = get_field(5)
+    with pytest.raises(ValueError, match="unknown style"):
+        render_grid(mat(field, ((0, 1), (1, 1))), "grid")
+    for rows in (((1, 2), (2, 4)), ((0, 0), (0, 0)), ((1, 0), (3, 1))):  # singular, zero, b = 0
+        for style in ("text", "csv", "json"):
+            with pytest.raises(NotAGenerator):
+                render_grid(mat(field, rows), style)
