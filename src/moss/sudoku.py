@@ -23,12 +23,17 @@ renderer, are in tests/oracles.py.
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
 (chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
-superimposes two grids on integer keys: a cell holding s in A and t in B
-gets the key n*s + t, which is one-to-one on symbol pairs in [0, n), so
-the grids are orthogonal iff their n^2 keys are distinct.  Both checks
-first check that every symbol is in [0, n), once per grid, and the census
-caches each grid's n*s values; a grid's rows must therefore not change
-after its first check.
+superimposes two grids, all n^2 cells of them.  Both checks first check
+that every symbol is in [0, n), once per grid; for n <= 256 a grid then
+keeps its rows as bytes and whether every row is a permutation of range(n),
+so a grid's rows must not change after its first check.  When every row of
+A is a permutation, row r of the pair is the map f_r: s -> B(r, A_r^-1(s)),
+which bytes.maketrans(A_r, B_r) tabulates; the values f_r(s) over all rows
+r are the B symbols of the n cells where A = s, so the grids are orthogonal
+iff for no s do two of them agree.  Otherwise (n > 256, or a row of A
+repeats a symbol) a cell holding s in A and t in B gets the integer key
+n*s + t, which is one-to-one on symbol pairs in [0, n), and the grids are
+orthogonal iff the n^2 keys are distinct.
 """
 
 from __future__ import annotations
@@ -59,19 +64,21 @@ class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
     The first check of a grid (verify_sudoku or an orthogonality census)
-    range-checks its rows once, and its first census caches its keys, so its
-    rows must not change after that: a changed grid is checked as a new
-    SudokuGrid over the changed rows.
+    range-checks its rows once and, for n <= 256, caches them as bytes with
+    a flag for "every row is a permutation of range(n)" (left False for
+    n > 256), so its rows must not change after that: a changed grid is
+    checked as a new SudokuGrid over the changed rows.
     """
 
-    __slots__ = ("q", "rows", "generator", "_checked", "_keys")
+    __slots__ = ("q", "rows", "generator", "_checked", "_row_bytes", "_latin_rows")
 
     def __init__(self, q: int, rows: list[list[int]], generator: Mat2 | None = None):
         self.q = q
         self.rows = rows
         self.generator = generator
         self._checked = False
-        self._keys: tuple[int, ...] | None = None
+        self._row_bytes: tuple[bytes, ...] | None = None
+        self._latin_rows = False
 
     @property
     def order(self) -> int:
@@ -81,24 +88,18 @@ class SudokuGrid:
         """The rows, after the range check that only the first call runs.
 
         Raises MalformedGrid on wrong dimensions or a symbol that is not an
-        int in [0, n).
+        int in [0, n).  For n <= 256 the first call also caches the rows as
+        bytes and whether each is a permutation of range(n).
         """
         if not self._checked:
-            _check_rows(self.rows, self.order)
+            n = self.order
+            _check_rows(self.rows, n)
+            if n <= 256:
+                ident = bytes(range(n))
+                self._row_bytes = tuple(map(bytes, self.rows))
+                self._latin_rows = all(_distinct(row, ident) for row in self._row_bytes)
             self._checked = True
         return self.rows
-
-    def _scaled_keys(self) -> tuple[int, ...]:
-        """n*s for every symbol s, row by row, cached after the first call.
-
-        Raises MalformedGrid, as _checked_rows does.  The rows are read only
-        on the first call.
-        """
-        if self._keys is None:
-            rows, n = self._checked_rows(), self.order
-            scale = [n * s for s in range(n)]
-            self._keys = tuple(map(scale.__getitem__, chain.from_iterable(rows)))
-        return self._keys
 
     def symbol_at(self, x1: int, x2: int, x3: int, x4: int) -> int:
         """Symbol housed at the address (x1, x2, x3, x4) of element indices."""
@@ -226,19 +227,37 @@ def _check_rows(rows: list[list[int]], n: int) -> None:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
 
 
+def _distinct(symbols: bytes, ident: bytes) -> bool:
+    """True iff the n bytes of symbols, each below n = len(ident), differ.
+
+    maketrans maps each symbol to the last position holding it, so the
+    translation reads back ident exactly when no symbol repeats.
+    """
+    return symbols.translate(bytes.maketrans(symbols, ident)) == ident
+
+
 def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     """True iff superimposing the grids yields every ordered symbol pair once.
 
-    Counts the distinct keys n*s + t over the cells, s from a and t from b.
-    Raises OrderMismatch for grids of different orders and MalformedGrid,
-    as verify_sudoku does, for a grid of the wrong shape or with a symbol
-    that is not an int in [0, n).
+    Reads all n^2 cells: on byte tables of the row maps s -> B(r, A_r^-1(s))
+    when n <= 256 and every row of A is a permutation, else by counting the
+    distinct keys n*s + t, s from a and t from b.  Raises OrderMismatch for
+    grids of different orders and MalformedGrid, as verify_sudoku does, for
+    a grid of the wrong shape or with a symbol that is not an int in
+    [0, n); a is checked before b.
     """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
-    keys = a._scaled_keys()
-    n = a.order
-    return len(set(map(add, keys, chain.from_iterable(b._checked_rows())))) == n * n
+    rows_a, rows_b, n = a._checked_rows(), b._checked_rows(), a.order
+    if not a._latin_rows:
+        scale = [n * s for s in range(n)]
+        keys = map(scale.__getitem__, chain.from_iterable(rows_a))
+        return len(set(map(add, keys, chain.from_iterable(rows_b)))) == n * n
+    # maps joins the 256-byte tables of f_0, f_1, ..., so maps[s::256] is
+    # f_r(s) for every r: the B symbols of the n cells where A = s.
+    maps = b"".join(map(bytes.maketrans, a._row_bytes, b._row_bytes))
+    ident = bytes(range(n))
+    return all(_distinct(maps[s::256], ident) for s in range(n))
 
 
 @lru_cache(maxsize=16)

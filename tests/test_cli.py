@@ -320,29 +320,49 @@ def test_family_grid_and_csv_formats(tmp_path, capsys):
     assert all(len(row.split(",")) == 9 for row in first_rows)
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
-def test_family_emission_memory_does_not_hold_the_family(tmp_path):
-    """A fresh process writing the 156 q = 13 squares stays small.
+def _child_peak_mb(argv, cwd):
+    """Run main(argv) in a fresh process; return its VmHWM in MB.
 
-    Rendering every document before the first write peaked near 69 MB.  The
-    child reports VmHWM, the peak of its own address space: ru_maxrss would
+    VmHWM is the peak of the child's own address space: ru_maxrss would
     carry over the RSS of this test process across fork and exec.
     """
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     code = (
         "import sys\n"
         "import moss.cli\n"
-        "assert moss.cli.main(['family', '--q', '13', '--out', sys.argv[1]]) == 0\n"
+        "assert moss.cli.main(sys.argv[1:]) == 0\n"
         "with open('/proc/self/status') as status:\n"
         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
         "          file=sys.stderr)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "fam")],
-                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    run = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, env=env, cwd=cwd)
     assert run.returncode == 0, run.stderr
+    return int(run.stderr.split()[-1]) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_family_emission_memory_does_not_hold_the_family(tmp_path):
+    """A fresh process writing the 156 q = 13 squares stays small.
+
+    Rendering every document before the first write peaked near 69 MB.
+    """
+    peak_mb = _child_peak_mb(["family", "--q", "13", "--out", str(tmp_path / "fam")], tmp_path)
     assert len(list((tmp_path / "fam").iterdir())) == 156
-    peak_mb = int(run.stderr.split()[-1]) / 1024  # VmHWM is in kB
     assert peak_mb < 40
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_verify_memory_holds_no_key_tuples(tmp_path, capsys):
+    """A fresh process verifying the 110 q = 11 documents stays small.
+
+    With a cached tuple of n*s keys per grid (0.12 MB each at q = 11) it
+    peaked near 42 MB; the grids' row lists (about 0.12 MB each) still count.
+    """
+    files = _write_family(tmp_path, q=11)
+    capsys.readouterr()
+    assert len(files) == 110
+    assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 36
 
 
 def _write_family(tmp_path, q=3):

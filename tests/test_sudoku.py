@@ -210,7 +210,8 @@ def test_orthogonality_rejects_symbols_out_of_range():
 
 def test_changed_rows_are_checked_as_a_new_grid():
     # A grid's rows must not change after its first census, which caches
-    # its keys and range check; the changed rows go into a new SudokuGrid.
+    # its range check and its rows as bytes; the changed rows go into a new
+    # SudokuGrid.
     f3 = get_field(3)
     golden = build_from_plane(golden_plane())
     partner = build_from_canonical(mat(f3, ((0, 1), (1, 1))))
@@ -236,16 +237,21 @@ def _grid(q, rows):
 @st.composite
 def grid_pairs(draw, q):
     """Two grids, each a family member as it is, with one cell rewritten or
-    with two cells swapped, or a grid of random symbols."""
+    with two cells swapped, a grid whose rows are independent random
+    permutations of range(n), or a grid of random symbols."""
     n = q * q
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     members = family_rows(q)
     pair = []
     for _ in range(2):
-        kind = draw(st.sampled_from(("member", "one-cell", "two-cell", "random")))
+        kind = draw(st.sampled_from(("member", "one-cell", "two-cell", "row-shuffled", "random")))
         if kind == "random":
             rng = random.Random(draw(st.integers(0, 2**32 - 1)))
             pair.append(SudokuGrid(q, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+            continue
+        if kind == "row-shuffled":
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            pair.append(SudokuGrid(q, [rng.sample(range(n), n) for _ in range(n)]))
             continue
         grid = _grid(q, draw(st.sampled_from(members)))
         if kind == "one-cell":
@@ -274,6 +280,30 @@ def test_census_matches_pair_oracle(q, examples):
         assert verify_orthogonal_bruteforce(b, a) == orthogonal_by_pair_census(b, a)
 
     check()
+
+
+def test_census_paths_at_the_byte_boundary():
+    # n = 256 is the largest order whose symbols fit in a byte; n = 289
+    # (q = 17) takes the integer-key census.  Each verdict matches the oracle.
+    n = 256
+    cols = SudokuGrid(16, [list(range(n)) for _ in range(n)])
+    rows = SudokuGrid(16, [[r] * n for r in range(n)])
+    bent = SudokuGrid(16, [[r] * n for r in range(n)])
+    bent.rows[7][200] = 8
+    for a, b, expected in ((cols, rows, True), (cols, bent, False), (cols, cols, False)):
+        assert verify_orthogonal_bruteforce(a, b) is expected
+        assert orthogonal_by_pair_census(a, b) is expected
+    assert cols._latin_rows and not rows._latin_rows
+    assert verify_orthogonal_bruteforce(rows, cols) and not verify_orthogonal_bruteforce(bent, cols)
+
+    matrices = build_family(get_field(17)).matrices
+    a, b = build_from_canonical(matrices[0]), build_from_canonical(matrices[1])
+    changed = _grid(17, a.rows)
+    changed.rows[100][3] = (changed.rows[100][3] + 1) % 289
+    for x, y, expected in ((a, b, True), (a, a, False), (changed, b, False), (b, changed, False)):
+        assert verify_orthogonal_bruteforce(x, y) is expected
+        assert orthogonal_by_pair_census(x, y) is expected
+    assert a._row_bytes is None and not a._latin_rows
 
 
 class Symbol(int):
