@@ -18,12 +18,8 @@ from .gf import (
 )
 from .planes import (
     Mat2,
-    NotCanonicalizable,
     Plane,
-    canonicalize,
-    format_mat2,
     is_valid_generator,
-    meets_trivially,
     parse_mat2,
 )
 from .sudoku import (
@@ -33,7 +29,6 @@ from .sudoku import (
     SudokuGrid,
     SudokuReport,
     build_from_canonical,
-    build_from_plane,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -43,7 +38,6 @@ from .family import (
     FamilyReport,
     alpha_census,
     build_family,
-    count_alphas,
     derive_lambda,
     find_alpha,
     verify_family,

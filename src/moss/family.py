@@ -14,7 +14,9 @@ invertible and non-lower-triangular, so the family generates q(q-1)
 mutually orthogonal sudoku squares of order q^2, the maximum possible.
 The residue search and build_family compute on the field's tables with
 element indices; the search returns alpha and lambda as FieldElement
-records, and the members are matrices of indices.
+records, and the members are matrices of indices.  alpha_census lists
+every qualifying alpha, roughly (q - 1)/4 of them; tests/oracles.py counts
+them again by exhaustive squaring.
 
 verify_family certifies any list of matrices without visiting its
 n(n-1)/2 pairs.  C1 - C2 is singular iff C1 x = C2 x for some nonzero x,
@@ -53,11 +55,6 @@ def find_alpha(field: Field) -> FieldElement:
     if not census:
         raise AssertionError(f"{field} has no square with non-square successor")
     return census[0]
-
-
-def count_alphas(field: Field) -> int:
-    """Exhaustive count of qualifying residues; roughly (q - 1)/4 of them."""
-    return len(alpha_census(field))
 
 
 def derive_lambda(field: Field, alpha: FieldElement) -> FieldElement:

@@ -11,8 +11,9 @@ A field is constructed from (p, k) and reduces modulo the lexicographically
 smallest monic irreducible polynomial of degree k, so two fields built from
 the same parameters are always identical.  The add, sub, mul, neg and inv
 tables are precomputed at construction (the order cap keeps them small),
-which makes element arithmetic a pair of list lookups.  FieldElement is
-only the read-only (field, index) record that the residue search returns.
+which makes element arithmetic a pair of list lookups; the coefficient
+vector of index i is _coeffs[i].  FieldElement is only the read-only
+(field, index) record that the residue search returns.
 """
 
 from __future__ import annotations
@@ -138,10 +139,6 @@ class FieldElement:
 
     field: Field
     index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field._coeffs[self.index]
 
     def __repr__(self):
         return f"{self.field!r}({self.index})"

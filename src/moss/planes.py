@@ -1,16 +1,14 @@
-"""2x2 matrices over GF(q) and 2-dimensional subspaces of GF(q)^4.
+"""2x2 generator matrices over GF(q) and 2-dimensional subspaces of GF(q)^4.
 
-Matrix entries and basis coordinates are element indices (ints), and all
-arithmetic is done on the field's add/sub/mul/neg/inv tables.
+Matrix entries and basis coordinates are element indices (ints), checked
+by from_indices and parse_mat2 and trusted by the plain constructors.
 
-A plane (2-dimensional subspace) whose column-stacked basis has an
-invertible top 2x2 block A can be rewritten as the column span of [I; C]
-with C = B A^-1, where B is the bottom block.  Such a C is the canonical
-generator of the plane.  A plane generates a sudoku square exactly when C
-is invertible with a nonzero upper-right entry, equivalently when the
-plane meets each of three fixed reference planes (columns, rows,
-subsquares) only at the origin.  Two canonical generators give orthogonal
-squares exactly when their difference is invertible.
+The column span of [I; C] generates a sudoku square exactly when C is
+invertible with a nonzero upper-right entry (is_valid_generator), and two
+generators give orthogonal squares exactly when C1 - C2 is invertible,
+which family.verify_family decides for a whole list at once.  The plane
+view behind both criteria (canonicalizing a plane to its C, the three
+reference planes, det(C1 - C2)) is the specification in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .gf import Field, FieldMismatch, _index
-
-
-class NotCanonicalizable(ValueError):
-    """The plane has no basis of the form [I; C]."""
+from .gf import Field, _index
 
 
 class Mat2:
@@ -44,35 +38,6 @@ class Mat2:
 
     def indices(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.a, self.b), (self.c, self.d)
-
-    def det(self) -> int:
-        mul = self.field.mul_table
-        return self.field.sub_table[mul[self.a][self.d]][mul[self.b][self.c]]
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        sub = self.field.sub_table
-        return Mat2(self.field, sub[self.a][other.a], sub[self.b][other.b],
-                    sub[self.c][other.c], sub[self.d][other.d])
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        add, mul = self.field.add_table, self.field.mul_table
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return Mat2(
-            self.field,
-            add[mul[a][other.a]][mul[b][other.c]],
-            add[mul[a][other.b]][mul[b][other.d]],
-            add[mul[c][other.a]][mul[d][other.c]],
-            add[mul[c][other.b]][mul[d][other.d]],
-        )
-
-    def inverse(self) -> "Mat2":
-        field = self.field
-        inv = field.inv_table[self.det()]
-        if inv is None:
-            raise ZeroDivisionError("singular matrix")
-        mul, neg = field.mul_table, field.neg_table
-        return Mat2(field, mul[self.d][inv], mul[neg[self.b]][inv],
-                    mul[neg[self.c]][inv], mul[self.a][inv])
 
     def __eq__(self, other):
         return (
@@ -129,35 +94,10 @@ class Plane:
         return f"Plane({self.field!r}, <{fmt(self.v1)},{fmt(self.v2)}>)"
 
 
-def canonicalize(plane: Plane) -> Mat2:
-    """Canonical generator C with plane = column span of [I; C].
-
-    Writing the basis vectors as columns, A is the top 2x2 block and B the
-    bottom one; C = B A^-1.  Raises NotCanonicalizable when A is singular
-    (the plane meets the row plane nontrivially).
-    """
-    field, v1, v2 = plane.field, plane.v1, plane.v2
-    top = Mat2(field, v1[0], v2[0], v1[1], v2[1])
-    if not top.det():
-        raise NotCanonicalizable("top block of the stacked basis is singular")
-    return Mat2(field, v1[2], v2[2], v1[3], v2[3]) * top.inverse()
-
-
 def is_valid_generator(c: Mat2) -> bool:
     """True iff [I; C] spans a sudoku-generating plane: det(C) != 0 and b != 0."""
     mul = c.field.mul_table
     return c.b != 0 and mul[c.a][c.d] != mul[c.b][c.c]
-
-
-def meets_trivially(c1: Mat2, c2: Mat2) -> bool:
-    """True iff the planes [I; C1] and [I; C2] intersect only at the origin.
-
-    Equivalent to det(C1 - C2) != 0; this is the fast orthogonality criterion
-    for the squares the two generators produce.
-    """
-    if c1.field != c2.field:
-        raise FieldMismatch(f"{c1.field} vs {c2.field}")
-    return (c1 - c2).det() != 0
 
 
 def parse_mat2(field: Field, text: str) -> Mat2:
@@ -177,6 +117,3 @@ def parse_mat2(field: Field, text: str) -> Mat2:
                 raise ValueError(f"bad matrix entry {cell.strip()!r}: {exc}") from None
     return Mat2(field, *entries)
 
-
-def format_mat2(m: Mat2) -> str:
-    return f"{m.a},{m.b};{m.c},{m.d}"

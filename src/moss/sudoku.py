@@ -12,13 +12,13 @@ by the coset's unique representative (0, a, 0, b) inside the top-left
 subsquare: the coset gets symbol q*index(a) + index(b).  Any other choice
 of symbols is a relabeling of the same square.
 
-build_from_canonical computes that label in closed form for g = [I; C];
-build_from_plane canonicalizes first.  The closed form works by blocks:
-the q symbols of a row inside one subsquare are one of q^2 fixed blocks
-(block_symbols, built once per field), and block_plan says which, so a
-grid, or its text in any format (render_grid), takes q^3 block lookups.
-The oracles that check both, a brute-force coset labeling and a per-cell
-renderer, are in tests/oracles.py.
+build_from_canonical computes that label in closed form for g = [I; C],
+by blocks: the q symbols of a row inside one subsquare are one of q^2
+fixed blocks (block_symbols, built once per field), and block_plan says
+which, so a grid, or its text in any format (render_grid), takes q^3 block
+lookups.  The oracles that check both, a brute-force coset labeling of any
+plane and a per-cell renderer, are in tests/oracles.py, next to the
+canonicalization that takes a plane to its C.
 
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
@@ -45,11 +45,11 @@ from itertools import chain
 from operator import add
 
 from .gf import Field
-from .planes import Mat2, NotCanonicalizable, Plane, canonicalize, is_valid_generator
+from .planes import Mat2, is_valid_generator
 
 
 class NotAGenerator(ValueError):
-    """The plane or matrix does not generate a sudoku square."""
+    """The matrix does not generate a sudoku square."""
 
 
 class MalformedGrid(ValueError):
@@ -100,11 +100,6 @@ class SudokuGrid:
                 self._latin_rows = all(_distinct(row, ident) for row in self._row_bytes)
             self._checked = True
         return self.rows
-
-    def symbol_at(self, x1: int, x2: int, x3: int, x4: int) -> int:
-        """Symbol housed at the address (x1, x2, x3, x4) of element indices."""
-        q = self.q
-        return self.rows[q * x1 + x2][q * x3 + x4]
 
     def __eq__(self, other):
         return isinstance(other, SudokuGrid) and self.q == other.q and self.rows == other.rows
@@ -176,20 +171,6 @@ def build_from_canonical(c: Mat2) -> SudokuGrid:
             row += blocks[key]
         rows.append(row[:])  # exact size: growing left spare room in row
     return SudokuGrid(c.field.q, rows, generator=c)
-
-
-def build_from_plane(plane: Plane) -> SudokuGrid:
-    """Sudoku grid generated by a plane: the grid of its canonical generator.
-
-    A plane generates a sudoku square exactly when it is canonicalizable
-    (it meets the row plane trivially) and its canonical C is valid (det C
-    != 0 for the column plane, b != 0 for the subsquare plane).  Raises
-    NotAGenerator otherwise.
-    """
-    try:
-        return build_from_canonical(canonicalize(plane))
-    except (NotCanonicalizable, NotAGenerator):
-        raise NotAGenerator(f"{plane!r} does not generate a sudoku square") from None
 
 
 def verify_sudoku(grid: SudokuGrid) -> SudokuReport:

@@ -23,6 +23,18 @@ is_sudoku_generator (rank tests against the column, row and subsquare
 reference planes), all_planes (every 2-dimensional subspace of F^4) and
 all_valid_generators (every valid canonical generator).
 
+The plane specification of the construction lives here as well, since no
+command runs it: canonicalize (the C = B A^-1 of a plane, raising
+NotCanonicalizable when A is singular), meets_trivially (whether
+det(C1 - C2) is nonzero), the 2x2 arithmetic mat_sub, mat_mul, mat_det and
+mat_inverse they use, build_from_plane (the library grid of a plane's
+C), symbol_at (a cell by its address in F^4), format_mat2 (the literal
+that parse_mat2 reads) and count_alphas (the alpha census by exhaustive
+squaring and polynomial + 1).
+The matrix arithmetic runs on _poly_tables too, so meets_trivially shares
+no table with verify_family's direction scan, and count_alphas ==
+len(alpha_census) checks the library's Euler-criterion search.
+
 reference_document_json is the document text by the encoder: json.dumps of
 the whole payload, with the grid from build_from_canonical (itself checked
 against grid_from_cosets), so SquareDocument.to_json's block-string
@@ -39,7 +51,7 @@ from math import isqrt
 
 from moss.gf import GF, FieldMismatch
 from moss.planes import Mat2, Plane, is_valid_generator
-from moss.sudoku import MalformedGrid, SudokuGrid, build_from_canonical
+from moss.sudoku import MalformedGrid, NotAGenerator, SudokuGrid, build_from_canonical
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 
@@ -370,6 +382,102 @@ def all_valid_generators(field):
         if is_valid_generator(m):
             out.append(m)
     return out
+
+
+# -- plane specification: canonical generators and the orthogonality test -----
+
+class NotCanonicalizable(ValueError):
+    """The plane has no basis of the form [I; C]."""
+
+
+def _field_tables(field):
+    """_poly_tables for a library field, from its p and modulus alone."""
+    return _poly_tables(field.p, tuple(lsf(field.modulus)))
+
+
+def mat_sub(m1, m2):
+    add, _, neg, _ = _field_tables(m1.field)
+    (a, b), (c, d) = m1.indices()
+    (e, f), (g, h) = m2.indices()
+    return Mat2(m1.field, add[a][neg[e]], add[b][neg[f]], add[c][neg[g]], add[d][neg[h]])
+
+
+def mat_mul(m1, m2):
+    add, mul, _, _ = _field_tables(m1.field)
+    (a, b), (c, d) = m1.indices()
+    (e, f), (g, h) = m2.indices()
+    dot = lambda x, y, z, w: add[mul[x][z]][mul[y][w]]
+    return Mat2(m1.field, dot(a, b, e, g), dot(a, b, f, h), dot(c, d, e, g), dot(c, d, f, h))
+
+
+def mat_det(m):
+    add, mul, neg, _ = _field_tables(m.field)
+    (a, b), (c, d) = m.indices()
+    return add[mul[a][d]][neg[mul[b][c]]]
+
+
+def mat_inverse(m):
+    """The adjugate over the determinant; ZeroDivisionError when singular."""
+    _, mul, neg, inv = _field_tables(m.field)
+    scale = inv[mat_det(m)]
+    if scale is None:
+        raise ZeroDivisionError("singular matrix")
+    (a, b), (c, d) = m.indices()
+    return Mat2(m.field, mul[d][scale], mul[neg[b]][scale], mul[neg[c]][scale], mul[a][scale])
+
+
+def canonicalize(plane):
+    """Canonical generator C with plane = column span of [I; C].
+
+    Writing the basis vectors as columns, A is the top 2x2 block and B the
+    bottom one; C = B A^-1.  Raises NotCanonicalizable when A is singular
+    (the plane meets the row plane nontrivially).
+    """
+    field, v1, v2 = plane.field, plane.v1, plane.v2
+    top = Mat2(field, v1[0], v2[0], v1[1], v2[1])
+    if not mat_det(top):
+        raise NotCanonicalizable("top block of the stacked basis is singular")
+    return mat_mul(Mat2(field, v1[2], v2[2], v1[3], v2[3]), mat_inverse(top))
+
+
+def meets_trivially(c1, c2):
+    """True iff the planes [I; C1] and [I; C2] meet only at the origin,
+    that is iff det(C1 - C2) != 0: the squares are orthogonal."""
+    if c1.field != c2.field:
+        raise FieldMismatch(f"{c1.field} vs {c2.field}")
+    return mat_det(mat_sub(c1, c2)) != 0
+
+
+def format_mat2(m):
+    """The row-major literal "a,b;c,d" that parse_mat2 reads."""
+    return f"{m.a},{m.b};{m.c},{m.d}"
+
+
+def build_from_plane(plane):
+    """The library grid of the plane's canonical generator.
+
+    A plane generates a sudoku square exactly when it is canonicalizable
+    (it meets the row plane trivially) and its C is a valid generator;
+    raises NotAGenerator otherwise.
+    """
+    try:
+        return build_from_canonical(canonicalize(plane))
+    except (NotCanonicalizable, NotAGenerator):
+        raise NotAGenerator(f"{plane!r} does not generate a sudoku square") from None
+
+
+def symbol_at(grid, x1, x2, x3, x4):
+    """Symbol housed at the address (x1, x2, x3, x4) of element indices."""
+    q = grid.q
+    return grid.rows[q * x1 + x2][q * x3 + x4]
+
+
+def count_alphas(field):
+    """Squares whose successor is a non-square, by exhaustive squaring and
+    polynomial + 1; roughly (q - 1)/4 of them."""
+    squares, one = squares_by_squaring(field), PolyElement.of(field, 1)
+    return sum(e.index in squares and (e + one).index not in squares
+               for e in poly_elements(field))
 
 
 def reference_document_json(c):

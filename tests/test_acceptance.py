@@ -11,15 +11,10 @@ from itertools import combinations
 from pathlib import Path
 
 from moss.cli import main
-from moss.family import build_family, count_alphas, find_alpha, verify_family
-from moss.planes import Plane, meets_trivially
+from moss.family import alpha_census, build_family, find_alpha, verify_family
+from moss.planes import Plane
 from moss.serialize import SquareDocument
-from moss.sudoku import (
-    build_from_canonical,
-    build_from_plane,
-    verify_orthogonal_bruteforce,
-    verify_sudoku,
-)
+from moss.sudoku import build_from_canonical, verify_orthogonal_bruteforce, verify_sudoku
 from oracles import (
     GOLDEN_GRID_Q3,
     GOLDEN_PLANE_Q3,
@@ -27,10 +22,14 @@ from oracles import (
     PolyElement,
     all_planes,
     all_valid_generators,
+    build_from_plane,
+    count_alphas,
     get_field,
     grid_from_cosets,
     is_sudoku_generator,
+    meets_trivially,
     squares_by_squaring,
+    symbol_at,
 )
 
 
@@ -46,7 +45,7 @@ def test_criterion_1_golden_grid():
     f3 = get_field(3)
     grid = build_from_plane(Plane.from_indices(f3, *GOLDEN_PLANE_Q3))
     ok = grid.rows == GOLDEN_GRID_Q3
-    ok = ok and grid.symbol_at(0, 1, 2, 2) == 1
+    ok = ok and symbol_at(grid, 0, 1, 2, 2) == 1
     _check(1, "golden grid reproduced cell-for-cell", ok, time.perf_counter() - start, 1)
 
 
@@ -109,6 +108,7 @@ def test_criterion_5_residue_census():
         successor = PolyElement.of(field, alpha.index) + PolyElement.of(field, 1)
         ok = ok and alpha.index in squares and successor.index not in squares
         ok = ok and math.floor((q - 1) / 4) - 2 <= count <= math.ceil((q - 1) / 4) + 2
+        ok = ok and count == len(alpha_census(field))
     ok = ok and count_alphas(get_field(13)) == 3 == (13 - 1) // 4
     _check(5, "residue search succeeds and counts track (q-1)/4 up to q = 49",
            ok, time.perf_counter() - start, 5)

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moss.family import build_family
-from moss.planes import Plane, canonicalize
+from moss.planes import Plane
 from moss.sudoku import (
     MalformedGrid,
     NotAGenerator,
     OrderMismatch,
     SudokuGrid,
     build_from_canonical,
-    build_from_plane,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -26,16 +25,20 @@ from oracles import (
     GOLDEN_PLANE_Q3,
     all_planes,
     all_valid_generators,
+    build_from_plane,
+    canonicalize,
     column_plane,
     get_field,
     grid_from_cosets,
     is_sudoku_generator,
+    mat_det,
     orthogonal_by_pair_census,
     reference_document_json,
     render_rows_per_cell,
     row_plane,
     subsquare_plane,
     sudoku_flags_per_cell,
+    symbol_at,
 )
 
 
@@ -52,10 +55,10 @@ def test_golden_grid_from_plane():
     grid = build_from_plane(golden_plane())
     assert grid.rows == GOLDEN_GRID_Q3
     # address (0,1,2,2): row 1, column 8
-    assert grid.symbol_at(0, 1, 2, 2) == 1
+    assert symbol_at(grid, 0, 1, 2, 2) == 1
     # address (2,0,2,0): its coset representative in the top-left subsquare
     # is (0,2,0,1), hence symbol 3*2 + 1
-    assert grid.symbol_at(2, 0, 2, 0) == 7
+    assert symbol_at(grid, 2, 0, 2, 0) == 7
 
 
 def test_golden_grid_from_canonical():
@@ -79,7 +82,9 @@ def test_plane_and_canonical_builds_agree():
     f3 = get_field(3)
     for plane in all_planes(f3):
         if is_sudoku_generator(plane):
-            assert build_from_plane(plane) == build_from_canonical(canonicalize(plane))
+            grid = build_from_plane(plane)
+            assert grid == build_from_canonical(canonicalize(plane))
+            assert grid.rows == relabel_by_top_left(grid_from_cosets(plane))
         else:
             with pytest.raises(NotAGenerator):
                 build_from_plane(plane)
@@ -99,7 +104,7 @@ def test_builder_matches_coset_oracle(q, examples):
     valid = st.builds(
         lambda a, b, c, d: mat(field, ((a, b), (c, d))),
         element, st.integers(1, q - 1), element, element,
-    ).filter(lambda m: bool(m.det()))
+    ).filter(lambda m: bool(mat_det(m)))
 
     @settings(max_examples=examples, deadline=None)
     @given(valid)
@@ -427,7 +432,7 @@ def test_render_matches_per_cell_reference_on_random_generators(q):
     valid = st.builds(
         lambda a, b, c, d: mat(field, ((a, b), (c, d))),
         element, st.integers(1, q - 1), element, element,
-    ).filter(lambda m: bool(m.det()) and m.indices() not in members)
+    ).filter(lambda m: bool(mat_det(m)) and m.indices() not in members)
 
     @settings(max_examples=3, deadline=None)
     @given(valid)
