@@ -29,6 +29,7 @@ from .sudoku import (
     SudokuGrid,
     SudokuReport,
     build_from_canonical,
+    coset_kernel,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,

@@ -8,6 +8,11 @@ from its generator matrix, never from an int grid.  Exit codes: 0 success,
 1 verification failure, 2 usage, parse or I/O error.  Every moss error is a
 ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
+
+verify keeps, for each document that passes the sudoku checks, its coset
+kernel (sudoku.coset_kernel) instead of its grid, and decides each pair by
+whether the two kernels are disjoint; a pair with a grid that is no coset
+partition is superimposed cell by cell on grids rebuilt from the documents.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import SudokuGrid, render_grid, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import coset_kernel, render_grid, verify_orthogonal_bruteforce, verify_sudoku
 
 
 class BadDocument(ValueError):
@@ -102,7 +107,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grids: list[tuple[Path, SudokuGrid]] = []
+    # A square keeps its document and its grid's kernel (q^2 - 1 cells),
+    # not the grid's q^4 cells.
+    squares: list[tuple[Path, SquareDocument, frozenset[int] | None]] = []
     failures = 0
     for name in args.files:
         path = Path(name)
@@ -116,21 +123,25 @@ def _cmd_verify(args) -> int:
         report = verify_sudoku(grid)
         if report.ok:
             print(f"OK {path}")
-            grids.append((path, grid))
+            squares.append((path, doc, coset_kernel(grid)))
         else:
             print(f"FAIL {path}: {report!r}")
             failures += 1
-    orders = {grid.q for _, grid in grids}
+    orders = {doc.q for _, doc, _ in squares}
     if len(orders) > 1:
         raise ValueError("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))
     pairs = 0
-    for i in range(len(grids)):
-        for j in range(i + 1, len(grids)):
+    for i, (path_i, doc_i, kernel_i) in enumerate(squares):
+        for path_j, doc_j, kernel_j in squares[i + 1:]:
             pairs += 1
-            if not verify_orthogonal_bruteforce(grids[i][1], grids[j][1]):
-                print(f"FAIL {grids[i][0]} vs {grids[j][0]}: not orthogonal")
+            if kernel_i is not None and kernel_j is not None:
+                orthogonal = kernel_i.isdisjoint(kernel_j)
+            else:  # a grid that is no coset partition: superimpose the cells
+                orthogonal = verify_orthogonal_bruteforce(doc_i.to_grid(), doc_j.to_grid())
+            if not orthogonal:
+                print(f"FAIL {path_i} vs {path_j}: not orthogonal")
                 failures += 1
-    print(f"{len(grids)} squares ok, {pairs} pairs checked, {failures} failures")
+    print(f"{len(squares)} squares ok, {pairs} pairs checked, {failures} failures")
     return 1 if failures else 0
 
 

@@ -34,6 +34,13 @@ iff for no s do two of them agree.  Otherwise (n > 256, or a row of A
 repeats a symbol) a cell holding s in A and t in B gets the integer key
 n*s + t, which is one-to-one on symbol pairs in [0, n), and the grids are
 orthogonal iff the n^2 keys are distinct.
+
+coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
+K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
+cell (R, C) added digit-wise in base p, as GF(q) adds element indices.
+Two such grids are orthogonal iff their kernels meet only at 0, so a pair
+costs one set disjointness test instead of n^2 cells; a grid without a
+kernel is left to verify_orthogonal_bruteforce.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import add
+from operator import add, eq, itemgetter
 
-from .gf import Field
+from .gf import Field, factor_prime_power
 from .planes import Mat2, is_valid_generator
 
 
@@ -239,6 +246,67 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     maps = b"".join(map(bytes.maketrans, a._row_bytes, b._row_bytes))
     ident = bytes(range(n))
     return all(_distinct(maps[s::256], ident) for s in range(n))
+
+
+@lru_cache(maxsize=16)
+def _digit_sums(q: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """p and the table of digit-wise base-p sums on [0, q), q = p^k: the
+    additive group of GF(q) on element indices, computed from q alone.
+    Raises ValueError when q is not a prime power."""
+    p, k = factor_prime_power(q)
+    places = [p ** i for i in range(k)]
+    return p, tuple(tuple(sum((u // w + v // w) % p * w for w in places) for v in range(q))
+                    for u in range(q))
+
+
+def _shift(sums: tuple[tuple[int, ...], ...], q: int, by: int) -> list[int]:
+    """The map i -> i + by on [0, q^2), adding i = q*hi + lo digit by digit."""
+    high, low = sums[by // q], sums[by % q]
+    return [q * h + l for h in high for l in low]
+
+
+def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
+    """The nonzero cells R*n + C of the subgroup K whose cosets are the
+    grid's symbol classes, or None if the grid is not such a partition.
+
+    K is the set of cells holding the symbol of cell (0, 0), one per row.
+    A greedy basis of K must span K exactly; each cell added to the span
+    must lie in K, so the basis never outgrows 2k cells.  The grid must be
+    invariant under translation by each basis cell: one row and one column
+    permutation, compared on row tuples with itemgetter.  Then every
+    symbol class is a union of cosets of K, and since row 0 meets K only at
+    (0, 0), its n distinct symbols put one coset in each class.  Raises
+    MalformedGrid as verify_sudoku does.
+    """
+    q, n = grid.q, grid.order
+    rows = grid._checked_rows()
+    try:
+        p, sums = _digit_sums(q)
+    except ValueError:
+        return None
+    s0 = rows[0][0]
+    if len(set(rows[0])) != n or any(row.count(s0) != 1 for row in rows):
+        return None
+    cells = [r * n + row.index(s0) for r, row in enumerate(rows)]
+    kernel, span, shifts = set(cells), {0}, []
+    for cell in cells:
+        if cell in span:
+            continue
+        rmap, cmap = _shift(sums, q, cell // n), _shift(sums, q, cell % n)
+        layer, added = span, []
+        for _ in range(p - 1):  # the cosets span + j*cell, j = 1 .. p-1
+            layer = [rmap[x // n] * n + cmap[x % n] for x in layer]
+            added += layer
+        if not kernel.issuperset(added):
+            return None
+        span.update(added)
+        shifts.append((rmap, cmap))
+    tables = tuple(map(tuple, rows))
+    for rmap, cmap in shifts:
+        image = itemgetter(*cmap)
+        if not all(map(eq, map(image, map(tables.__getitem__, rmap)), tables)):
+            return None
+    return frozenset(cells[1:])
 
 
 @lru_cache(maxsize=16)

@@ -357,12 +357,45 @@ def test_verify_memory_holds_no_key_tuples(tmp_path, capsys):
     """A fresh process verifying the 110 q = 11 documents stays small.
 
     With a cached tuple of n*s keys per grid (0.12 MB each at q = 11) it
-    peaked near 42 MB; the grids' row lists (about 0.12 MB each) still count.
+    peaked near 42 MB.  verify now keeps a document and the 120 cells of its
+    grid's coset kernel, not the grid's row lists (about 0.12 MB each).
     """
     files = _write_family(tmp_path, q=11)
     capsys.readouterr()
     assert len(files) == 110
     assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 36
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
+    """A fresh process verifying the 156 q = 13 documents stays near the
+    interpreter's own size: about 19 MB, against 59 MB when every grid's
+    row lists were kept for the pair census."""
+    files = _write_family(tmp_path, q=13)
+    capsys.readouterr()
+    assert len(files) == 156
+    assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 30
+
+
+def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
+    """Documents of order 625 are decided by their coset kernels: the cell
+    census, about 0.1 s a pair there, is never called."""
+    paths = []
+    for i, m in enumerate(build_family(Field(5, 2)).matrices[:8]):
+        paths.append(tmp_path / f"square_{i}.json")
+        paths[-1].write_text(SquareDocument.from_matrix(m).to_json())
+
+    def census(a, b):
+        raise AssertionError("the cell census was called")
+
+    monkeypatch.setattr(moss.cli, "verify_orthogonal_bruteforce", census)
+    assert main(["verify", "--files", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "8 squares ok, 28 pairs checked, 0 failures"
+    twin = tmp_path / "twin.json"
+    twin.write_bytes(paths[3].read_bytes())
+    assert main(["verify", "--files", str(paths[3]), str(twin)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"FAIL {paths[3]} vs {twin}: not orthogonal", "2 squares ok, 1 pairs checked, 1 failures"]
 
 
 def _write_family(tmp_path, q=3):
@@ -528,6 +561,64 @@ def test_generate_out_is_written_atomically(tmp_path, monkeypatch, capsys):
     assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(path)]) == 0
     assert [f.name for f in tmp_path.iterdir()] == ["square.json"]
     assert SquareDocument.from_json(path.read_text()).c == ((0, 2), (2, 1))
+
+
+MIXED_Q9_LIST = (1, "70aac611c6a724fe0926216470acd77e8775329a144a0c02d841f74b76b8f003")
+
+
+def _verify_mixed_q9_list(tmp_path, monkeypatch, capsys):
+    """verify's exit code and stdout on the 72 q = 9 documents with a twin
+    of square_05, a document with one changed cell and one without its c."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--q", "9", "--out", "fam"]) == 0
+    files = sorted(f"fam/{path.name}" for path in Path("fam").iterdir())
+    Path("twin.json").write_text(Path(files[5]).read_text())
+    data = json.loads(Path(files[10]).read_text())
+    data["grid"][3][4] = (data["grid"][3][4] + 1) % 81
+    Path("corrupt.json").write_text(json.dumps(data))
+    data = json.loads(Path(files[20]).read_text())
+    del data["c"]
+    Path("broken.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--files", *files[:36], "twin.json", "corrupt.json", *files[36:],
+                 "broken.json"])
+    return code, capsys.readouterr().out
+
+
+def test_verify_mixed_q9_list_golden_bytes(tmp_path, monkeypatch, capsys):
+    """verify prints, on the mixed q = 9 list, the bytes and exit code that
+    the cell-by-cell census printed."""
+    code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL corrupt.json: grid: grid disagrees with the square rebuilt from c",
+        "FAIL broken.json: c: missing",
+        "FAIL fam/square_05.json vs twin.json: not orthogonal",
+    ]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
+
+
+def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch, capsys):
+    """With every other square's kernel withheld, verify decides the pairs
+    with a kernelless side, square_05 against its twin among them, by the
+    cell census on rebuilt grids, and prints the same bytes."""
+    kernels = []
+
+    def every_other(grid):
+        kernels.append(moss.sudoku.coset_kernel(grid))
+        return kernels[-1] if len(kernels) % 2 else None
+
+    pairs = []
+
+    def census(a, b):
+        pairs.append((a, b))
+        return moss.sudoku.verify_orthogonal_bruteforce(a, b)
+
+    monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
+    monkeypatch.setattr(moss.cli, "verify_orthogonal_bruteforce", census)
+    code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
+    # 73 squares, 37 with a kernel: all but the 37 * 36 / 2 pairs of those
+    assert len(kernels) == 73 and len(pairs) == 73 * 72 // 2 - 37 * 36 // 2
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

@@ -19,7 +19,8 @@ from moss.gf import (
     is_prime,
 )
 from moss.planes import Mat2, Plane
-from moss.sudoku import build_from_canonical
+import moss.sudoku
+from moss.sudoku import SudokuGrid, build_from_canonical, coset_kernel
 from oracles import (
     ODD_PRIME_POWERS_49,
     PolyElement,
@@ -185,6 +186,20 @@ def test_oracles_never_read_the_field_tables():
     with pytest.raises(AssertionError, match="table was read"):
         build_from_canonical(Mat2(field, 0, 1, 1, 1))  # the library does read them
     assert results() == expected
+
+
+def test_coset_kernels_never_read_the_field_tables():
+    """coset_kernel adds cells from q alone: grids built before their
+    field's tables are replaced by objects that fail on any read give the
+    same kernels after, with the digit-sum table rebuilt."""
+    field = Field(3, 2)  # its own instance, so cached fields keep their tables
+    grids = [build_from_canonical(m) for m in build_family(field).matrices[:4]]
+    expected = [coset_kernel(SudokuGrid(9, grid.rows)) for grid in grids]
+    assert None not in expected
+    for name in ("add_table", "sub_table", "mul_table", "neg_table", "inv_table", "_coeffs"):
+        setattr(field, name, _Untouchable())
+    moss.sudoku._digit_sums.cache_clear()
+    assert [coset_kernel(grid) for grid in grids] == expected
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)

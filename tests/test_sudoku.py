@@ -5,17 +5,19 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import moss.sudoku
 from moss.family import build_family
-from moss.planes import Plane
+from moss.planes import Mat2, Plane, is_valid_generator
 from moss.sudoku import (
     MalformedGrid,
     NotAGenerator,
     OrderMismatch,
     SudokuGrid,
     build_from_canonical,
+    coset_kernel,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -32,7 +34,10 @@ from oracles import (
     grid_from_cosets,
     is_sudoku_generator,
     mat_det,
+    mat_mul,
+    mat_sub,
     orthogonal_by_pair_census,
+    poly_elements,
     reference_document_json,
     render_rows_per_cell,
     row_plane,
@@ -309,6 +314,165 @@ def test_census_paths_at_the_byte_boundary():
         assert verify_orthogonal_bruteforce(x, y) is expected
         assert orthogonal_by_pair_census(x, y) is expected
     assert a._row_bytes is None and not a._latin_rows
+
+
+@lru_cache(maxsize=None)
+def family_matrices(q):
+    return build_family(get_field(q)).matrices
+
+
+@lru_cache(maxsize=None)
+def index_sums(q):
+    """Sums of element indices by polynomial addition: no library table."""
+    elems = poly_elements(get_field(q))
+    return [[(x + y).index for y in elems] for x in elems]
+
+
+def cell_sum(q, x, y):
+    """Cells (R, C) added coordinate by coordinate, R = q*x1 + x2 and
+    C = q*x3 + x4."""
+    add = index_sums(q)
+    return tuple(q * add[u // q][v // q] + add[u % q][v % q] for u, v in zip(x, y))
+
+
+def span_of(q, vectors):
+    """The cells that sums of multiples of the vectors reach from (0, 0)."""
+    span = {(0, 0)}
+    for v in vectors:
+        layer, grown = span, set(span)
+        for _ in range(get_field(q).p - 1):
+            layer = {cell_sum(q, x, v) for x in layer}
+            grown |= layer
+        span = grown
+    return span
+
+
+def split_coset(rows, q, skip):
+    """rows with two symbol classes swapped on one coset each of L, the
+    span of all but cell number skip of the basis that coset_kernel takes
+    from K (the cells of the (0, 0) symbol, greedily in row order).
+
+    L has index p in K, so the grid stays invariant under L but not under
+    K; K itself, one cell per row, and the n distinct symbols of row 0 stay
+    as they were.
+    """
+    s0 = rows[0][0]
+    basis, span = [], {(0, 0)}
+    for cell in ((r, row.index(s0)) for r, row in enumerate(rows)):
+        if cell not in span:
+            basis.append(cell)
+            span = span_of(q, basis)
+    subgroup = span_of(q, basis[:skip] + basis[skip + 1:])
+    out = [list(row) for row in rows]
+    (first, s1), (second, s2) = ((0, 1), rows[0][1]), ((0, 2), rows[0][2])
+    for x in subgroup:
+        for origin, symbol in ((first, s2), (second, s1)):
+            r, c = cell_sum(q, origin, x)
+            out[r][c] = symbol
+    return out
+
+
+@st.composite
+def kernel_pairs(draw, q):
+    """Two grids and, for each, whether coset_kernel must find a kernel
+    (True), must return None (False) or may do either (None).
+
+    Family members, a member and its twin, and a member C against
+    C - (a rank-1 matrix) are coset partitions; a member with one cell
+    rewritten, with two symbol classes merged, or with two classes swapped
+    on one coset of an index-p subgroup of its kernel is not; a grid of
+    independently shuffled rows almost surely is not.
+    """
+    n, field = q * q, get_field(q)
+    matrices = family_matrices(q)
+    c = matrices[draw(st.integers(0, len(matrices) - 1))]
+    partner = matrices[draw(st.integers(0, len(matrices) - 1))]
+    kind = draw(st.sampled_from(
+        ("member", "twin", "rank-1", "one-cell", "merged", "split", "row-shuffled")))
+    expect = kind in ("member", "twin", "rank-1")
+    if kind == "twin":
+        partner = c
+    elif kind == "rank-1":
+        nonzero = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)).filter(any)
+        (u1, u2), (v1, v2) = draw(nonzero), draw(nonzero)
+        partner = mat_sub(c, mat_mul(Mat2(field, u1, 0, u2, 0), Mat2(field, v1, v2, 0, 0)))
+        assume(is_valid_generator(partner))
+    rows = build_from_canonical(c).rows
+    if kind == "one-cell":
+        r, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[r][col] = draw(st.integers(0, n - 1).filter(lambda s: s != rows[r][col]))
+    elif kind == "merged":
+        s1, s2 = rows[0][1], rows[0][2]
+        rows = [[s2 if s == s1 else s for s in row] for row in rows]
+    elif kind == "split":
+        rows = split_coset(rows, q, draw(st.integers(0, 2 * field.k - 1)))
+    elif kind == "row-shuffled":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        rows, expect = [rng.sample(range(n), n) for _ in range(n)], None
+    pair = [(SudokuGrid(q, rows), expect), (build_from_canonical(partner), True)]
+    if draw(st.booleans()):
+        pair.reverse()
+    return pair
+
+
+@pytest.mark.parametrize("q, examples", [(3, 150), (5, 80), (7, 50), (9, 40), (25, 6), (27, 6)])
+def test_coset_kernels_decide_orthogonality_exactly(q, examples):
+    """Disjoint kernels where both grids have one, else the census that
+    verify falls back to, agrees with the pair oracle on every pair.  At
+    q = 9, 25 and 27 (k > 1) digit-wise addition differs from index
+    addition."""
+    n = q * q
+
+    @settings(max_examples=examples, deadline=None)
+    @given(kernel_pairs(q))
+    def check(pair):
+        kernels = []
+        for grid, expect in pair:
+            kernel = coset_kernel(grid)
+            if expect is not None:
+                assert (kernel is not None) is expect
+            if kernel is not None:
+                s0 = grid.rows[0][0]
+                assert kernel == {r * n + c for r, row in enumerate(grid.rows)
+                                  for c, s in enumerate(row) if s == s0} - {0}
+            kernels.append(kernel)
+        (a, _), (b, _) = pair
+        ka, kb = kernels
+        if ka is not None and kb is not None:
+            verdict = ka.isdisjoint(kb)
+        else:
+            verdict = verify_orthogonal_bruteforce(a, b)
+        assert verdict == orthogonal_by_pair_census(a, b)
+
+    check()
+
+
+def test_coset_kernel_basis_stays_within_2k_cells(monkeypatch):
+    """A grid whose (0, 0) class is no subgroup is rejected as soon as the
+    span leaves the class, so the greedy basis, one row and one column
+    permutation per cell, never grows past 2k cells."""
+    maps = []
+    shift = moss.sudoku._shift
+    monkeypatch.setattr(moss.sudoku, "_shift", lambda *args: maps.append(args) or shift(*args))
+    for q, k in ((3, 1), (9, 2)):
+        n = q * q
+        for seed in range(20):
+            rng = random.Random(seed)
+            maps.clear()
+            assert coset_kernel(SudokuGrid(q, [rng.sample(range(n), n) for _ in range(n)])) is None
+            assert len(maps) <= 2 * 2 * k
+        maps.clear()
+        assert coset_kernel(build_from_canonical(family_matrices(q)[0])) is not None
+        assert len(maps) == 2 * 2 * k
+
+
+def test_coset_kernel_of_the_golden_grid_and_of_order_36():
+    # The rows of range(n), cyclically shifted, are a coset partition of
+    # Z_n^2 but not of (Z_p^k)^4 for n = 36: there is no such p.
+    rows = [[(r + c) % 36 for c in range(36)] for r in range(36)]
+    assert coset_kernel(SudokuGrid(6, rows)) is None
+    assert coset_kernel(SudokuGrid(3, GOLDEN_GRID_Q3)) == frozenset(
+        r * 9 + c for r, row in enumerate(GOLDEN_GRID_Q3) for c, s in enumerate(row) if s == 0) - {0}
 
 
 class Symbol(int):
