@@ -102,7 +102,7 @@ def _load_document(path: Path) -> SquareDocument:
 
 
 def _cmd_render(args) -> int:
-    print(render_grid(_load_document(Path(args.file)).to_matrix(), "text"))
+    print(render_grid(_load_document(Path(args.file)).matrix, "text"))
     return 0
 
 

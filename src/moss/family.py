@@ -68,17 +68,14 @@ def derive_lambda(field: Field, alpha: FieldElement) -> FieldElement:
     return FieldElement(field, field.sqrt(field.mul_table[four][a]))
 
 
+@dataclass(slots=True, eq=False)
 class Family:
     """An ordered family of generator matrices [[v, w], [w, lambda*w + v]]."""
 
-    __slots__ = ("field", "alpha", "lam", "matrices")
-
-    def __init__(self, field: Field, alpha: FieldElement, lam: FieldElement,
-                 matrices: list[Mat2]):
-        self.field = field
-        self.alpha = alpha
-        self.lam = lam
-        self.matrices = matrices
+    field: Field
+    alpha: FieldElement
+    lam: FieldElement
+    matrices: list[Mat2]
 
     @property
     def size(self) -> int:

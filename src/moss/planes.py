@@ -13,23 +13,25 @@ reference planes, det(C1 - C2)) is the specification in tests/oracles.py.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from .gf import Field, _index
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Mat2:
     """2x2 matrix over a field, row-major entries a, b, c, d as element indices.
 
     The constructor trusts its indices; from_indices checks them.
     """
 
-    __slots__ = ("field", "a", "b", "c", "d")
-
-    def __init__(self, field: Field, a: int, b: int, c: int, d: int):
-        self.field = field
-        self.a, self.b, self.c, self.d = a, b, c, d
+    field: Field
+    a: int
+    b: int
+    c: int
+    d: int
 
     @classmethod
     def from_indices(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Mat2":
@@ -38,16 +40,6 @@ class Mat2:
 
     def indices(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.a, self.b), (self.c, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat2)
-            and (self.field, self.a, self.b, self.c, self.d)
-            == (other.field, other.a, other.b, other.c, other.d)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         return f"Mat2({self.field!r}, [[{self.a},{self.b}],[{self.c},{self.d}]])"

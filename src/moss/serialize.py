@@ -4,13 +4,13 @@ A square document records the field (q, p, k, modulus), the generator
 matrix c as a 2x2 array of element indices, and the full grid.  Keys are
 emitted in that fixed order and all values are integers, so serialization
 is byte-stable and documents round-trip exactly.  A SquareDocument holds
-no grid: the grid is a function of c, which to_json renders with
-render_grid (json.dumps writes only the header) and to_grid builds.
-Deserialization revalidates everything, including that rebuilding the grid
-from c reproduces the stored grid cell for cell.  A document keeps the
-matrix it was made from or validated with, so emitting it builds no second
-field; parsed fields are cached by (p, k, modulus), so loading documents
-constructs each field at most once per process.
+only its generator matrix: the field parameters and c are read from it,
+and the grid is a function of c, which to_json renders with render_grid
+(json.dumps writes only the header) and to_grid builds.  Deserialization
+revalidates everything, including that rebuilding the grid from c
+reproduces the stored grid cell for cell.  Emitting a document builds no
+second field; parsed fields are cached by (p, k, modulus), so loading
+documents constructs each field at most once per process.
 """
 
 from __future__ import annotations
@@ -68,42 +68,42 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
 
 @dataclass(frozen=True)
 class SquareDocument:
-    """One generated square: field parameters and generator matrix c.
+    """One generated square: its generator matrix c, over its field.
 
-    The grid is not stored: grid and to_grid() build it from c, and to_json
-    renders it from c, so a document cannot hold a grid that disagrees with
-    its c.  from_matrix and from_json keep the Mat2 of c for to_matrix.
+    q, p, k, modulus and c are read from the matrix.  The grid is not
+    stored: to_grid() builds it from c and to_json renders it from c, so a
+    document cannot hold a grid that disagrees with its c.  The constructor
+    trusts its matrix; from_matrix and from_json check it.
     """
 
-    q: int
-    p: int
-    k: int
-    modulus: tuple[int, ...]
-    c: tuple[tuple[int, int], tuple[int, int]]
+    matrix: Mat2
+
+    @property
+    def q(self) -> int:
+        return self.matrix.field.q
+
+    @property
+    def p(self) -> int:
+        return self.matrix.field.p
+
+    @property
+    def k(self) -> int:
+        return self.matrix.field.k
+
+    @property
+    def modulus(self) -> tuple[int, ...]:
+        return self.matrix.field.modulus
+
+    @property
+    def c(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return self.matrix.indices()
 
     @classmethod
     def from_matrix(cls, c: Mat2) -> "SquareDocument":
         """The document of c; raises NotAGenerator for an invalid c."""
         if not is_valid_generator(c):
             raise NotAGenerator(f"{c!r} is singular or lower triangular")
-        field = c.field
-        doc = cls(q=field.q, p=field.p, k=field.k, modulus=field.modulus, c=c.indices())
-        object.__setattr__(doc, "_matrix", c)  # for to_matrix()
-        return doc
-
-    def to_field(self) -> Field:
-        return self.to_matrix().field
-
-    def to_matrix(self) -> Mat2:
-        """The matrix c, over the document's field.  A document made by the
-        constructor, not by from_matrix or from_json, builds it on each call."""
-        return (self.__dict__.get("_matrix")
-                or Mat2.from_indices(_field(self.p, self.k, tuple(self.modulus)), self.c))
-
-    @property
-    def grid(self) -> list[list[int]]:
-        """The rows of the grid of c, built on each access."""
-        return self.to_grid().rows
+        return cls(c)
 
     def to_grid(self) -> SudokuGrid:
         """The grid of c.
@@ -112,7 +112,7 @@ class SquareDocument:
         every other call builds it.
         """
         validated = self.__dict__.pop("_validated", None)
-        return validated or build_from_canonical(self.to_matrix())
+        return validated or build_from_canonical(self.matrix)
 
     def to_json(self) -> str:
         """The canonical text: json.dumps writes the header, and
@@ -120,7 +120,7 @@ class SquareDocument:
         encoder."""
         header = json.dumps({"q": self.q, "p": self.p, "k": self.k,
                              "modulus": self.modulus, "c": self.c}, separators=(",", ":"))
-        return f'{header[:-1]},"grid":{render_grid(self.to_matrix(), "json")}}}\n'
+        return f'{header[:-1]},"grid":{render_grid(self.matrix, "json")}}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "SquareDocument":
@@ -191,8 +191,7 @@ class SquareDocument:
         if rebuilt.rows != grid_rows:
             raise SchemaViolation("grid", "grid disagrees with the square rebuilt from c")
 
-        doc = cls(q=q, p=p, k=k, modulus=modulus, c=matrix.indices())
-        object.__setattr__(doc, "_matrix", matrix)
+        doc = cls(matrix)
         object.__setattr__(doc, "_validated", rebuilt)  # for the first to_grid()
         return doc
 

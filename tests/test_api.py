@@ -1,5 +1,6 @@
 """The package's surface: the README's example, the names the benchmark
-reads, and the plane specification that lives in oracles.py instead."""
+reads, the plane specification that lives in oracles.py instead, and the
+record semantics of Mat2, Family and SquareDocument."""
 
 import contextlib
 import importlib
@@ -7,9 +8,12 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 from moss.gf import GF, FieldElement
-from moss.family import derive_lambda, find_alpha
+from moss.family import build_family, derive_lambda, find_alpha
 from moss.planes import Mat2
+from moss.serialize import SquareDocument
 from moss.sudoku import SudokuGrid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +63,30 @@ def test_plane_specification_is_not_in_the_package():
     assert [attr for attr in ("__mul__", "__sub__", "inverse", "det") if hasattr(Mat2, attr)] == []
     assert not hasattr(SudokuGrid, "symbol_at")
     assert not hasattr(FieldElement, "coeffs")
+
+
+def test_square_document_is_its_generator_matrix():
+    assert not [name for name in ("to_matrix", "to_field", "grid")
+                if hasattr(SquareDocument, name)]
+    c = build_family(GF(9)).matrices[0]
+    doc = SquareDocument.from_matrix(c)
+    assert doc.matrix is c
+    parsed = SquareDocument.from_json(doc.to_json())
+    assert parsed == doc and hash(parsed) == hash(doc)
+    with pytest.raises(AttributeError):
+        doc.c = ((0, 1), (1, 1))
+
+
+def test_mat2_and_family_records():
+    family = build_family(GF(9))
+    assert repr(family) == "Family(GF(9), alpha=3, lambda=5, size=72)"
+    assert repr(family.matrices[5]) == "Mat2(GF(9), [[0,6],[6,4]])"
+    m = family.matrices[5]
+    twin = Mat2(GF(9), *(x for row in m.indices() for x in row))  # an equal, new field
+    assert twin.field is not m.field
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert m != m.indices() and m.indices() != m
+    assert m != family.matrices[6]
+    again = build_family(GF(9))
+    assert again != family and again.matrices == family.matrices
+    assert len({family, again}) == 2

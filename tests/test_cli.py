@@ -447,7 +447,7 @@ def test_emitting_json_builds_one_field(argv, monkeypatch, capsys):
 
 
 def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
-    """verify_sudoku and the orthogonality census share one check per document."""
+    """verify_sudoku and coset_kernel share one check per document."""
     files = _write_family(tmp_path)
     calls = []
     original = moss.sudoku._check_rows

@@ -23,7 +23,7 @@ def test_golden_document_contents():
     assert (doc.q, doc.p, doc.k) == (3, 3, 1)
     assert doc.modulus == (1, 0)
     assert doc.c == GOLDEN_C_Q3
-    assert doc.grid == GOLDEN_GRID_Q3
+    assert doc.to_grid().rows == GOLDEN_GRID_Q3
 
 
 def test_round_trip_identity():
@@ -59,9 +59,9 @@ def test_round_trip_extension_fields(q):
 
 def test_reconstruction_helpers():
     doc = golden_document()
-    field = doc.to_field()
+    field = doc.matrix.field
     assert field == get_field(3)
-    matrix = doc.to_matrix()
+    matrix = doc.matrix
     assert matrix.field is field
     assert matrix.indices() == GOLDEN_C_Q3
     grid = doc.to_grid()
@@ -242,10 +242,10 @@ def test_grid_is_derived_from_c():
     with pytest.raises(AttributeError):
         doc.c = ((0, 1), (1, 1))
     with pytest.raises(TypeError):
-        SquareDocument(q=3, p=3, k=1, modulus=(1, 0), c=GOLDEN_C_Q3, grid=GOLDEN_GRID_Q3)
-    # each access builds a fresh grid, so changing one cannot reach the next
-    doc.grid[0][0] = 8
-    assert doc.grid == GOLDEN_GRID_Q3
+        SquareDocument(doc.matrix, grid=GOLDEN_GRID_Q3)
+    # each call builds a fresh grid, so changing one cannot reach the next
+    doc.to_grid().rows[0][0] = 8
+    assert doc.to_grid().rows == GOLDEN_GRID_Q3
     assert doc.to_grid() is not doc.to_grid()
 
 
