@@ -10,9 +10,11 @@ n times 1 has index n mod p.
 A field is constructed from (p, k) and reduces modulo the lexicographically
 smallest monic irreducible polynomial of degree k, so two fields built from
 the same parameters are always identical.  The add, sub, mul, neg and inv
-tables are precomputed at construction (the order cap keeps them small),
-which makes element arithmetic a pair of list lookups; the coefficient
-vector of index i is _coeffs[i].  FieldElement is only the read-only
+tables, and the root table from each square (0 included) to its square
+root of smallest index, are precomputed at construction (the order cap
+keeps them small), so element arithmetic is a pair of list lookups and
+squareness or a square root one dict lookup.  The coefficient vector of
+index i is _coeffs[i].  FieldElement is only the read-only
 (field, index) record that the residue search returns.
 """
 
@@ -144,13 +146,24 @@ class FieldElement:
         return f"{self.field!r}({self.index})"
 
 
+@dataclass(init=False, repr=False, unsafe_hash=True)
 class Field:
-    """GF(p^k) for an odd prime p, with precomputed arithmetic tables."""
+    """GF(p^k) for an odd prime p, with precomputed arithmetic tables.
+
+    Two fields are equal, and hash alike, when p, k and modulus agree; the
+    tables are functions of those three.
+    """
+
+    p: int
+    k: int
+    modulus: tuple[int, ...]
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         # The cap is checked before any work that grows with p or k: p is
         # tested for primality only below the cap, and p ** k is taken only
         # for k below the cap's bit length (p >= 3, so p ** k > 2 ** k).
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise NotOddPrime(f"characteristic must be an odd prime, got {p!r}")
         if p > DEFAULT_MAX_ORDER:
             raise OrderTooLarge(f"characteristic {p} exceeds cap {DEFAULT_MAX_ORDER}")
         if not is_prime(p) or p == 2:
@@ -166,13 +179,15 @@ class Field:
         if modulus is None:
             self.modulus = _smallest_irreducible(p, k)
         else:
-            self.modulus = tuple(int(c) for c in modulus)
+            self.modulus = tuple(modulus)
             self._check_modulus()
         self._coeffs = tuple(product(range(p), repeat=k))
         self._build_tables()
 
     def _check_modulus(self):
         m = self.modulus
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in m):
+            raise ValueError(f"modulus coefficients must be ints, got {m!r}")
         if len(m) != self.k + 1:
             raise ValueError(f"modulus must have degree {self.k}")
         if m[0] != 1:
@@ -209,49 +224,28 @@ class Field:
                 j = row.index(1)
                 self.inv_table[i] = j
                 self.inv_table[j] = i
-
-    def _pow_idx(self, base: int, exponent: int) -> int:
-        result, acc = 1, base
-        e = exponent
-        while e:
-            if e & 1:
-                result = self.mul_table[result][acc]
-            acc = self.mul_table[acc][acc]
-            e >>= 1
-        return result
+        # Roots are written largest first, so each square keeps its smallest.
+        self.root_table = {self.mul_table[i][i]: i for i in reversed(range(q))}
 
     # -- quadratic residues ----------------------------------------------------
 
     def is_square(self, a: int) -> bool:
         """True iff element a has a square root; zero counts as a square.
 
-        Euler's criterion: a nonzero a is a square iff a^((q-1)/2) = 1.
         Raises IndexError unless a is an element index in [0, q).
         """
-        return _index(self, a) == 0 or self._pow_idx(a, (self.q - 1) // 2) == 1
+        return _index(self, a) in self.root_table
 
     def sqrt(self, a: int) -> int:
-        """Square root of a of smallest index, by exhaustive search.
+        """Square root of a of smallest index, read from the root table.
 
         Raises IndexError unless a is an element index in [0, q), and
         NoSquareRoot when a is a non-residue.
         """
-        a, mul = _index(self, a), self.mul_table
-        for i in range(self.q):
-            if mul[i][i] == a:
-                return i
-        raise NoSquareRoot(f"element {a} of {self!r} is not a square")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        try:
+            return self.root_table[_index(self, a)]
+        except KeyError:
+            raise NoSquareRoot(f"element {a} of {self!r} is not a square") from None
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -115,11 +115,11 @@ class SquareDocument:
         return validated or build_from_canonical(self.matrix)
 
     def to_json(self) -> str:
-        """The canonical text: json.dumps writes the header, and
-        render_grid(c, "json") the grid, so no cell goes through the json
-        encoder."""
-        header = json.dumps({"q": self.q, "p": self.p, "k": self.k,
-                             "modulus": self.modulus, "c": self.c}, separators=(",", ":"))
+        """The canonical text: json.dumps writes the header (the keys of
+        KEY_ORDER before the grid), and render_grid(c, "json") the grid, so
+        no cell goes through the json encoder."""
+        header = json.dumps({key: getattr(self, key) for key in KEY_ORDER[:-1]},
+                            separators=(",", ":"))
         return f'{header[:-1]},"grid":{render_grid(self.matrix, "json")}}}\n'
 
     @classmethod

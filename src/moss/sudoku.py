@@ -46,7 +46,7 @@ kernel is left to verify_orthogonal_bruteforce.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import chain
 from operator import add, eq, itemgetter
@@ -67,6 +67,7 @@ class OrderMismatch(ValueError):
     """The two grids have different orders."""
 
 
+@dataclass(slots=True)
 class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
@@ -75,17 +76,19 @@ class SudokuGrid:
     a flag for "every row is a permutation of range(n)" (left False for
     n > 256), so its rows must not change after that: a changed grid is
     checked as a new SudokuGrid over the changed rows.
+
+    Two grids are equal when their q and rows are: the generator and the
+    check caches are not compared.  A grid is unhashable, and its repr
+    shows q and the generator, not the rows.
     """
 
-    __slots__ = ("q", "rows", "generator", "_checked", "_row_bytes", "_latin_rows")
-
-    def __init__(self, q: int, rows: list[list[int]], generator: Mat2 | None = None):
-        self.q = q
-        self.rows = rows
-        self.generator = generator
-        self._checked = False
-        self._row_bytes: tuple[bytes, ...] | None = None
-        self._latin_rows = False
+    q: int
+    rows: list[list[int]] = dataclass_field(repr=False)
+    generator: Mat2 | None = dataclass_field(default=None, compare=False)
+    _checked: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
+    _row_bytes: tuple[bytes, ...] | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
+    _latin_rows: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -107,12 +110,6 @@ class SudokuGrid:
                 self._latin_rows = all(_distinct(row, ident) for row in self._row_bytes)
             self._checked = True
         return self.rows
-
-    def __eq__(self, other):
-        return isinstance(other, SudokuGrid) and self.q == other.q and self.rows == other.rows
-
-    def __repr__(self):
-        return f"SudokuGrid(order={self.order}, generator={self.generator!r})"
 
 
 @dataclass(slots=True)

@@ -33,7 +33,7 @@ that parse_mat2 reads) and count_alphas (the alpha census by exhaustive
 squaring and polynomial + 1).
 The matrix arithmetic runs on _poly_tables too, so meets_trivially shares
 no table with verify_family's direction scan, and count_alphas ==
-len(alpha_census) checks the library's Euler-criterion search.
+len(alpha_census) checks the library's root-table search.
 
 reference_document_json is the document text by the encoder: json.dumps of
 the whole payload, with the grid from build_from_canonical (itself checked
@@ -54,6 +54,9 @@ from moss.planes import Mat2, Plane, is_valid_generator
 from moss.sudoku import MalformedGrid, NotAGenerator, SudokuGrid, build_from_canonical
 
 ODD_PRIME_POWERS_49 = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
+# Every order the field cap admits.
+ODD_PRIME_POWERS_127 = ODD_PRIME_POWERS_49 + (
+    53, 59, 61, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125, 127)
 
 # The q = 3 golden grid: 9 rows of 9 symbols, subsquares of side 3.
 GOLDEN_GRID_Q3 = [

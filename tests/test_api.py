@@ -1,6 +1,6 @@
 """The package's surface: the README's example, the names the benchmark
 reads, the plane specification that lives in oracles.py instead, and the
-record semantics of Mat2, Family and SquareDocument."""
+record semantics of Mat2, Family, SquareDocument and SudokuGrid."""
 
 import contextlib
 import importlib
@@ -14,7 +14,7 @@ from moss.gf import GF, FieldElement
 from moss.family import build_family, derive_lambda, find_alpha
 from moss.planes import Mat2
 from moss.serialize import SquareDocument
-from moss.sudoku import SudokuGrid
+from moss.sudoku import SudokuGrid, build_from_canonical, verify_sudoku
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,3 +90,22 @@ def test_mat2_and_family_records():
     again = build_family(GF(9))
     assert again != family and again.matrices == family.matrices
     assert len({family, again}) == 2
+
+
+def test_sudoku_grid_record():
+    """A grid compares by its order and rows, not by its generator or by
+    what its first check cached, and is unhashable."""
+    c = build_family(GF(9)).matrices[5]
+    built = build_from_canonical(c)
+    plain = SudokuGrid(9, [list(row) for row in built.rows])
+    assert built.generator is c and plain.generator is None
+    assert plain == built and built == plain
+    assert verify_sudoku(built).ok and built._row_bytes is not None
+    assert plain._row_bytes is None
+    assert plain == built and built == plain
+    changed = [list(row) for row in built.rows]
+    changed[4][7] = (changed[4][7] + 1) % 81
+    assert SudokuGrid(9, changed) != built
+    assert SudokuGrid(3, built.rows) != built
+    with pytest.raises(TypeError):
+        hash(built)

@@ -23,6 +23,7 @@ import moss.sudoku
 from moss.sudoku import SudokuGrid, build_from_canonical, coset_kernel
 from oracles import (
     ODD_PRIME_POWERS_49,
+    ODD_PRIME_POWERS_127,
     PolyElement,
     canonicalize,
     column_plane,
@@ -104,6 +105,20 @@ def test_explicit_modulus():
         Field(3, 2, modulus=(1, 0, 0, 1))  # wrong degree
     with pytest.raises(ValueError):
         Field(3, 2, modulus=(1, 0, 5))  # coefficient out of range
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: Field(3, 2, modulus=(1, 0, 1.9)), ValueError),
+    (lambda: Field(3, 2, modulus=(1, 0, "1")), ValueError),
+    (lambda: Field(3, 2, modulus=(True, 0, 1)), ValueError),
+    (lambda: Field(3.0, 2), NotOddPrime),
+    (lambda: Field("3", 1), NotOddPrime),
+], ids=["float-modulus", "str-modulus", "bool-modulus", "float-p", "str-p"])
+def test_field_rejects_non_int_input(build, error):
+    """Neither p nor a modulus entry is coerced: a float, a string or a bool
+    is a ValueError, never a TypeError or a silent GF(9)."""
+    with pytest.raises(error):
+        build()
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
@@ -235,7 +250,7 @@ def test_field_axioms_triples(q):
                 assert mul[add_a[b]][c] == add[mul_a[c]][mul_b[c]]
 
 
-@pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
 def test_square_census(q):
     field = get_field(q)
     by_squaring = squares_by_squaring(field)
@@ -270,7 +285,7 @@ def test_residue_methods_reject_non_indices(bad):
             method(bad)
 
 
-@pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
 def test_sqrt_properties(q):
     field = get_field(q)
     elements = poly_elements(field)
@@ -332,8 +347,10 @@ def test_powers_and_division():
     three, one = PolyElement.of(f7, 3), PolyElement.of(f7, 1)
     assert three**0 == one
     assert three**6 == one
-    assert (three**2).index == f7._pow_idx(3, 2) == 2
-    assert f7._pow_idx(3, 6) == 1
+    mul = f7.mul_table
+    square = mul[3][3]
+    assert (three**2).index == square == 2
+    assert mul[mul[square][square]][square] == 1  # 3^6 = 3^2 * 3^2 * 3^2
     assert three * three.inverse() == one
     assert three.inverse().index == f7.inv_table[3] == 5
     with pytest.raises(ZeroDivisionError):
