@@ -39,7 +39,7 @@ class OrderTooLarge(ValueError):
     """The requested field order exceeds the cap DEFAULT_MAX_ORDER."""
 
 
-class NoSquareRoot(ArithmeticError):
+class NoSquareRoot(ArithmeticError, ValueError):
     """The element is not a square in its field."""
 
 
@@ -179,7 +179,10 @@ class Field:
         if modulus is None:
             self.modulus = _smallest_irreducible(p, k)
         else:
-            self.modulus = tuple(modulus)
+            try:
+                self.modulus = tuple(modulus)
+            except TypeError:
+                raise ValueError(f"modulus must be a sequence of ints, got {modulus!r}") from None
             self._check_modulus()
         self._coeffs = tuple(product(range(p), repeat=k))
         self._build_tables()

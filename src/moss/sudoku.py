@@ -71,7 +71,8 @@ class OrderMismatch(ValueError):
 class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    The first check of a grid (verify_sudoku or an orthogonality census)
+    Construction raises MalformedGrid unless q is a positive int; the
+    first check of a grid (verify_sudoku or an orthogonality census)
     range-checks its rows once and, for n <= 256, caches them as bytes with
     a flag for "every row is a permutation of range(n)" (left False for
     n > 256), so its rows must not change after that: a changed grid is
@@ -89,6 +90,10 @@ class SudokuGrid:
     _row_bytes: tuple[bytes, ...] | None = dataclass_field(
         default=None, init=False, repr=False, compare=False)
     _latin_rows: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
+            raise MalformedGrid(f"q must be a positive int, got {self.q!r}")
 
     @property
     def order(self) -> int:
@@ -246,14 +251,14 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _digit_sums(q: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """p and the table of digit-wise base-p sums on [0, q), q = p^k: the
-    additive group of GF(q) on element indices, computed from q alone.
-    Raises ValueError when q is not a prime power."""
+def _digit_sums(q: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The place values p^i (i < k) and the table of digit-wise base-p sums
+    on [0, q), q = p^k: the additive group of GF(q) on element indices,
+    computed from q alone.  Raises ValueError when q is not a prime power."""
     p, k = factor_prime_power(q)
-    places = [p ** i for i in range(k)]
-    return p, tuple(tuple(sum((u // w + v // w) % p * w for w in places) for v in range(q))
-                    for u in range(q))
+    places = tuple(p ** i for i in range(k))
+    return places, tuple(tuple(sum((u // w + v // w) % p * w for w in places) for v in range(q))
+                         for u in range(q))
 
 
 def _shift(sums: tuple[tuple[int, ...], ...], q: int, by: int) -> list[int]:
@@ -267,39 +272,28 @@ def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
     grid's symbol classes, or None if the grid is not such a partition.
 
     K is the set of cells holding the symbol of cell (0, 0), one per row.
-    A greedy basis of K must span K exactly; each cell added to the span
-    must lie in K, so the basis never outgrows 2k cells.  The grid must be
-    invariant under translation by each basis cell: one row and one column
-    permutation, compared on row tuples with itemgetter.  Then every
-    symbol class is a union of cosets of K, and since row 0 meets K only at
-    (0, 0), its n distinct symbols put one coset in each class.  Raises
-    MalformedGrid as verify_sudoku does.
+    The grid must be invariant under translation by its cells in rows p^i
+    and q*p^i (i < k), one row and one column permutation each, compared
+    on row tuples with itemgetter.  These 2k rows span the row coordinates
+    digit-wise, so the translations generate a subgroup H with a cell in
+    every row; invariance puts H inside K, and K has one cell per row, so
+    H = K.  Then every symbol class is a union of cosets of K, and since
+    row 0 meets K only at (0, 0), its n distinct symbols put one coset in
+    each class.  Raises MalformedGrid as verify_sudoku does.
     """
     q, n = grid.q, grid.order
     rows = grid._checked_rows()
     try:
-        p, sums = _digit_sums(q)
+        places, sums = _digit_sums(q)
     except ValueError:
         return None
     s0 = rows[0][0]
     if len(set(rows[0])) != n or any(row.count(s0) != 1 for row in rows):
         return None
     cells = [r * n + row.index(s0) for r, row in enumerate(rows)]
-    kernel, span, shifts = set(cells), {0}, []
-    for cell in cells:
-        if cell in span:
-            continue
-        rmap, cmap = _shift(sums, q, cell // n), _shift(sums, q, cell % n)
-        layer, added = span, []
-        for _ in range(p - 1):  # the cosets span + j*cell, j = 1 .. p-1
-            layer = [rmap[x // n] * n + cmap[x % n] for x in layer]
-            added += layer
-        if not kernel.issuperset(added):
-            return None
-        span.update(added)
-        shifts.append((rmap, cmap))
     tables = tuple(map(tuple, rows))
-    for rmap, cmap in shifts:
+    for r in places + tuple(q * w for w in places):
+        rmap, cmap = _shift(sums, q, r), _shift(sums, q, cells[r] % n)
         image = itemgetter(*cmap)
         if not all(map(eq, map(image, map(tables.__getitem__, rmap)), tables)):
             return None

@@ -1,16 +1,18 @@
 """The package's surface: the README's example, the names the benchmark
-reads, the plane specification that lives in oracles.py instead, and the
-record semantics of Mat2, Family, SquareDocument and SudokuGrid."""
+reads, the plane specification that lives in oracles.py instead, the
+record semantics of Mat2, Family, SquareDocument and SudokuGrid, and the
+one error base, ValueError."""
 
 import contextlib
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
 
 import pytest
 
-from moss.gf import GF, FieldElement
+from moss.gf import GF, Field, FieldElement
 from moss.family import build_family, derive_lambda, find_alpha
 from moss.planes import Mat2
 from moss.serialize import SquareDocument
@@ -109,3 +111,19 @@ def test_sudoku_grid_record():
     assert SudokuGrid(3, built.rows) != built
     with pytest.raises(TypeError):
         hash(built)
+
+
+def test_every_moss_error_is_a_value_error():
+    """Every exception class the modules define subclasses ValueError, as the
+    README promises, and a modulus that is no sequence is one too."""
+    errors = [cls for name in ("gf", "planes", "sudoku", "family", "serialize", "cli")
+              for _, cls in inspect.getmembers(importlib.import_module(f"moss.{name}"),
+                                               inspect.isclass)
+              if issubclass(cls, BaseException) and cls.__module__ == f"moss.{name}"]
+    assert len(errors) >= 10
+    assert all(issubclass(cls, ValueError) for cls in errors), errors
+    for modulus in (5, 3.5):
+        with pytest.raises(ValueError, match="modulus"):
+            Field(3, 2, modulus=modulus)
+    with pytest.raises(ValueError):
+        GF(7).sqrt(3)

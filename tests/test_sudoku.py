@@ -183,6 +183,16 @@ def test_verify_malformed():
         verify_sudoku(SudokuGrid(3, bad))
 
 
+@pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
+def test_grid_rejects_a_bad_q_on_construction(q):
+    """q is checked when the grid is made, so no check reads a grid of
+    q = -3 (whose range(0, 9, -3) of boxes is empty) as a sudoku square."""
+    latin = [[(r + c) % 9 for c in range(9)] for r in range(9)]  # boxes repeat symbols
+    assert not verify_sudoku(SudokuGrid(3, latin)).subsquares
+    with pytest.raises(MalformedGrid, match="q must be"):
+        SudokuGrid(q, latin)
+
+
 def test_orthogonality_bruteforce():
     f3 = get_field(3)
     golden = build_from_plane(golden_plane())
@@ -349,8 +359,9 @@ def span_of(q, vectors):
 
 def split_coset(rows, q, skip):
     """rows with two symbol classes swapped on one coset each of L, the
-    span of all but cell number skip of the basis that coset_kernel takes
-    from K (the cells of the (0, 0) symbol, greedily in row order).
+    span of all but cell number skip of a basis of K (the cells of the
+    (0, 0) symbol), picked greedily in row order: the cells in rows p^i and
+    q*p^i (i < k), by which coset_kernel translates the grid.
 
     L has index p in K, so the grid stays invariant under L but not under
     K; K itself, one cell per row, and the n distinct symbols of row 0 stay
@@ -377,8 +388,9 @@ def kernel_pairs(draw, q):
     """Two grids and, for each, whether coset_kernel must find a kernel
     (True), must return None (False) or may do either (None).
 
-    Family members, a member and its twin, and a member C against
-    C - (a rank-1 matrix) are coset partitions; a member with one cell
+    Family members, a member and its twin, a member C against
+    C - (a rank-1 matrix) and a member with its symbols relabelled by a
+    permutation of range(n) are coset partitions; a member with one cell
     rewritten, with two symbol classes merged, or with two classes swapped
     on one coset of an index-p subgroup of its kernel is not; a grid of
     independently shuffled rows almost surely is not.
@@ -388,8 +400,9 @@ def kernel_pairs(draw, q):
     c = matrices[draw(st.integers(0, len(matrices) - 1))]
     partner = matrices[draw(st.integers(0, len(matrices) - 1))]
     kind = draw(st.sampled_from(
-        ("member", "twin", "rank-1", "one-cell", "merged", "split", "row-shuffled")))
-    expect = kind in ("member", "twin", "rank-1")
+        ("member", "twin", "rank-1", "relabelled", "one-cell", "merged", "split",
+         "row-shuffled")))
+    expect = kind in ("member", "twin", "rank-1", "relabelled")
     if kind == "twin":
         partner = c
     elif kind == "rank-1":
@@ -398,7 +411,10 @@ def kernel_pairs(draw, q):
         partner = mat_sub(c, mat_mul(Mat2(field, u1, 0, u2, 0), Mat2(field, v1, v2, 0, 0)))
         assume(is_valid_generator(partner))
     rows = build_from_canonical(c).rows
-    if kind == "one-cell":
+    if kind == "relabelled":
+        label = draw(st.permutations(range(n)))
+        rows = [[label[s] for s in row] for row in rows]
+    elif kind == "one-cell":
         r, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows[r][col] = draw(st.integers(0, n - 1).filter(lambda s: s != rows[r][col]))
     elif kind == "merged":
@@ -448,9 +464,9 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
 
 
 def test_coset_kernel_basis_stays_within_2k_cells(monkeypatch):
-    """A grid whose (0, 0) class is no subgroup is rejected as soon as the
-    span leaves the class, so the greedy basis, one row and one column
-    permutation per cell, never grows past 2k cells."""
+    """coset_kernel translates a grid by at most the 2k cells of its (0, 0)
+    class in rows p^i and q*p^i, one row and one column permutation per
+    cell, and rejects the grid at the first translation that moves it."""
     maps = []
     shift = moss.sudoku._shift
     monkeypatch.setattr(moss.sudoku, "_shift", lambda *args: maps.append(args) or shift(*args))
