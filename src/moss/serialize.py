@@ -129,13 +129,13 @@ class SquareDocument:
         Raises json.JSONDecodeError for text that is not JSON at all, and
         SchemaViolation (with the offending field path) for anything that
         parses but breaks the schema, including an integer literal longer
-        than the interpreter converts.
+        than the interpreter converts or nesting deeper than it parses.
         """
         try:
             data = json.loads(text, parse_float=_reject_float)
         except (json.JSONDecodeError, SchemaViolation):
             raise
-        except ValueError as exc:  # int()'s digit limit
+        except (ValueError, RecursionError) as exc:  # int()'s digit limit, deep nesting
             raise SchemaViolation("$", str(exc)) from None
         return cls._validate(data)
 

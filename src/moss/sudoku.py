@@ -23,10 +23,10 @@ canonicalization that takes a plane to its C.
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
 (chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
-superimposes two grids, all n^2 cells of them.  Both checks first check
-that every symbol is in [0, n), once per grid; for n <= 256 a grid then
-keeps its rows as bytes and whether every row is a permutation of range(n),
-so a grid's rows must not change after its first check.  When every row of
+superimposes two grids, all n^2 cells of them.  The first check of a
+grid range-checks its rows, and its first census builds, for n <= 256,
+its rows as bytes and whether every row is a permutation of range(n), so
+a grid's rows must not change after its first check.  When every row of
 A is a permutation, row r of the pair is the map f_r: s -> B(r, A_r^-1(s)),
 which bytes.maketrans(A_r, B_r) tabulates; the values f_r(s) over all rows
 r are the B symbols of the n cells where A = s, so the grids are orthogonal
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add, eq, itemgetter
 
@@ -67,29 +67,18 @@ class OrderMismatch(ValueError):
     """The two grids have different orders."""
 
 
-@dataclass(slots=True)
+@dataclass
 class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    Construction raises MalformedGrid unless q is a positive int; the
-    first check of a grid (verify_sudoku or an orthogonality census)
-    range-checks its rows once and, for n <= 256, caches them as bytes with
-    a flag for "every row is a permutation of range(n)" (left False for
-    n > 256), so its rows must not change after that: a changed grid is
-    checked as a new SudokuGrid over the changed rows.
-
-    Two grids are equal when their q and rows are: the generator and the
-    check caches are not compared.  A grid is unhashable, and its repr
-    shows q and the generator, not the rows.
+    Construction raises MalformedGrid unless q is a positive int.  The
+    range check, byte rows and latin flag are cached properties that the
+    first check reading each builds, so a grid's rows must not change after
+    its first check.  Grids compare by q and rows and are unhashable.
     """
 
     q: int
     rows: list[list[int]] = dataclass_field(repr=False)
-    generator: Mat2 | None = dataclass_field(default=None, compare=False)
-    _checked: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
-    _row_bytes: tuple[bytes, ...] | None = dataclass_field(
-        default=None, init=False, repr=False, compare=False)
-    _latin_rows: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
@@ -99,22 +88,25 @@ class SudokuGrid:
     def order(self) -> int:
         return self.q * self.q
 
+    @cached_property
     def _checked_rows(self) -> list[list[int]]:
-        """The rows, after the range check that only the first call runs.
-
-        Raises MalformedGrid on wrong dimensions or a symbol that is not an
-        int in [0, n).  For n <= 256 the first call also caches the rows as
-        bytes and whether each is a permutation of range(n).
-        """
-        if not self._checked:
-            n = self.order
-            _check_rows(self.rows, n)
-            if n <= 256:
-                ident = bytes(range(n))
-                self._row_bytes = tuple(map(bytes, self.rows))
-                self._latin_rows = all(_distinct(row, ident) for row in self._row_bytes)
-            self._checked = True
+        """The rows, after the range check: MalformedGrid on wrong
+        dimensions or a symbol that is not an int in [0, n)."""
+        _check_rows(self.rows, self.order)
         return self.rows
+
+    @cached_property
+    def _row_bytes(self) -> tuple[bytes, ...] | None:
+        """The checked rows as bytes, or None for n > 256."""
+        return tuple(map(bytes, self._checked_rows)) if self.order <= 256 else None
+
+    @cached_property
+    def _latin_rows(self) -> bool:
+        """Whether every row is a permutation of range(n); False for n > 256."""
+        if self._row_bytes is None:
+            return False
+        ident = bytes(range(self.order))
+        return all(_distinct(row, ident) for row in self._row_bytes)
 
 
 @dataclass(slots=True)
@@ -179,7 +171,7 @@ def build_from_canonical(c: Mat2) -> SudokuGrid:
         for key in keys:
             row += blocks[key]
         rows.append(row[:])  # exact size: growing left spare room in row
-    return SudokuGrid(c.field.q, rows, generator=c)
+    return SudokuGrid(c.field.q, rows)
 
 
 def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
@@ -188,7 +180,7 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
     Raises MalformedGrid on wrong dimensions or out-of-range symbols.
     """
     q, n = grid.q, grid.order
-    rows = grid._checked_rows()
+    rows = grid._checked_rows
     full = set(range(n))
     latin_rows = all(set(row) == full for row in rows)
     latin_cols = all(set(col) == full for col in zip(*rows))
@@ -203,10 +195,15 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
 def _check_rows(rows: list[list[int]], n: int) -> None:
     """Raise MalformedGrid unless rows is n x n with int symbols in [0, n).
 
-    A row of plain ints in range passes on C-level passes (type set, min,
-    max); any other row is walked cell by cell to name its first bad symbol.
+    Rows, or a row, without a length are the wrong shape.  A row of plain
+    ints in range passes on C-level passes (type set, min, max); any other
+    row is walked cell by cell to name its first bad symbol.
     """
-    if len(rows) != n or any(len(row) != n for row in rows):
+    try:
+        shaped = len(rows) == n and all(len(row) == n for row in rows)
+    except TypeError:
+        shaped = False
+    if not shaped:
         raise MalformedGrid(f"grid must be {n}x{n}")
     ints = {int}
     for row in rows:
@@ -238,7 +235,7 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
-    rows_a, rows_b, n = a._checked_rows(), b._checked_rows(), a.order
+    rows_a, rows_b, n = a._checked_rows, b._checked_rows, a.order
     if not a._latin_rows:
         scale = [n * s for s in range(n)]
         keys = map(scale.__getitem__, chain.from_iterable(rows_a))
@@ -282,7 +279,7 @@ def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
     each class.  Raises MalformedGrid as verify_sudoku does.
     """
     q, n = grid.q, grid.order
-    rows = grid._checked_rows()
+    rows = grid._checked_rows
     try:
         places, sums = _digit_sums(q)
     except ValueError:

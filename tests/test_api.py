@@ -4,6 +4,8 @@ record semantics of Mat2, Family, SquareDocument and SudokuGrid, and the
 one error base, ValueError."""
 
 import contextlib
+import dataclasses
+import functools
 import importlib
 import inspect
 import io
@@ -95,15 +97,18 @@ def test_mat2_and_family_records():
 
 
 def test_sudoku_grid_record():
-    """A grid compares by its order and rows, not by its generator or by
-    what its first check cached, and is unhashable."""
+    """A grid is a (q, rows) record: it compares by its order and rows, not
+    by what its checks cached, and is unhashable."""
     c = build_family(GF(9)).matrices[5]
     built = build_from_canonical(c)
     plain = SudokuGrid(9, [list(row) for row in built.rows])
-    assert built.generator is c and plain.generator is None
+    assert [f.name for f in dataclasses.fields(SudokuGrid)] == ["q", "rows"]
+    assert all(isinstance(vars(SudokuGrid)[name], functools.cached_property)
+               for name in ("_checked_rows", "_row_bytes", "_latin_rows"))
+    assert repr(plain) == "SudokuGrid(q=9)"
     assert plain == built and built == plain
     assert verify_sudoku(built).ok and built._row_bytes is not None
-    assert plain._row_bytes is None
+    assert vars(plain) == {"q": 9, "rows": plain.rows}  # nothing cached
     assert plain == built and built == plain
     changed = [list(row) for row in built.rows]
     changed[4][7] = (changed[4][7] + 1) % 81

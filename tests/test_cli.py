@@ -461,6 +461,22 @@ def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
     assert calls == [9] * len(files) == [9] * 6
 
 
+def test_verify_tabulates_no_grid(tmp_path, monkeypatch, capsys):
+    """verify decides every pair by kernels, so no grid's rows are turned
+    into bytes or tested for being latin: only the census reads those."""
+    files = _write_family(tmp_path)
+    calls = []
+    original = moss.sudoku._distinct
+
+    def counting_distinct(symbols, ident):
+        calls.append(symbols)
+        return original(symbols, ident)
+
+    monkeypatch.setattr(moss.sudoku, "_distinct", counting_distinct)
+    assert main(["verify", "--files", *files]) == 0
+    assert calls == []
+
+
 def _count_builds(monkeypatch):
     """Count build_from_canonical calls through every moss name bound to it."""
     calls = []

@@ -70,7 +70,6 @@ def test_golden_grid_from_canonical():
     f3 = get_field(3)
     grid = build_from_canonical(mat(f3, ((0, 2), (2, 1))))
     assert grid.rows == GOLDEN_GRID_Q3
-    assert grid.generator.indices() == ((0, 2), (2, 1))
 
 
 def test_build_rejects_non_generators():
@@ -181,6 +180,25 @@ def test_verify_malformed():
     bad[4][4] = True
     with pytest.raises(MalformedGrid):
         verify_sudoku(SudokuGrid(3, bad))
+    # rows, or a row, with no length are the wrong shape, not a TypeError
+    for rows in ([0] * 9, None, [None] * 9):
+        for check in (verify_sudoku, coset_kernel, lambda g: verify_orthogonal_bruteforce(g, g)):
+            with pytest.raises(MalformedGrid, match=r"^grid must be 9x9$"):
+                check(SudokuGrid(3, rows))
+    tuples = SudokuGrid(3, tuple(map(tuple, GOLDEN_GRID_Q3)))
+    assert verify_sudoku(tuples).ok and coset_kernel(tuples) is not None
+    assert not verify_orthogonal_bruteforce(tuples, tuples)
+
+
+def test_checks_build_only_the_caches_they_read():
+    """verify_sudoku and coset_kernel range-check a grid once and never
+    tabulate it; its first census builds its byte rows and latin flag."""
+    a, b = (build_from_canonical(mat(get_field(3), c)) for c in (((0, 2), (2, 1)), ((0, 1), (1, 1))))
+    assert verify_sudoku(a).ok and coset_kernel(a) is not None
+    assert "_checked_rows" in vars(a)
+    assert "_row_bytes" not in vars(a) and "_latin_rows" not in vars(a)
+    assert verify_orthogonal_bruteforce(a, b)
+    assert vars(a)["_latin_rows"] is True and len(vars(a)["_row_bytes"]) == 9
 
 
 @pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
