@@ -9,10 +9,11 @@ from its generator matrix, never from an int grid.  Exit codes: 0 success,
 ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
 
-verify keeps, for each document that passes the sudoku checks, its coset
-kernel (sudoku.coset_kernel) instead of its grid, and decides each pair by
-whether the two kernels are disjoint; a pair with a grid that is no coset
-partition is superimposed cell by cell on grids rebuilt from the documents.
+verify takes each document's coset kernel (sudoku.coset_kernel), which
+decides that the grid is a sudoku square (kernel_is_sudoku; verify_sudoku
+decides any other grid), keeps it instead of the grid and decides each pair
+by whether the two kernels are disjoint; a pair with a grid that is no
+coset partition is superimposed cell by cell on grids rebuilt from c.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import coset_kernel, render_grid, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import (coset_kernel, kernel_is_sudoku, render_grid, verify_orthogonal_bruteforce,
+                     verify_sudoku)
 
 
 class BadDocument(ValueError):
@@ -120,13 +122,15 @@ def _cmd_verify(args) -> int:
             failures += 1
             continue
         grid = doc.to_grid()
-        report = verify_sudoku(grid)
-        if report.ok:
-            print(f"OK {path}")
-            squares.append((path, doc, coset_kernel(grid)))
-        else:
-            print(f"FAIL {path}: {report!r}")
-            failures += 1
+        kernel = coset_kernel(grid)
+        if kernel is None or not kernel_is_sudoku(kernel, grid.q):
+            report = verify_sudoku(grid)
+            if not report.ok:
+                print(f"FAIL {path}: {report!r}")
+                failures += 1
+                continue
+        print(f"OK {path}")
+        squares.append((path, doc, kernel))
     orders = {doc.q for _, doc, _ in squares}
     if len(orders) > 1:
         raise ValueError("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))

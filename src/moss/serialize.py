@@ -7,10 +7,11 @@ is byte-stable and documents round-trip exactly.  A SquareDocument holds
 only its generator matrix: the field parameters and c are read from it,
 and the grid is a function of c, which to_json renders with render_grid
 (json.dumps writes only the header) and to_grid builds.  Deserialization
-revalidates everything, including that rebuilding the grid from c
-reproduces the stored grid cell for cell.  Emitting a document builds no
-second field; parsed fields are cached by (p, k, modulus), so loading
-documents constructs each field at most once per process.
+accepts canonical text by comparing it with its validated header's
+to_json(), without parsing a cell; any other spelling is parsed whole and
+revalidated, including that the grid rebuilt from c matches cell for cell.
+Emitting a document builds no second field; parsed fields are cached by
+(p, k, modulus), so loading documents constructs each field at most once.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class SquareDocument:
     def to_grid(self) -> SudokuGrid:
         """The grid of c.
 
-        The first call after from_json takes the grid that validation built;
-        every other call builds it.
+        The first call after a from_json that took the full path takes the
+        grid that validation built; every other call builds it.
         """
         validated = self.__dict__.pop("_validated", None)
         return validated or build_from_canonical(self.matrix)
@@ -124,13 +125,24 @@ class SquareDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "SquareDocument":
-        """Parse and fully validate a document.
+        """Parse and fully validate a document: canonical text by comparison
+        with to_json(), any other text by parsing it whole.
 
         Raises json.JSONDecodeError for text that is not JSON at all, and
         SchemaViolation (with the offending field path) for anything that
         parses but breaks the schema, including an integer literal longer
         than the interpreter converts or nesting deeper than it parses.
         """
+        head, sep, _ = text.partition(',"grid":')
+        try:
+            header = json.loads(head + "}") if sep else {}  # text ending in } is an object
+            if tuple(header) == KEY_ORDER[:-1]:
+                doc = cls(_header_matrix(header))
+                # the length guard spares the O(q^4) render of a short grid
+                if len(text) == len(head) + _tail_length(doc.q) and doc.to_json() == text:
+                    return doc
+        except (ValueError, RecursionError):
+            pass  # the full path decides, and names, what is wrong
         try:
             data = json.loads(text, parse_float=_reject_float)
         except (json.JSONDecodeError, SchemaViolation):
@@ -149,32 +161,8 @@ class SquareDocument:
         for key in data:
             if key not in KEY_ORDER:
                 raise SchemaViolation(key, "unexpected key")
-
-        q = _require_int(data["q"], "q")
-        p = _require_int(data["p"], "p")
-        k = _require_int(data["k"], "k")
-        # p ** k has more than k * (bit_length(p) - 1) bits, so the power is
-        # taken only when it is about as small as q.
-        if k < 1 or p < 2 or k * (p.bit_length() - 1) >= q.bit_length() or p ** k != q:
-            raise SchemaViolation("q", f"q = {q} is not p^k = {p}^{k}")
-
-        modulus = data["modulus"]
-        if not isinstance(modulus, list):
-            raise SchemaViolation("modulus", "expected a list")
-        modulus = tuple(_require_int(m, f"modulus[{i}]") for i, m in enumerate(modulus))
-        try:
-            field = _field(p, k, modulus)
-        except NotOddPrime as exc:
-            raise SchemaViolation("p", str(exc)) from None
-        except DegreeTooSmall as exc:
-            raise SchemaViolation("k", str(exc)) from None
-        except OrderTooLarge as exc:
-            raise SchemaViolation("q", str(exc)) from None
-        except ValueError as exc:
-            raise SchemaViolation("modulus", str(exc)) from None
-
-        c_rows = _require_int_matrix(data["c"], "c", 2, 2, q)
-        matrix = Mat2.from_indices(field, c_rows)
+        matrix = _header_matrix(data)
+        q = matrix.field.q
 
         # The grid field is read before the O(q^4) build, so a short grid is
         # rejected at the cost of its own size; a bad c still comes first.
@@ -194,6 +182,41 @@ class SquareDocument:
         doc = cls(matrix)
         object.__setattr__(doc, "_validated", rebuilt)  # for the first to_grid()
         return doc
+
+
+def _header_matrix(data: dict) -> Mat2:
+    """The matrix of a document's q, p, k, modulus and c, or SchemaViolation."""
+    q = _require_int(data["q"], "q")
+    p = _require_int(data["p"], "p")
+    k = _require_int(data["k"], "k")
+    # p ** k has more than k * (bit_length(p) - 1) bits, so the power is
+    # taken only when it is about as small as q.
+    if k < 1 or p < 2 or k * (p.bit_length() - 1) >= q.bit_length() or p ** k != q:
+        raise SchemaViolation("q", f"q = {q} is not p^k = {p}^{k}")
+
+    modulus = data["modulus"]
+    if not isinstance(modulus, list):
+        raise SchemaViolation("modulus", "expected a list")
+    modulus = tuple(_require_int(m, f"modulus[{i}]") for i, m in enumerate(modulus))
+    try:
+        field = _field(p, k, modulus)
+    except NotOddPrime as exc:
+        raise SchemaViolation("p", str(exc)) from None
+    except DegreeTooSmall as exc:
+        raise SchemaViolation("k", str(exc)) from None
+    except OrderTooLarge as exc:
+        raise SchemaViolation("q", str(exc)) from None
+    except ValueError as exc:
+        raise SchemaViolation("modulus", str(exc)) from None
+    return Mat2.from_indices(field, _require_int_matrix(data["c"], "c", 2, 2, q))
+
+
+@lru_cache(maxsize=16)
+def _tail_length(q: int) -> int:
+    """The length of ',"grid":' + render_grid(c, "json") + '}\n' for every
+    generator c over GF(q): each of the n = q^2 rows holds range(n) once."""
+    n = q * q
+    return n * (sum(map(len, map(str, range(n)))) + n + 2) + 11
 
 
 def _reject_float(text: str):

@@ -40,7 +40,8 @@ K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
 cell (R, C) added digit-wise in base p, as GF(q) adds element indices.
 Two such grids are orthogonal iff their kernels meet only at 0, so a pair
 costs one set disjointness test instead of n^2 cells; a grid without a
-kernel is left to verify_orthogonal_bruteforce.
+kernel is left to verify_orthogonal_bruteforce.  kernel_is_sudoku reads
+off K whether the grid is a sudoku square.
 """
 
 from __future__ import annotations
@@ -295,6 +296,13 @@ def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
         if not all(map(eq, map(image, map(tables.__getitem__, rmap)), tables)):
             return None
     return frozenset(cells[1:])
+
+
+def kernel_is_sudoku(kernel: frozenset[int], q: int) -> bool:
+    """Whether the cosets of K (coset_kernel's cells) are a sudoku square: iff
+    K meets column 0 and box 0 (R, C < q) only at 0, as it meets row 0."""
+    n = q * q
+    return not any(cell % n == 0 or (cell < q * n and cell % n < q) for cell in kernel)
 
 
 @lru_cache(maxsize=16)

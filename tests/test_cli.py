@@ -447,7 +447,8 @@ def test_emitting_json_builds_one_field(argv, monkeypatch, capsys):
 
 
 def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
-    """verify_sudoku and coset_kernel share one check per document."""
+    """coset_kernel range-checks each document's grid once, and a grid
+    whose kernel proves it a sudoku square is not checked again."""
     files = _write_family(tmp_path)
     calls = []
     original = moss.sudoku._check_rows
@@ -477,6 +478,28 @@ def test_verify_tabulates_no_grid(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, capsys):
+    """A document's kernel decides that it is a sudoku square, so verify runs
+    verify_sudoku on none of a family's documents; when no kernel is found,
+    verify_sudoku decides each of them and verify prints the same lines."""
+    files = _write_family(tmp_path)
+    reports = []
+
+    def counted(grid):
+        reports.append(moss.sudoku.verify_sudoku(grid))
+        return reports[-1]
+
+    monkeypatch.setattr(moss.cli, "verify_sudoku", counted)
+    capsys.readouterr()
+    assert main(["verify", "--files", *files]) == 0
+    out = capsys.readouterr().out
+    assert reports == []
+    monkeypatch.setattr(moss.cli, "coset_kernel", lambda grid: None)
+    assert main(["verify", "--files", *files]) == 0
+    assert capsys.readouterr().out == out
+    assert len(reports) == len(files) and all(report.ok for report in reports)
+
+
 def _count_builds(monkeypatch):
     """Count build_from_canonical calls through every moss name bound to it."""
     calls = []
@@ -493,7 +516,8 @@ def _count_builds(monkeypatch):
 
 
 def test_verify_builds_each_grid_once(tmp_path, monkeypatch, capsys):
-    """from_json builds a document's grid to validate it; verify reuses it."""
+    """from_json accepts canonical text without building its grid; verify
+    builds it once, for the kernel."""
     files = _write_family(tmp_path)
     calls = _count_builds(monkeypatch)
     assert main(["verify", "--files", *files]) == 0

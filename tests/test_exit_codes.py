@@ -37,11 +37,13 @@ DEEP_CELL_TEXT = _nest_cell(DOCS[0].encode(), 1_000)
 
 @st.composite
 def mutated_documents(draw):
-    """(original text, mutated bytes) for one of DOCS."""
+    """(original text, mutated bytes) for one of DOCS: a mutant, or a valid
+    respelling (indent, spaces, reordered keys, no final newline) that
+    verify must accept."""
     original = draw(st.sampled_from(DOCS))
     text = original.encode()
     kind = draw(st.sampled_from(("flip", "truncate", "insert", "duplicate-key", "reorder",
-                                 "whitespace", "nest-cell", "nest-all", "long-int")))
+                                 "respell", "whitespace", "nest-cell", "nest-all", "long-int")))
     if kind == "flip":
         i = draw(st.integers(0, len(text) - 1))
         text = text[:i] + bytes([draw(st.integers(0, 255))]) + text[i + 1:]
@@ -62,6 +64,14 @@ def mutated_documents(draw):
         data = json.loads(original)
         keys = draw(st.permutations(list(data)))
         text = json.dumps({key: data[key] for key in keys}).encode()
+    elif kind == "respell":  # valid, not canonical: from_json takes the full path
+        data = json.loads(original)
+        keys = draw(st.permutations(list(data)))
+        indent = draw(st.sampled_from((None, 0, 2)))
+        separators = draw(st.sampled_from((None, (",", ":"), (" , ", " : "))))
+        text = json.dumps({key: data[key] for key in keys}, indent=indent,
+                          separators=separators).encode()
+        text += draw(st.sampled_from((b"", b"\n", b" \r\n")))
     elif kind == "whitespace":
         i = draw(st.sampled_from([m.end() for m in re.finditer(rb"[{\[,:]", text)]))
         text = text[:i] + draw(st.text(" \t\n\r", min_size=1, max_size=4)).encode() + text[i:]
@@ -111,6 +121,9 @@ def _run(argv):
 @given(case=mutated_documents())
 @example(case=(DOCS[0], DEEP_TEXT))
 @example(case=(DOCS[0], DEEP_CELL_TEXT))
+@example(case=(DOCS[1], DOCS[1].encode()))
+@example(case=(DOCS[1], DOCS[1].encode()[:-1]))
+@example(case=(DOCS[2], json.dumps(json.loads(DOCS[2]), indent=2).encode()))
 def test_mutated_documents_keep_the_exit_code_contract(case):
     original, text = case
     with TemporaryDirectory() as tmp:

@@ -2,14 +2,17 @@
 
 import json
 import time
+from functools import lru_cache
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import moss.serialize
 from moss.family import build_family
 from moss.planes import Mat2
-from moss.serialize import KEY_ORDER, SchemaViolation, SquareDocument
+from moss.serialize import KEY_ORDER, SchemaViolation, SquareDocument, _reject_float
 from moss.sudoku import NotAGenerator, build_from_canonical, verify_sudoku
 from oracles import GOLDEN_C_Q3, GOLDEN_GRID_Q3, get_field, mat_det, reference_document_json
 
@@ -248,8 +251,7 @@ def test_grid_is_derived_from_c():
     assert doc.to_grid() is not doc.to_grid()
 
 
-def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
-    import moss.serialize
+def _count_builds(monkeypatch):
     calls = []
     original = moss.serialize.build_from_canonical
 
@@ -258,7 +260,14 @@ def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
         return original(c)
 
     monkeypatch.setattr(moss.serialize, "build_from_canonical", counted)
-    doc = SquareDocument.from_json(golden_document().to_json())
+    return calls
+
+
+def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
+    """Non-canonical text (json.dumps spacing) takes the full path, which
+    builds the grid once to validate it and hands it to the first to_grid()."""
+    calls = _count_builds(monkeypatch)
+    doc = SquareDocument.from_json(json.dumps(json.loads(golden_document().to_json())))
     assert len(calls) == 1
     first = doc.to_grid()
     assert len(calls) == 1
@@ -266,3 +275,130 @@ def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
     assert len(calls) == 2
     assert first is not second
     assert first.rows == second.rows == GOLDEN_GRID_Q3
+
+
+def test_canonical_text_builds_no_grid(monkeypatch):
+    """Canonical text is accepted by comparison with to_json(), so from_json
+    builds no grid and each to_grid() builds one."""
+    calls = _count_builds(monkeypatch)
+    doc = SquareDocument.from_json(golden_document().to_json())
+    assert doc == golden_document()
+    assert calls == []
+    first = doc.to_grid()
+    assert len(calls) == 1
+    second = doc.to_grid()
+    assert len(calls) == 2
+    assert first is not second
+    assert first.rows == second.rows == GOLDEN_GRID_Q3
+
+
+def test_canonical_header_with_a_short_grid_renders_nothing(monkeypatch):
+    """A canonical q = 127 header before a short grid fails the length guard,
+    so the fast path never renders the 16129 x 16129 grid to compare."""
+    def render(c, style="text"):
+        raise AssertionError("a grid was rendered")
+
+    monkeypatch.setattr(moss.serialize, "render_grid", render)
+    data = {"q": 127, "p": 127, "k": 1, "modulus": list(get_field(127).modulus),
+            "c": [[0, 1], [1, 1]], "grid": []}
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data, separators=(",", ":")) + "\n")
+    assert str(exc_info.value) == "grid: expected 16129 rows"
+
+
+@lru_cache(maxsize=None)
+def _family_texts(q):
+    return tuple(SquareDocument.from_matrix(m).to_json() for m in build_family(get_field(q)))
+
+
+CANONICAL_Q3 = _family_texts(3)[0]
+JSON_CHARS = st.sampled_from('0123456789,:[]{}" \n\r\tx-.e')
+
+
+@st.composite
+def respelled_documents(draw):
+    """(q, text): the canonical text of a family member or a random generator
+    at q = 3, 5 or 9, or a mutant of it: a byte flipped, deleted or inserted
+    (often in the header or at the end), the last byte dropped or one
+    appended, CRLF line endings, json.dumps with its default separators,
+    compact ones or an indent, with or without the final newline, or the
+    keys reordered."""
+    q = draw(st.sampled_from((3, 5, 9)))
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(_family_texts(q)))
+    else:
+        field, element = get_field(q), st.integers(0, q - 1)
+        c = draw(st.builds(lambda a, b, c, d: Mat2(field, a, b, c, d),
+                           element, st.integers(1, q - 1), element, element)
+                 .filter(lambda m: bool(mat_det(m))))
+        text = SquareDocument.from_matrix(c).to_json()
+    kind = draw(st.sampled_from(("canonical", "flip", "delete", "insert", "drop-last",
+                                 "extra-last", "crlf", "dumps", "reorder")))
+    at = draw(st.one_of(st.integers(0, len(text) - 1), st.integers(0, text.index('"grid"') + 8),
+                        st.integers(len(text) - 3, len(text) - 1)))
+    char = draw(JSON_CHARS | st.characters())
+    data = json.loads(text)
+    if kind == "flip":
+        text = text[:at] + char + text[at + 1:]
+    elif kind == "delete":
+        text = text[:at] + text[at + 1:]
+    elif kind == "insert":
+        text = text[:at] + char + text[at:]
+    elif kind == "drop-last":
+        text = text[:-1]
+    elif kind == "extra-last":
+        text += char
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "dumps":
+        indent = draw(st.sampled_from((None, 0, 1, 2)))
+        separators = draw(st.sampled_from((None, (",", ":"))))
+        text = json.dumps(data, indent=indent, separators=separators)
+        text += draw(st.sampled_from(("", "\n")))
+    elif kind == "reorder":
+        keys = draw(st.permutations(KEY_ORDER))
+        text = json.dumps({key: data[key] for key in keys}, separators=(",", ":")) + "\n"
+    return q, text
+
+
+def _outcome(parse, text):
+    try:
+        return "document", parse(text).matrix
+    except SchemaViolation as exc:
+        return "violation", exc.path, str(exc)
+    except Exception as exc:
+        return "error", type(exc)
+
+
+def _full_path(text):
+    return SquareDocument._validate(json.loads(text, parse_float=_reject_float))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=respelled_documents())
+@example(case=(3, CANONICAL_Q3))
+@example(case=(3, CANONICAL_Q3[:-1] + "x"))
+@example(case=(3, CANONICAL_Q3[:-1]))
+@example(case=(3, CANONICAL_Q3 + "\n"))
+@example(case=(3, CANONICAL_Q3 + "x"))
+@example(case=(3, CANONICAL_Q3.replace("\n", "\r\n")))
+def test_canonical_fast_path_matches_the_full_path(case):
+    """from_json gives what parsing and validating the whole text gives: an
+    equal matrix, the same violation (path and message) or the same error
+    type.  It renders a grid to compare only for text whose part from
+    ',"grid":' on has the canonical length for q."""
+    q, text = case
+    renders = []
+    render_grid = moss.serialize.render_grid
+
+    def counted(c, style="text"):
+        renders.append(c)
+        return render_grid(c, style)
+
+    with mock.patch.object(moss.serialize, "render_grid", counted):
+        fast = _outcome(SquareDocument.from_json, text)
+    assert fast == _outcome(_full_path, text)
+    if renders:
+        canonical = _family_texts(q)[0]
+        head, sep, _ = text.partition(',"grid":')
+        assert sep and len(text) - len(head) == len(canonical) - canonical.index(',"grid":')

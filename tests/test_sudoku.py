@@ -18,6 +18,7 @@ from moss.sudoku import (
     SudokuGrid,
     build_from_canonical,
     coset_kernel,
+    kernel_is_sudoku,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -507,6 +508,78 @@ def test_coset_kernel_of_the_golden_grid_and_of_order_36():
     assert coset_kernel(SudokuGrid(6, rows)) is None
     assert coset_kernel(SudokuGrid(3, GOLDEN_GRID_Q3)) == frozenset(
         r * 9 + c for r, row in enumerate(GOLDEN_GRID_Q3) for c, s in enumerate(row) if s == 0) - {0}
+
+
+def _assert_kernel_verdict(grid):
+    """kernel_is_sudoku agrees with both sudoku checks on a grid with a
+    kernel; returns its verdict, or None for a grid without one."""
+    kernel = coset_kernel(grid)
+    if kernel is None:
+        return None
+    verdict = kernel_is_sudoku(kernel, grid.q)
+    assert verdict == verify_sudoku(grid).ok == all(sudoku_flags_per_cell(grid))
+    return verdict
+
+
+@st.composite
+def coset_grids(draw, q):
+    """(grid, verdict): the coset labeling (grid_from_cosets) of the span of
+    [I; C] for a valid, rank-1, zero or lower-triangular C or of a random
+    plane, or a family member's grid with its symbols relabelled.  The verdict is whether the grid must have a kernel that
+    makes it a sudoku square (True), a kernel that does not (False), or may
+    have none (None): every span of [I; C] meets the row plane only at 0,
+    so its grid has a kernel."""
+    field, n = get_field(q), q * q
+    element, nonzero = st.integers(0, q - 1), st.integers(1, q - 1)
+    kind = draw(st.sampled_from(("valid", "rank-1", "zero", "lower", "random", "relabelled")))
+    if kind == "relabelled":
+        label = draw(st.permutations(range(n)))
+        rows = build_from_canonical(draw(st.sampled_from(family_matrices(q)))).rows
+        return SudokuGrid(q, [[label[s] for s in row] for row in rows]), True
+    if kind == "random":
+        v1, v2 = (draw(st.lists(element, min_size=4, max_size=4)) for _ in range(2))
+        try:
+            plane = Plane.from_indices(field, v1, v2)
+        except ValueError:  # dependent vectors
+            assume(False)
+        return grid_from_cosets(plane), None
+    if kind == "valid":
+        c = draw(st.sampled_from(family_matrices(q)))
+    elif kind == "rank-1":  # singular; b = u1 * v2 may or may not be 0
+        u1, u2, v1, v2 = (draw(element) for _ in range(4))
+        assume(any((u1, u2)) and any((v1, v2)))
+        c = mat_mul(Mat2(field, u1, 0, u2, 0), Mat2(field, v1, v2, 0, 0))
+    elif kind == "zero":
+        c = Mat2(field, 0, 0, 0, 0)
+    else:  # b = 0, nonsingular
+        c = Mat2(field, draw(nonzero), 0, draw(element), draw(nonzero))
+    return grid_from_cosets(Plane.from_generator(c)), is_valid_generator(c)
+
+
+@pytest.mark.parametrize("q, examples", [(3, 60), (5, 40), (9, 25), (25, 2), (27, 2)])
+def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
+    """On every grid with a coset kernel, kernel_is_sudoku (no kernel cell
+    in column 0 or box 0) agrees with verify_sudoku and with the per-cell
+    flags.  Fixed planes come first: the span of [I; C] for a singular C
+    with b != 0 meets only the column plane, and for an invertible lower-
+    triangular C only the subsquare plane, so each of the two tests has a
+    grid that only it rejects; the column plane's kernel is column 0."""
+    field = get_field(q)
+    fixed = [(Mat2(field, 1, 1, 1, 1), False), (Mat2(field, 1, 0, 0, 1), False),
+             (family_matrices(q)[0], True)]
+    for c, verdict in fixed:
+        assert _assert_kernel_verdict(grid_from_cosets(Plane.from_generator(c))) is verdict
+    assert _assert_kernel_verdict(grid_from_cosets(column_plane(field))) is False
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(coset_grids(q))
+    def check(case):
+        grid, verdict = case
+        found = _assert_kernel_verdict(grid)
+        if verdict is not None:
+            assert found is verdict
+
+    check()
 
 
 class Symbol(int):
