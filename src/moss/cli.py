@@ -121,6 +121,8 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {exc}")
             failures += 1
             continue
+        if squares and doc.q != squares[0][1].q:
+            raise ValueError(f"files mix different orders: {squares[0][1].q}, {doc.q}")
         grid = doc.to_grid()
         kernel = coset_kernel(grid)
         if kernel is None or not kernel_is_sudoku(kernel, grid.q):
@@ -131,9 +133,6 @@ def _cmd_verify(args) -> int:
                 continue
         print(f"OK {path}")
         squares.append((path, doc, kernel))
-    orders = {doc.q for _, doc, _ in squares}
-    if len(orders) > 1:
-        raise ValueError("files mix different orders: " + ", ".join(str(q) for q in sorted(orders)))
     pairs = 0
     for i, (path_i, doc_i, kernel_i) in enumerate(squares):
         for path_j, doc_j, kernel_j in squares[i + 1:]:

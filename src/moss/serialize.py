@@ -9,7 +9,8 @@ and the grid is a function of c, which to_json renders with render_grid
 (json.dumps writes only the header) and to_grid builds.  Deserialization
 accepts canonical text by comparing it with its validated header's
 to_json(), without parsing a cell; any other spelling is parsed whole and
-revalidated, including that the grid rebuilt from c matches cell for cell.
+revalidated, c before the grid, whose every cell must match the grid rebuilt
+from c.  Either way the parsed document holds only its matrix.
 Emitting a document builds no second field; parsed fields are cached by
 (p, k, modulus), so loading documents constructs each field at most once.
 """
@@ -20,12 +21,11 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import DegreeTooSmall, Field, NotOddPrime, OrderTooLarge
+from .gf import Field, NotOddPrime, OrderTooLarge
 from .planes import Mat2, is_valid_generator
 from .sudoku import NotAGenerator, SudokuGrid, build_from_canonical, render_grid
 
 KEY_ORDER = ("q", "p", "k", "modulus", "c", "grid")
-_NOT_A_GENERATOR = "not a valid generator (singular or lower triangular)"
 
 
 @lru_cache(maxsize=16)
@@ -107,13 +107,8 @@ class SquareDocument:
         return cls(c)
 
     def to_grid(self) -> SudokuGrid:
-        """The grid of c.
-
-        The first call after a from_json that took the full path takes the
-        grid that validation built; every other call builds it.
-        """
-        validated = self.__dict__.pop("_validated", None)
-        return validated or build_from_canonical(self.matrix)
+        """The grid of c, built anew on each call."""
+        return build_from_canonical(self.matrix)
 
     def to_json(self) -> str:
         """The canonical text: json.dumps writes the header (the keys of
@@ -153,6 +148,8 @@ class SquareDocument:
 
     @classmethod
     def _validate(cls, data) -> "SquareDocument":
+        """The document of parsed data.  Raises the first SchemaViolation of:
+        the keys, the header, c, the grid's shape and types, its cells."""
         if not isinstance(data, dict):
             raise SchemaViolation("$", "expected a JSON object")
         for key in KEY_ORDER:
@@ -162,26 +159,14 @@ class SquareDocument:
             if key not in KEY_ORDER:
                 raise SchemaViolation(key, "unexpected key")
         matrix = _header_matrix(data)
-        q = matrix.field.q
-
-        # The grid field is read before the O(q^4) build, so a short grid is
-        # rejected at the cost of its own size; a bad c still comes first.
-        try:
-            grid_rows = _require_int_matrix(data["grid"], "grid", q * q, q * q, q * q)
-        except SchemaViolation:
-            if not is_valid_generator(matrix):
-                raise SchemaViolation("c", _NOT_A_GENERATOR) from None
-            raise
-        try:
-            rebuilt = build_from_canonical(matrix)
-        except NotAGenerator:
-            raise SchemaViolation("c", _NOT_A_GENERATOR) from None
-        if rebuilt.rows != grid_rows:
+        if not is_valid_generator(matrix):
+            raise SchemaViolation("c", "not a valid generator (singular or lower triangular)")
+        # read before the O(q^4) build, so a short grid costs only its size
+        n = matrix.field.q ** 2
+        grid_rows = _require_int_matrix(data["grid"], "grid", n, n, n)
+        if build_from_canonical(matrix).rows != grid_rows:
             raise SchemaViolation("grid", "grid disagrees with the square rebuilt from c")
-
-        doc = cls(matrix)
-        object.__setattr__(doc, "_validated", rebuilt)  # for the first to_grid()
-        return doc
+        return cls(matrix)
 
 
 def _header_matrix(data: dict) -> Mat2:
@@ -202,8 +187,6 @@ def _header_matrix(data: dict) -> Mat2:
         field = _field(p, k, modulus)
     except NotOddPrime as exc:
         raise SchemaViolation("p", str(exc)) from None
-    except DegreeTooSmall as exc:
-        raise SchemaViolation("k", str(exc)) from None
     except OrderTooLarge as exc:
         raise SchemaViolation("q", str(exc)) from None
     except ValueError as exc:

@@ -681,13 +681,29 @@ def test_verify_detects_non_orthogonal_pair(tmp_path, capsys):
     assert "not orthogonal" in capsys.readouterr().out
 
 
-def test_verify_rejects_mixed_orders(tmp_path, capsys):
+def test_verify_rejects_mixed_orders(tmp_path, monkeypatch, capsys):
+    """verify stops at the first document of another order than the first
+    one's: no OK line for it, and no later file is loaded."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["generate", "--q", "3", "--c", "0,1;1,1", "--out", str(a)]) == 0
     assert main(["generate", "--q", "5", "--c", "0,1;1,1", "--out", str(b)]) == 0
     capsys.readouterr()
     assert main(["verify", "--files", str(a), str(b)]) == 2
     assert "mix" in capsys.readouterr().err
+
+    loads = []
+    original = SquareDocument.from_json
+
+    def counted(text):
+        loads.append(text)
+        return original(text)
+
+    monkeypatch.setattr(SquareDocument, "from_json", counted)
+    assert main(["verify", "--files", str(a), str(b), str(a)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"OK {a}\n"
+    assert err == "error: files mix different orders: 3, 5\n"
+    assert len(loads) == 2
 
 
 def test_verify_unparseable_is_usage_error(tmp_path, capsys):

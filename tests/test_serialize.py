@@ -95,6 +95,9 @@ def corrupt_cases():
         "missing-key": (json.dumps(missing), "p"),
         "unexpected-key": (json.dumps(extra), "comment"),
         "q-not-p-to-k": (_mutate("q", 5), "q"),
+        # k < 1 is a q violation before any field is built, so no "k" path exists
+        "k-zero": (_mutate("k", 0), "q"),
+        "k-negative": (_mutate("k", -1), "q"),
         "even-characteristic": (json.dumps(dict(base, q=8, p=2, k=3, modulus=[1, 0, 1, 1])), "p"),
         "modulus-not-monic": (_mutate("modulus", [2, 0]), "modulus"),
         "modulus-reducible": (json.dumps(dict(base, q=9, p=3, k=2, modulus=[1, 0, 2])), "modulus"),
@@ -117,6 +120,13 @@ def test_schema_violations(name):
         with pytest.raises(SchemaViolation) as exc_info:
             SquareDocument.from_json(text)
         assert exc_info.value.path.startswith(path)
+
+
+@pytest.mark.parametrize("name, k", [("k-zero", 0), ("k-negative", -1)])
+def test_degree_below_one_is_a_q_violation(name, k):
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(corrupt_cases()[name][0])
+    assert str(exc_info.value) == f"q: q = 3 is not p^k = 3^{k}"
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -263,16 +273,21 @@ def _count_builds(monkeypatch):
     return calls
 
 
-def test_to_grid_takes_the_grid_that_validation_built(monkeypatch):
+def test_full_path_keeps_only_the_matrix(monkeypatch):
     """Non-canonical text (json.dumps spacing) takes the full path, which
-    builds the grid once to validate it and hands it to the first to_grid()."""
+    builds the grid once to validate it and keeps only the matrix, so each
+    to_grid() builds a fresh grid."""
     calls = _count_builds(monkeypatch)
     doc = SquareDocument.from_json(json.dumps(json.loads(golden_document().to_json())))
     assert len(calls) == 1
-    first = doc.to_grid()
+    assert vars(doc) == {"matrix": doc.matrix}
+    fast = SquareDocument.from_json(golden_document().to_json())
+    assert vars(fast) == {"matrix": fast.matrix}
     assert len(calls) == 1
-    second = doc.to_grid()
+    first = doc.to_grid()
     assert len(calls) == 2
+    second = doc.to_grid()
+    assert len(calls) == 3
     assert first is not second
     assert first.rows == second.rows == GOLDEN_GRID_Q3
 
