@@ -158,8 +158,9 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     direction scan in O((q + 1) n), not pair by pair.  Bruteforce mode also
     builds the grids of the valid members, verifies each sudoku property by
     inspection and each pair by full superimposition census; it is capped at
-    q <= DEFAULT_BRUTEFORCE_CAP because its cost grows as q^4 per pair.  The mode
-    and the cap are checked before any work is done.
+    q <= DEFAULT_BRUTEFORCE_CAP because its cost grows as q^4 per pair.  The mode,
+    the cap and the members' fields (FieldMismatch unless each equals
+    family.field) are checked before any work is done.
     """
     if mode not in ("fast", "bruteforce"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -168,6 +169,9 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
         raise ValueError(f"bruteforce verification capped at q <= {DEFAULT_BRUTEFORCE_CAP}, "
                          f"got q = {field.q}")
     matrices = family.matrices
+    for i, m in enumerate(matrices):
+        if m.field is not field and m.field != field:
+            raise FieldMismatch(f"member {i} lies in {m.field!r}, not in the family's {field!r}")
     n = len(matrices)
     violations: list[tuple[str, tuple[int, ...]]] = []
 

@@ -13,8 +13,10 @@ the same parameters are always identical.  The add, sub, mul, neg and inv
 tables, and the root table from each square (0 included) to its square
 root of smallest index, are precomputed at construction (the order cap
 keeps them small), so element arithmetic is a pair of list lookups and
-squareness or a square root one dict lookup.  The coefficient vector of
-index i is _coeffs[i].  FieldElement is only the read-only
+squareness or a square root one dict lookup.  Addition is digit-wise mod p;
+products and inverses come from the powers of the first element of order
+q - 1, so a field costs O(q) polynomial products, not q^2.  The coefficient
+vector of index i is _coeffs[i].  FieldElement is only the read-only
 (field, index) record that the residue search returns.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 128
@@ -201,32 +204,35 @@ class Field:
             raise ValueError(f"modulus {m} is reducible over Z_{self.p}")
 
     def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        coeffs = self._coeffs
+        p, k, q, coeffs = self.p, self.k, self.q, self._coeffs
+        # Addition is digit-wise mod p: row x = p*hi + lo of GF(p^j) pairs row
+        # hi of GF(p^(j-1)) with row lo of Z_p.
+        add = add_p = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for _ in range(k - 1):
+            add = [[p * h + l for h in add[x // p] for l in add_p[x % p]]
+                   for x in range(p * len(add))]
+        # The powers of the first element g of order q - 1 give exp and log,
+        # and a * b = exp[log a + log b], read a row at a time at C speed.
+        # g is searched for: x is not always primitive (order 4 in GF(9)).
         weights = [p ** (k - 1 - i) for i in range(k)]
-
-        def idx(cs):
-            return sum(c * w for c, w in zip(cs, weights))
-
-        self.add_table = [
-            [idx([(a + b) % p for a, b in zip(ca, cb)]) for cb in coeffs]
-            for ca in coeffs
-        ]
-        self.mul_table = [
-            [idx(_poly_mod(p, _poly_mul(p, ca, cb), self.modulus)) for cb in coeffs]
-            for ca in coeffs
-        ]
-        self.neg_table = [idx([(-c) % p for c in cs]) for cs in coeffs]
-        self.sub_table = [
-            [row[j] for j in self.neg_table] for row in self.add_table
-        ]
-        self.inv_table: list[int | None] = [None] * q
-        for i in range(1, q):
-            if self.inv_table[i] is None:
-                row = self.mul_table[i]
-                j = row.index(1)
-                self.inv_table[i] = j
-                self.inv_table[j] = i
+        for g in range(2, q):
+            exp, c = [1], coeffs[g]
+            while (i := sum(map(mul, weights, c))) != 1:
+                exp.append(i)
+                c = _poly_mod(p, _poly_mul(p, c, coeffs[g]), self.modulus)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for e, a in enumerate(exp):
+            log[a] = e
+        twice, by_log = exp * 2, itemgetter(*log[1:])
+        self.add_table = add
+        self.mul_table = [[0] * q] + [[0, *by_log(twice[log[a]:log[a] + q - 1])]
+                                      for a in range(1, q)]
+        self.neg_table = [row.index(0) for row in add]
+        by_neg = itemgetter(*self.neg_table)
+        self.sub_table = [list(by_neg(row)) for row in add]
+        self.inv_table: list[int | None] = [None] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
         # Roots are written largest first, so each square keeps its smallest.
         self.root_table = {self.mul_table[i][i]: i for i in reversed(range(q))}
 

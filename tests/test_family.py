@@ -217,6 +217,32 @@ def test_mode_and_cap_are_checked_before_any_work(monkeypatch):
         verify_family(fam, "thorough")
 
 
+@pytest.mark.parametrize("family_q, member_q", [(7, 5), (5, 7)])
+@pytest.mark.parametrize("mode", ["fast", "bruteforce"])
+def test_members_of_another_field_are_rejected_before_any_work(monkeypatch, family_q, member_q,
+                                                               mode):
+    """Members that do not lie in family.field raise FieldMismatch naming the
+    first one.  Unchecked, the GF(5) members under GF(7) read as 14
+    violations and the GF(7) members under GF(5) raised IndexError."""
+    def no_work(*args):
+        raise AssertionError("verification work started before the field check")
+
+    fam, stray = build_family(get_field(family_q)), build_family(get_field(member_q)).matrices
+    monkeypatch.setattr(moss.family, "_orthogonality_violations", no_work)
+    monkeypatch.setattr(moss.family, "is_valid_generator", no_work)
+    for matrices, first in ((stray, 0), (fam.matrices[:3] + stray, 3)):
+        with pytest.raises(FieldMismatch, match=rf"^member {first} lies in GF\({member_q}\), "
+                                                rf"not in the family's GF\({family_q}\)$"):
+            verify_family(Family(fam.field, fam.alpha, fam.lam, matrices), mode)
+
+
+def test_members_of_an_equal_field_instance_are_accepted():
+    fam = build_family(get_field(5))
+    twin = build_family(GF(5))  # a separate but equal Field
+    assert twin.field is not fam.field
+    assert verify_family(Family(fam.field, fam.alpha, fam.lam, twin.matrices), "fast").ok
+
+
 @pytest.mark.parametrize("q, examples", [(3, 60), (5, 60), (7, 40), (9, 40), (25, 20)])
 def test_direction_scan_matches_pairwise_oracle(q, examples):
     """The fast violations are exactly the pairs meets_trivially rejects.

@@ -1,7 +1,7 @@
 """Field construction, arithmetic tables and residue machinery."""
 
 import time
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -19,6 +19,7 @@ from moss.gf import (
     is_prime,
 )
 from moss.planes import Mat2, Plane
+import moss.gf
 import moss.sudoku
 from moss.sudoku import SudokuGrid, build_from_canonical, coset_kernel
 from oracles import (
@@ -150,19 +151,61 @@ def test_arith_spec_values():
         PolyElement.of(f9, 0).inverse()
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125])
-def test_mul_table_matches_polynomial_oracle(q):
-    """All five tables agree with polynomial arithmetic, entry by entry."""
-    field = get_field(q)
+def irreducible_moduli(p, k):
+    """Monic irreducibles of degree k over Z_p in lexicographic order, by the oracle."""
+    return (m for m in ((1,) + tail for tail in product(range(p), repeat=k))
+            if is_irreducible_by_products(p, m))
+
+
+# (q, n): the n-th monic irreducible of degree k in lexicographic order as the
+# modulus, None (n = 0) for the default.  q = 9, 25 and 27 take all of their
+# 3, 10 and 8 moduli, the larger extensions two non-default ones each.
+MODULUS_CASES = [pytest.param(q, None, id=str(q)) for q in ODD_PRIME_POWERS_127] + [
+    pytest.param(q, n, id=f"{q}-modulus{n}")
+    for q, count in ((9, 3), (25, 10), (27, 8), (49, 3), (81, 3), (121, 3), (125, 3))
+    for n in range(1, count)]
+
+
+@pytest.mark.parametrize("q, n", MODULUS_CASES)
+def test_mul_table_matches_polynomial_oracle(q, n):
+    """All six tables agree with polynomial arithmetic, entry by entry.
+
+    The default moduli of GF(9), GF(25), GF(49), GF(121) and GF(125) are not
+    primitive (x has order 4, 8, 4, 4 and 62), so their mul and inv tables
+    rest on a generator that the field had to search for.
+    """
+    p, k = factor_prime_power(q)
+    modulus = None if n is None else next(islice(irreducible_moduli(p, k), n, None))
+    field = Field(p, k, modulus)
     elements = poly_elements(field)
+    roots = {}
     for i, x in enumerate(elements):
         assert field.neg_table[i] == (-x).index
         assert field.inv_table[i] == (x.inverse().index if x else None)
+        roots.setdefault((x * x).index, i)
         add, sub, mul = field.add_table[i], field.sub_table[i], field.mul_table[i]
         for j, y in enumerate(elements):
             assert add[j] == (x + y).index
             assert sub[j] == (x - y).index
             assert mul[j] == (x * y).index
+    assert field.root_table == roots
+    assert field.root_table.keys() == squares_by_squaring(field)
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
+def test_field_takes_at_most_4q_polynomial_products(q, monkeypatch):
+    """The tables come from the powers of one generator, not from all q^2
+    products: the search for it costs at most 2.95q products up to q = 127."""
+    calls = []
+    poly_mul = moss.gf._poly_mul
+
+    def counted(*args):
+        calls.append(args)
+        return poly_mul(*args)
+
+    monkeypatch.setattr(moss.gf, "_poly_mul", counted)
+    Field(*factor_prime_power(q))
+    assert len(calls) <= 4 * q
 
 
 class _Untouchable:
