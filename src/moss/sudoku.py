@@ -23,30 +23,26 @@ canonicalization that takes a plane to its C.
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
 (chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
-superimposes two grids, all n^2 cells of them.  The first check of a
-grid range-checks its rows, and its first census builds, for n <= 256,
-its rows as bytes and whether every row is a permutation of range(n), so
-a grid's rows must not change after its first check.  When every row of
-A is a permutation, row r of the pair is the map f_r: s -> B(r, A_r^-1(s)),
-which bytes.maketrans(A_r, B_r) tabulates; the values f_r(s) over all rows
-r are the B symbols of the n cells where A = s, so the grids are orthogonal
-iff for no s do two of them agree.  Otherwise (n > 256, or a row of A
-repeats a symbol) a cell holding s in A and t in B gets the integer key
-n*s + t, which is one-to-one on symbol pairs in [0, n), and the grids are
-orthogonal iff the n^2 keys are distinct.
+superimposes two grids, all n^2 cells of them: a cell holding s in A and t
+in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
+[0, n), so the grids are orthogonal iff the n^2 keys are distinct.  The
+first check of a grid range-checks its rows and caches that, so a grid's
+rows must not change after its first check.
 
 coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
 K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
 cell (R, C) added digit-wise in base p, as GF(q) adds element indices.
 Two such grids are orthogonal iff their kernels meet only at 0, so a pair
-costs one set disjointness test instead of n^2 cells; a grid without a
-kernel is left to verify_orthogonal_bruteforce.  kernel_is_sudoku reads
-off K whether the grid is a sudoku square.
+costs one set disjointness test instead of n^2 cells.  kernel_is_sudoku
+reads off K whether the grid is a sudoku square.  certify_grid and
+non_orthogonal_pairs, the certifier of moss verify and of verify_family's
+bruteforce mode, use kernels where grids have them and the checks above
+where they do not.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -73,9 +69,9 @@ class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
     Construction raises MalformedGrid unless q is a positive int.  The
-    range check, byte rows and latin flag are cached properties that the
-    first check reading each builds, so a grid's rows must not change after
-    its first check.  Grids compare by q and rows and are unhashable.
+    range check is a cached property that the first check builds, so a
+    grid's rows must not change after its first check.  Grids compare by q
+    and rows and are unhashable.
     """
 
     q: int
@@ -95,19 +91,6 @@ class SudokuGrid:
         dimensions or a symbol that is not an int in [0, n)."""
         _check_rows(self.rows, self.order)
         return self.rows
-
-    @cached_property
-    def _row_bytes(self) -> tuple[bytes, ...] | None:
-        """The checked rows as bytes, or None for n > 256."""
-        return tuple(map(bytes, self._checked_rows)) if self.order <= 256 else None
-
-    @cached_property
-    def _latin_rows(self) -> bool:
-        """Whether every row is a permutation of range(n); False for n > 256."""
-        if self._row_bytes is None:
-            return False
-        ident = bytes(range(self.order))
-        return all(_distinct(row, ident) for row in self._row_bytes)
 
 
 @dataclass(slots=True)
@@ -215,37 +198,20 @@ def _check_rows(rows: list[list[int]], n: int) -> None:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
 
 
-def _distinct(symbols: bytes, ident: bytes) -> bool:
-    """True iff the n bytes of symbols, each below n = len(ident), differ.
-
-    maketrans maps each symbol to the last position holding it, so the
-    translation reads back ident exactly when no symbol repeats.
-    """
-    return symbols.translate(bytes.maketrans(symbols, ident)) == ident
-
-
 def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     """True iff superimposing the grids yields every ordered symbol pair once.
 
-    Reads all n^2 cells: on byte tables of the row maps s -> B(r, A_r^-1(s))
-    when n <= 256 and every row of A is a permutation, else by counting the
-    distinct keys n*s + t, s from a and t from b.  Raises OrderMismatch for
-    grids of different orders and MalformedGrid, as verify_sudoku does, for
-    a grid of the wrong shape or with a symbol that is not an int in
-    [0, n); a is checked before b.
+    Reads all n^2 cells and counts the distinct keys n*s + t, s from a and t
+    from b.  Raises OrderMismatch for grids of different orders and
+    MalformedGrid, as verify_sudoku does, for a grid of the wrong shape or
+    with a symbol that is not an int in [0, n); a is checked before b.
     """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
     rows_a, rows_b, n = a._checked_rows, b._checked_rows, a.order
-    if not a._latin_rows:
-        scale = [n * s for s in range(n)]
-        keys = map(scale.__getitem__, chain.from_iterable(rows_a))
-        return len(set(map(add, keys, chain.from_iterable(rows_b)))) == n * n
-    # maps joins the 256-byte tables of f_0, f_1, ..., so maps[s::256] is
-    # f_r(s) for every r: the B symbols of the n cells where A = s.
-    maps = b"".join(map(bytes.maketrans, a._row_bytes, b._row_bytes))
-    ident = bytes(range(n))
-    return all(_distinct(maps[s::256], ident) for s in range(n))
+    scale = [n * s for s in range(n)]
+    keys = map(scale.__getitem__, chain.from_iterable(rows_a))
+    return len(set(map(add, keys, chain.from_iterable(rows_b)))) == n * n
 
 
 @lru_cache(maxsize=16)
@@ -303,6 +269,33 @@ def kernel_is_sudoku(kernel: frozenset[int], q: int) -> bool:
     K meets column 0 and box 0 (R, C < q) only at 0, as it meets row 0."""
     n = q * q
     return not any(cell % n == 0 or (cell < q * n and cell % n < q) for cell in kernel)
+
+
+def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, frozenset[int] | None]:
+    """The grid's sudoku report and coset kernel (None if it has none): a
+    kernel that passes kernel_is_sudoku proves all three properties, and
+    verify_sudoku decides any other grid.  Raises MalformedGrid likewise."""
+    kernel = coset_kernel(grid)
+    if kernel is not None and kernel_is_sudoku(kernel, grid.q):
+        return SudokuReport(True, True, True), kernel
+    return verify_sudoku(grid), kernel
+
+
+def non_orthogonal_pairs(kernels: Sequence[frozenset[int] | None],
+                         grid_of: Callable[[int], SudokuGrid]) -> Iterator[tuple[int, int]]:
+    """The pairs i < j, in order, of squares that are not orthogonal: by the
+    disjointness of their kernels (certify_grid's), else by the census on
+    grid_of(i), built once per i when first needed, and grid_of(j)."""
+    for i, kernel_i in enumerate(kernels):
+        grid_i = None
+        for j, kernel_j in enumerate(kernels[i + 1:], i + 1):
+            if kernel_i is not None and kernel_j is not None:
+                orthogonal = kernel_i.isdisjoint(kernel_j)
+            else:
+                grid_i = grid_i or grid_of(i)
+                orthogonal = verify_orthogonal_bruteforce(grid_i, grid_of(j))
+            if not orthogonal:
+                yield i, j
 
 
 @lru_cache(maxsize=16)

@@ -388,7 +388,7 @@ def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
     def census(a, b):
         raise AssertionError("the cell census was called")
 
-    monkeypatch.setattr(moss.cli, "verify_orthogonal_bruteforce", census)
+    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
     assert main(["verify", "--files", *map(str, paths)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "8 squares ok, 28 pairs checked, 0 failures"
     twin = tmp_path / "twin.json"
@@ -462,20 +462,17 @@ def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
     assert calls == [9] * len(files) == [9] * 6
 
 
-def test_verify_tabulates_no_grid(tmp_path, monkeypatch, capsys):
-    """verify decides every pair by kernels, so no grid's rows are turned
-    into bytes or tested for being latin: only the census reads those."""
+def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
+    """Every square of a clean family has a coset kernel, so verify decides
+    every pair by kernels and never calls the cell census."""
     files = _write_family(tmp_path)
-    calls = []
-    original = moss.sudoku._distinct
 
-    def counting_distinct(symbols, ident):
-        calls.append(symbols)
-        return original(symbols, ident)
+    def census(a, b):
+        raise AssertionError("the cell census was called")
 
-    monkeypatch.setattr(moss.sudoku, "_distinct", counting_distinct)
+    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
     assert main(["verify", "--files", *files]) == 0
-    assert calls == []
+    assert capsys.readouterr().out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
 
 
 def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, capsys):
@@ -484,17 +481,18 @@ def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, 
     verify_sudoku decides each of them and verify prints the same lines."""
     files = _write_family(tmp_path)
     reports = []
+    original = moss.sudoku.verify_sudoku
 
     def counted(grid):
-        reports.append(moss.sudoku.verify_sudoku(grid))
+        reports.append(original(grid))
         return reports[-1]
 
-    monkeypatch.setattr(moss.cli, "verify_sudoku", counted)
+    monkeypatch.setattr(moss.sudoku, "verify_sudoku", counted)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 0
     out = capsys.readouterr().out
     assert reports == []
-    monkeypatch.setattr(moss.cli, "coset_kernel", lambda grid: None)
+    monkeypatch.setattr(moss.sudoku, "coset_kernel", lambda grid: None)
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out == out
     assert len(reports) == len(files) and all(report.ok for report in reports)
@@ -640,25 +638,33 @@ def test_verify_mixed_q9_list_golden_bytes(tmp_path, monkeypatch, capsys):
 def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch, capsys):
     """With every other square's kernel withheld, verify decides the pairs
     with a kernelless side, square_05 against its twin among them, by the
-    cell census on rebuilt grids, and prints the same bytes."""
-    kernels = []
+    cell census on rebuilt grids, and prints the same bytes.  Each such
+    pair builds its column square's grid; its row square's grid is built
+    once per row, not once per pair."""
+    builds = _count_builds(monkeypatch)
+    kernels, builds_at_kernel = [], []
+    original_kernel = moss.sudoku.coset_kernel
 
     def every_other(grid):
-        kernels.append(moss.sudoku.coset_kernel(grid))
+        kernels.append(original_kernel(grid))
+        builds_at_kernel.append(len(builds))
         return kernels[-1] if len(kernels) % 2 else None
 
     pairs = []
+    original_census = moss.sudoku.verify_orthogonal_bruteforce
 
     def census(a, b):
         pairs.append((a, b))
-        return moss.sudoku.verify_orthogonal_bruteforce(a, b)
+        return original_census(a, b)
 
-    monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
-    monkeypatch.setattr(moss.cli, "verify_orthogonal_bruteforce", census)
+    monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
+    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
     code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
     # 73 squares, 37 with a kernel: all but the 37 * 36 / 2 pairs of those
-    assert len(kernels) == 73 and len(pairs) == 73 * 72 // 2 - 37 * 36 // 2
+    assert len(kernels) == 73 and len(pairs) == 73 * 72 // 2 - 37 * 36 // 2 == 1962
+    # the builds after the last kernel are the pair phase's
+    assert len(builds) - builds_at_kernel[-1] <= 1962 + 73
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

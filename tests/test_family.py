@@ -1,12 +1,14 @@
 """Residue search, the family template, and family verification."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moss.family
+import moss.sudoku
 from moss.family import (
     Family,
     alpha_census,
@@ -17,6 +19,7 @@ from moss.family import (
 )
 from moss.gf import GF, FieldElement, FieldMismatch
 from moss.planes import Mat2, is_valid_generator
+from moss.sudoku import build_from_canonical
 from oracles import (
     ODD_PRIME_POWERS_49,
     PolyElement,
@@ -26,6 +29,7 @@ from oracles import (
     mat_det,
     mat_sub,
     meets_trivially,
+    orthogonal_by_pair_census,
     poly_elements,
     squares_by_squaring,
 )
@@ -187,6 +191,99 @@ def test_bruteforce_violations_with_copies_and_an_invalid_member():
         ("not_orthogonal_bruteforce", (1, 9)),
     ]
     assert repr(report) == "FamilyReport(mode='bruteforce', size=11, pairs=55, 5 violations)"
+
+
+def _rebind(monkeypatch, name, replacement):
+    """Bind replacement to name wherever moss.sudoku or moss.family holds
+    moss.sudoku's function of that name; returns that function."""
+    original = getattr(moss.sudoku, name)
+    for module in (moss.sudoku, moss.family):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    return original
+
+
+def _count_builds(monkeypatch):
+    """Count build_from_canonical calls made by verify_family."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    original = _rebind(monkeypatch, "build_from_canonical", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_bruteforce_mode_runs_no_census_on_a_clean_family(q, monkeypatch):
+    """Every member's grid has a coset kernel, so bruteforce mode builds each
+    grid once, decides every pair by kernels and never calls the census."""
+    def census(a, b):
+        raise AssertionError("the cell census was called")
+
+    _rebind(monkeypatch, "verify_orthogonal_bruteforce", census)
+    builds = _count_builds(monkeypatch)
+    report = verify_family(build_family(get_field(q)), "bruteforce")
+    assert report.ok and report.size == q * (q - 1)
+    assert len(builds) == q * (q - 1)
+
+
+def _rank1_spike(fam, i):
+    """Member i with 1 added to its entry d: it differs from member i by the
+    singular nonzero [[0, 0], [0, 1]], and is itself a valid generator."""
+    m = fam.matrices[i]
+    spike = Mat2(fam.field, m.a, m.b, m.c, fam.field.add_table[m.d][1])
+    assert is_valid_generator(spike)
+    return spike
+
+
+# Corrupted families: copies of members, rank-1 spikes and invalid members
+# (the identity is lower triangular), built from the family of each q.
+CORRUPTED = {
+    "copy": (3, lambda fam, m: m + [m[0]]),
+    "invalid-and-copy": (3, lambda fam, m: m[:2] + [Mat2(fam.field, 1, 0, 0, 1)] + m[3:] + [m[4]]),
+    "copies-and-invalid": (5, lambda fam, m: m[:8] + m[:2] + [Mat2(fam.field, 1, 0, 0, 1)]),
+    "rank1": (5, lambda fam, m: m[:10] + [_rank1_spike(fam, 3)]),
+    "rank1-q9": (9, lambda fam, m: m[:12] + [_rank1_spike(fam, 5)] + m[12:16]),
+    "copy-and-rank1-q9": (9, lambda fam, m: m[:6] + [m[4], _rank1_spike(fam, 1)] + m[6:12]),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
+    """The not_orthogonal_bruteforce pairs are those that the oracle's cell
+    census rejects among the valid members, and stay so when every other
+    member's kernel is withheld and the pairs with a kernelless side go to
+    the census through verify_family."""
+    q, corrupt = CORRUPTED[name]
+    fam = build_family(get_field(q))
+    family = Family(fam.field, fam.alpha, fam.lam, corrupt(fam, fam.matrices))
+    grids = [(i, build_from_canonical(m)) for i, m in enumerate(family) if is_valid_generator(m)]
+    expected = [(i, j) for (i, a), (j, b) in combinations(grids, 2)
+                if not orthogonal_by_pair_census(a, b)]
+    report = verify_family(family, "bruteforce")
+    assert expected
+    assert [pair for kind, pair in report.violations if kind == "not_orthogonal_bruteforce"] \
+        == expected
+
+    kernels, census_calls = [], []
+
+    def every_other(grid):
+        kernels.append(original_kernel(grid))
+        return kernels[-1] if len(kernels) % 2 else None
+
+    def census(a, b):
+        census_calls.append((a, b))
+        return original_census(a, b)
+
+    original_kernel = _rebind(monkeypatch, "coset_kernel", every_other)
+    original_census = _rebind(monkeypatch, "verify_orthogonal_bruteforce", census)
+    withheld = verify_family(family, "bruteforce")
+    assert withheld.violations == report.violations
+    # all pairs but those of the (n + 1) // 2 members that kept a kernel
+    n, kept = len(grids), (len(grids) + 1) // 2
+    assert len(kernels) == n and len(census_calls) == n * (n - 1) // 2 - kept * (kept - 1) // 2
 
 
 def test_verify_family_guards():

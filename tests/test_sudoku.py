@@ -17,6 +17,7 @@ from moss.sudoku import (
     OrderMismatch,
     SudokuGrid,
     build_from_canonical,
+    certify_grid,
     coset_kernel,
     kernel_is_sudoku,
     render_grid,
@@ -191,15 +192,23 @@ def test_verify_malformed():
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
-def test_checks_build_only_the_caches_they_read():
-    """verify_sudoku and coset_kernel range-check a grid once and never
-    tabulate it; its first census builds its byte rows and latin flag."""
+def test_checks_build_only_the_caches_they_read(monkeypatch):
+    """verify_sudoku, coset_kernel and the census range-check a grid once,
+    and the range check is all that a grid caches."""
     a, b = (build_from_canonical(mat(get_field(3), c)) for c in (((0, 2), (2, 1)), ((0, 1), (1, 1))))
+    calls = []
+    original = moss.sudoku._check_rows
+
+    def counting_check(rows, n):
+        calls.append(n)
+        original(rows, n)
+
+    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
     assert verify_sudoku(a).ok and coset_kernel(a) is not None
-    assert "_checked_rows" in vars(a)
-    assert "_row_bytes" not in vars(a) and "_latin_rows" not in vars(a)
-    assert verify_orthogonal_bruteforce(a, b)
-    assert vars(a)["_latin_rows"] is True and len(vars(a)["_row_bytes"]) == 9
+    assert "_checked_rows" in vars(a) and calls == [9]
+    assert verify_orthogonal_bruteforce(a, b) and verify_orthogonal_bruteforce(b, a)
+    assert calls == [9, 9]
+    assert set(vars(a)) == set(vars(b)) == {"q", "rows", "_checked_rows"}
 
 
 @pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
@@ -249,8 +258,7 @@ def test_orthogonality_rejects_symbols_out_of_range():
 
 def test_changed_rows_are_checked_as_a_new_grid():
     # A grid's rows must not change after its first census, which caches
-    # its range check and its rows as bytes; the changed rows go into a new
-    # SudokuGrid.
+    # its range check; the changed rows go into a new SudokuGrid.
     f3 = get_field(3)
     golden = build_from_plane(golden_plane())
     partner = build_from_canonical(mat(f3, ((0, 1), (1, 1))))
@@ -322,8 +330,9 @@ def test_census_matches_pair_oracle(q, examples):
 
 
 def test_census_paths_at_the_byte_boundary():
-    # n = 256 is the largest order whose symbols fit in a byte; n = 289
-    # (q = 17) takes the integer-key census.  Each verdict matches the oracle.
+    # The census keys cells by n*s + t at every order: n = 256, the largest
+    # whose symbols fit in a byte, and n = 289 (q = 17) give the same
+    # verdicts as the oracle, on latin rows and on constant rows alike.
     n = 256
     cols = SudokuGrid(16, [list(range(n)) for _ in range(n)])
     rows = SudokuGrid(16, [[r] * n for r in range(n)])
@@ -332,7 +341,6 @@ def test_census_paths_at_the_byte_boundary():
     for a, b, expected in ((cols, rows, True), (cols, bent, False), (cols, cols, False)):
         assert verify_orthogonal_bruteforce(a, b) is expected
         assert orthogonal_by_pair_census(a, b) is expected
-    assert cols._latin_rows and not rows._latin_rows
     assert verify_orthogonal_bruteforce(rows, cols) and not verify_orthogonal_bruteforce(bent, cols)
 
     matrices = build_family(get_field(17)).matrices
@@ -342,7 +350,6 @@ def test_census_paths_at_the_byte_boundary():
     for x, y, expected in ((a, b, True), (a, a, False), (changed, b, False), (b, changed, False)):
         assert verify_orthogonal_bruteforce(x, y) is expected
         assert orthogonal_by_pair_census(x, y) is expected
-    assert a._row_bytes is None and not a._latin_rows
 
 
 @lru_cache(maxsize=None)
@@ -512,8 +519,10 @@ def test_coset_kernel_of_the_golden_grid_and_of_order_36():
 
 def _assert_kernel_verdict(grid):
     """kernel_is_sudoku agrees with both sudoku checks on a grid with a
-    kernel; returns its verdict, or None for a grid without one."""
+    kernel, and certify_grid gives verify_sudoku's report and the kernel on
+    any grid; returns the verdict, or None for a grid without a kernel."""
     kernel = coset_kernel(grid)
+    assert certify_grid(grid) == (verify_sudoku(grid), kernel)
     if kernel is None:
         return None
     verdict = kernel_is_sudoku(kernel, grid.q)
@@ -560,7 +569,7 @@ def coset_grids(draw, q):
 def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
     """On every grid with a coset kernel, kernel_is_sudoku (no kernel cell
     in column 0 or box 0) agrees with verify_sudoku and with the per-cell
-    flags.  Fixed planes come first: the span of [I; C] for a singular C
+    flags, and certify_grid's report is verify_sudoku's.  Fixed planes come first: the span of [I; C] for a singular C
     with b != 0 meets only the column plane, and for an invertible lower-
     triangular C only the subsquare plane, so each of the two tests has a
     grid that only it rejects; the column plane's kernel is column 0."""
