@@ -8,9 +8,9 @@ only its generator matrix: the field parameters and c are read from it,
 and the grid is a function of c, which to_json renders with render_grid
 (json.dumps writes only the header) and to_grid builds.  Deserialization
 accepts canonical text by comparing it with its validated header's
-to_json(), without parsing a cell; any other spelling is parsed whole and
-revalidated, c before the grid, whose every cell must match the grid rebuilt
-from c.  Either way the parsed document holds only its matrix.
+to_json(), without parsing a cell; any other spelling is parsed whole (a key
+may appear once) and revalidated, c before the grid, whose every cell must
+match the grid from c.  Either way the parsed document holds only its matrix.
 Emitting a document builds no second field; parsed fields are cached by
 (p, k, modulus), so loading documents constructs each field at most once.
 """
@@ -125,8 +125,8 @@ class SquareDocument:
 
         Raises json.JSONDecodeError for text that is not JSON at all, and
         SchemaViolation (with the offending field path) for anything that
-        parses but breaks the schema, including an integer literal longer
-        than the interpreter converts or nesting deeper than it parses.
+        parses but breaks the schema, including a repeated key, an integer
+        literal too long to convert or nesting deeper than the parser goes.
         """
         head, sep, _ = text.partition(',"grid":')
         try:
@@ -139,7 +139,7 @@ class SquareDocument:
         except (ValueError, RecursionError):
             pass  # the full path decides, and names, what is wrong
         try:
-            data = json.loads(text, parse_float=_reject_float)
+            data = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, SchemaViolation):
             raise
         except (ValueError, RecursionError) as exc:  # int()'s digit limit, deep nesting
@@ -204,3 +204,13 @@ def _tail_length(q: int) -> int:
 
 def _reject_float(text: str):
     raise SchemaViolation("$", f"float {text} not allowed, integers only")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A parsed object's dict, or SchemaViolation at a key that it repeats."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SchemaViolation(key, "duplicate key")
+        data[key] = value
+    return data

@@ -25,26 +25,25 @@ verify_sudoku compares each row, column (a zip of the rows) and subsquare
 (chained row slices) with the full symbol set.  verify_orthogonal_bruteforce
 superimposes two grids, all n^2 cells of them: a cell holding s in A and t
 in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
-[0, n), so the grids are orthogonal iff the n^2 keys are distinct.  The
-first check of a grid range-checks its rows and caches that, so a grid's
-rows must not change after its first check.
+[0, n), so the grids are orthogonal iff the n^2 keys are distinct.  Each
+check range-checks the rows it reads, every time it reads them.
 
 coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
 K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
 cell (R, C) added digit-wise in base p, as GF(q) adds element indices.
 Two such grids are orthogonal iff their kernels meet only at 0, so a pair
-costs one set disjointness test instead of n^2 cells.  kernel_is_sudoku
-reads off K whether the grid is a sudoku square.  certify_grid and
-non_orthogonal_pairs, the certifier of moss verify and of verify_family's
-bruteforce mode, use kernels where grids have them and the checks above
-where they do not.
+costs one set disjointness test instead of n^2 cells.  Rows, columns and
+subsquares are the cosets of row 0, column 0 and box 0, so K also gives
+the grid's whole sudoku report.  certify_grid and non_orthogonal_pairs, the
+certifier of moss verify and of verify_family's bruteforce mode, use
+kernels where grids have them and the checks above where they do not.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from operator import add, eq, itemgetter
 
@@ -68,10 +67,9 @@ class OrderMismatch(ValueError):
 class SudokuGrid:
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    Construction raises MalformedGrid unless q is a positive int.  The
-    range check is a cached property that the first check builds, so a
-    grid's rows must not change after its first check.  Grids compare by q
-    and rows and are unhashable.
+    Construction raises MalformedGrid unless q is a positive int; the rows
+    are plain data, range-checked by each check that reads them.  Grids
+    compare by q and rows and are unhashable.
     """
 
     q: int
@@ -84,13 +82,6 @@ class SudokuGrid:
     @property
     def order(self) -> int:
         return self.q * self.q
-
-    @cached_property
-    def _checked_rows(self) -> list[list[int]]:
-        """The rows, after the range check: MalformedGrid on wrong
-        dimensions or a symbol that is not an int in [0, n)."""
-        _check_rows(self.rows, self.order)
-        return self.rows
 
 
 @dataclass(slots=True)
@@ -163,8 +154,8 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
 
     Raises MalformedGrid on wrong dimensions or out-of-range symbols.
     """
-    q, n = grid.q, grid.order
-    rows = grid._checked_rows
+    q, n, rows = grid.q, grid.order, grid.rows
+    _check_rows(rows, n)
     full = set(range(n))
     latin_rows = all(set(row) == full for row in rows)
     latin_cols = all(set(col) == full for col in zip(*rows))
@@ -208,7 +199,9 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
-    rows_a, rows_b, n = a._checked_rows, b._checked_rows, a.order
+    rows_a, rows_b, n = a.rows, b.rows, a.order
+    _check_rows(rows_a, n)
+    _check_rows(rows_b, n)
     scale = [n * s for s in range(n)]
     keys = map(scale.__getitem__, chain.from_iterable(rows_a))
     return len(set(map(add, keys, chain.from_iterable(rows_b)))) == n * n
@@ -243,10 +236,10 @@ def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
     every row; invariance puts H inside K, and K has one cell per row, so
     H = K.  Then every symbol class is a union of cosets of K, and since
     row 0 meets K only at (0, 0), its n distinct symbols put one coset in
-    each class.  Raises MalformedGrid as verify_sudoku does.
+    each class.  Raises MalformedGrid as verify_sudoku does, on every call.
     """
-    q, n = grid.q, grid.order
-    rows = grid._checked_rows
+    q, n, rows = grid.q, grid.order, grid.rows
+    _check_rows(rows, n)
     try:
         places, sums = _digit_sums(q)
     except ValueError:
@@ -264,21 +257,17 @@ def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
     return frozenset(cells[1:])
 
 
-def kernel_is_sudoku(kernel: frozenset[int], q: int) -> bool:
-    """Whether the cosets of K (coset_kernel's cells) are a sudoku square: iff
-    K meets column 0 and box 0 (R, C < q) only at 0, as it meets row 0."""
-    n = q * q
-    return not any(cell % n == 0 or (cell < q * n and cell % n < q) for cell in kernel)
-
-
 def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, frozenset[int] | None]:
-    """The grid's sudoku report and coset kernel (None if it has none): a
-    kernel that passes kernel_is_sudoku proves all three properties, and
+    """The grid's sudoku report and coset kernel (None if it has none).  The
+    cosets of K are latin in rows, as K meets row 0 only at 0, and in columns
+    and subsquares iff K meets column 0 and box 0 (R, C < q) only at 0;
     verify_sudoku decides any other grid.  Raises MalformedGrid likewise."""
     kernel = coset_kernel(grid)
-    if kernel is not None and kernel_is_sudoku(kernel, grid.q):
-        return SudokuReport(True, True, True), kernel
-    return verify_sudoku(grid), kernel
+    if kernel is None:
+        return verify_sudoku(grid), None
+    q, n = grid.q, grid.order
+    low = [divmod(cell, n) for cell in kernel if cell % n < q]  # (R, C) with C < q
+    return SudokuReport(True, all(c for _, c in low), all(r >= q for r, _ in low)), kernel
 
 
 def non_orthogonal_pairs(kernels: Sequence[frozenset[int] | None],

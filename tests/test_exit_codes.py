@@ -57,7 +57,6 @@ def mutated_documents(draw):
         value = draw(st.one_of(st.just(json.loads(original)[key]), st.integers(-1, 30),
                                st.booleans()))
         pair = b'"%s":%s' % (key.encode(), json.dumps(value).encode())
-        # json.loads keeps the last of two equal keys
         text = (b"{" + pair + b"," + text[1:] if draw(st.booleans())
                 else text[:-2] + b"," + pair + b"}\n")
     elif kind == "reorder":
@@ -97,12 +96,19 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _unique_keys(pairs):
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("duplicate key")
+    return dict(pairs)
+
+
 def _names_the_document(text: bytes, original: str) -> bool:
-    """Whether text parses to the original's JSON value.  Every monic
-    x + a is irreducible, and on a prime field (k = 1) it changes no
-    element's index, so the modulus [1, a] may name any a in [0, p)."""
+    """Whether text parses, with no key twice in an object, to the original's
+    JSON value.  Every monic x + a is irreducible, and on a prime field
+    (k = 1) it changes no element's index, so the modulus [1, a] may name
+    any a in [0, p)."""
     try:
-        data = json.loads(text.decode("utf-8"))
+        data = json.loads(text.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError):
         return False
     expected = json.loads(original)

@@ -79,11 +79,19 @@ def _mutate(key, value):
     return json.dumps(data)
 
 
+OTHER_C_Q3 = ((1, 2), (2, 0))
+
+
 def corrupt_cases():
     base = json.loads(golden_document().to_json())
 
     swapped = [row[:] for row in base["grid"]]
     swapped[0][0], swapped[0][1] = swapped[0][1], swapped[0][0]
+
+    # a second c, of another square, whose grid the document carries
+    other = json.loads(SquareDocument.from_matrix(Mat2.from_indices(get_field(3), OTHER_C_Q3)).to_json())
+    duplicate_c = json.dumps(dict(base, grid=other["grid"])).replace(
+        '"grid"', '"c": %s, "grid"' % json.dumps(other["c"]))
 
     missing = {k: v for k, v in base.items() if k != "p"}
     extra = dict(base, comment="hello")
@@ -92,6 +100,7 @@ def corrupt_cases():
         "grid-disagrees-with-c": (json.dumps(dict(base, grid=swapped)), "grid"),
         "grid-wrong-shape": (_mutate("grid", base["grid"][:-1]), "grid"),
         "grid-row-wrong-length": (_mutate("grid", [base["grid"][0][:-1]] + base["grid"][1:]), "grid[0]"),
+        "duplicate-c": (duplicate_c, "c"),
         "missing-key": (json.dumps(missing), "p"),
         "unexpected-key": (json.dumps(extra), "comment"),
         "q-not-p-to-k": (_mutate("q", 5), "q"),
@@ -120,6 +129,16 @@ def test_schema_violations(name):
         with pytest.raises(SchemaViolation) as exc_info:
             SquareDocument.from_json(text)
         assert exc_info.value.path.startswith(path)
+
+
+def test_a_repeated_key_is_a_violation_not_its_last_value():
+    """json.loads keeps the last of two equal keys, and read that way the
+    duplicate-c text is a valid document of another square."""
+    text = corrupt_cases()["duplicate-c"][0]
+    assert text.count('"c":') == 2
+    assert SquareDocument._validate(json.loads(text)).c == OTHER_C_Q3 != GOLDEN_C_Q3
+    with pytest.raises(SchemaViolation, match=r"^c: duplicate key$"):
+        SquareDocument.from_json(text)
 
 
 @pytest.mark.parametrize("name, k", [("k-zero", 0), ("k-negative", -1)])

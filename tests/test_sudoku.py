@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -19,7 +20,6 @@ from moss.sudoku import (
     build_from_canonical,
     certify_grid,
     coset_kernel,
-    kernel_is_sudoku,
     render_grid,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -193,22 +193,28 @@ def test_verify_malformed():
 
 
 def test_checks_build_only_the_caches_they_read(monkeypatch):
-    """verify_sudoku, coset_kernel and the census range-check a grid once,
-    and the range check is all that a grid caches."""
+    """verify_sudoku, coset_kernel, certify_grid and the census range-check
+    each grid they read once per call, a then b, and leave only q and rows
+    on every grid."""
     a, b = (build_from_canonical(mat(get_field(3), c)) for c in (((0, 2), (2, 1)), ((0, 1), (1, 1))))
+    names = {id(a.rows): "a", id(b.rows): "b"}
     calls = []
     original = moss.sudoku._check_rows
 
     def counting_check(rows, n):
-        calls.append(n)
+        calls.append((names[id(rows)], n))
         original(rows, n)
 
     monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
-    assert verify_sudoku(a).ok and coset_kernel(a) is not None
-    assert "_checked_rows" in vars(a) and calls == [9]
-    assert verify_orthogonal_bruteforce(a, b) and verify_orthogonal_bruteforce(b, a)
-    assert calls == [9, 9]
-    assert set(vars(a)) == set(vars(b)) == {"q", "rows", "_checked_rows"}
+    for check, expected in [(lambda: verify_sudoku(a).ok, ["a"]),
+                            (lambda: coset_kernel(a) is not None, ["a"]),
+                            (lambda: certify_grid(b)[0].ok, ["b"]),
+                            (lambda: verify_orthogonal_bruteforce(a, b), ["a", "b"]),
+                            (lambda: verify_orthogonal_bruteforce(b, a), ["b", "a"])]:
+        calls.clear()
+        assert check()
+        assert calls == [(name, 9) for name in expected]
+        assert vars(a) == {"q": 3, "rows": a.rows} and vars(b) == {"q": 3, "rows": b.rows}
 
 
 @pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
@@ -256,20 +262,26 @@ def test_orthogonality_rejects_symbols_out_of_range():
         verify_orthogonal_bruteforce(partner, SudokuGrid(3, GOLDEN_GRID_Q3[:8]))
 
 
-def test_changed_rows_are_checked_as_a_new_grid():
-    # A grid's rows must not change after its first census, which caches
-    # its range check; the changed rows go into a new SudokuGrid.
+def test_changed_rows_are_checked_on_every_call():
+    """A check keeps nothing on a grid, so rows changed after the grid passed
+    every check are checked anew: a symbol 100 is a MalformedGrid in each
+    check and in both census orders, in the same grid and in a new one, and
+    changed back the grid passes again."""
     f3 = get_field(3)
-    golden = build_from_plane(golden_plane())
+    grid = build_from_plane(golden_plane())
     partner = build_from_canonical(mat(f3, ((0, 1), (1, 1))))
-    assert verify_orthogonal_bruteforce(partner, golden)
-    rows = copy.deepcopy(golden.rows)
-    rows[0][0] = 100
-    for pair in ((partner, SudokuGrid(3, rows)), (SudokuGrid(3, rows), partner)):
-        with pytest.raises(MalformedGrid, match=r"^symbol 100 out of range \[0, 9\)$"):
-            verify_orthogonal_bruteforce(*pair)
-    rows[0][0] = golden.rows[0][0]
-    assert verify_orthogonal_bruteforce(partner, SudokuGrid(3, rows))
+    checks = [lambda g: verify_sudoku(g).ok, lambda g: coset_kernel(g) is not None,
+              lambda g: verify_orthogonal_bruteforce(partner, g),
+              lambda g: verify_orthogonal_bruteforce(g, partner)]
+    assert all(check(grid) for check in checks)
+    symbol, grid.rows[0][0] = grid.rows[0][0], 100
+    for changed in (grid, SudokuGrid(3, copy.deepcopy(grid.rows))):
+        for check in checks:
+            with pytest.raises(MalformedGrid) as exc_info:
+                check(changed)
+            assert str(exc_info.value) == "symbol 100 out of range [0, 9)"
+    grid.rows[0][0] = symbol
+    assert all(check(grid) for check in checks)
 
 
 @lru_cache(maxsize=None)
@@ -518,14 +530,15 @@ def test_coset_kernel_of_the_golden_grid_and_of_order_36():
 
 
 def _assert_kernel_verdict(grid):
-    """kernel_is_sudoku agrees with both sudoku checks on a grid with a
+    """certify_grid's verdict agrees with both sudoku checks on a grid with a
     kernel, and certify_grid gives verify_sudoku's report and the kernel on
     any grid; returns the verdict, or None for a grid without a kernel."""
     kernel = coset_kernel(grid)
-    assert certify_grid(grid) == (verify_sudoku(grid), kernel)
+    certified = certify_grid(grid)
+    assert certified == (verify_sudoku(grid), kernel)
     if kernel is None:
         return None
-    verdict = kernel_is_sudoku(kernel, grid.q)
+    verdict = certified[0].ok
     assert verdict == verify_sudoku(grid).ok == all(sudoku_flags_per_cell(grid))
     return verdict
 
@@ -567,8 +580,8 @@ def coset_grids(draw, q):
 
 @pytest.mark.parametrize("q, examples", [(3, 60), (5, 40), (9, 25), (25, 2), (27, 2)])
 def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
-    """On every grid with a coset kernel, kernel_is_sudoku (no kernel cell
-    in column 0 or box 0) agrees with verify_sudoku and with the per-cell
+    """On every grid with a coset kernel, certify_grid's verdict (no kernel
+    cell in column 0 or box 0) agrees with verify_sudoku and with the per-cell
     flags, and certify_grid's report is verify_sudoku's.  Fixed planes come first: the span of [I; C] for a singular C
     with b != 0 meets only the column plane, and for an invertible lower-
     triangular C only the subsquare plane, so each of the two tests has a
@@ -589,6 +602,32 @@ def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
             assert found is verdict
 
     check()
+
+
+@pytest.mark.parametrize("q, planes, kernels", [(3, 130, 81), (5, 806, 625)])
+def test_kernel_report_on_every_plane(q, planes, kernels, monkeypatch):
+    """certify_grid reads a kernel grid's whole report off its kernel: on the
+    coset labeling of every plane of F^4 it equals verify_sudoku's report,
+    with verify_sudoku barred from every grid that has a kernel, and the
+    kernel grids take all four column and subsquare outcomes."""
+    original = moss.sudoku.verify_sudoku
+
+    def no_kernel_only(grid):
+        if coset_kernel(grid) is not None:
+            raise AssertionError("verify_sudoku ran on a grid with a kernel")
+        return original(grid)
+
+    monkeypatch.setattr(moss.sudoku, "verify_sudoku", no_kernel_only)
+    grids = [grid_from_cosets(plane) for plane in all_planes(get_field(q))]
+    outcomes = Counter()
+    for grid in grids:
+        kernel = coset_kernel(grid)
+        report = original(grid)
+        assert certify_grid(grid) == (report, kernel)
+        if kernel is not None:
+            outcomes[report.latin_cols, report.subsquares] += 1
+    assert len(grids) == planes and sum(outcomes.values()) == kernels
+    assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class Symbol(int):
