@@ -19,12 +19,18 @@ every qualifying alpha, roughly (q - 1)/4 of them; tests/oracles.py counts
 them again by exhaustive squaring.
 
 verify_family certifies any list of matrices without visiting its
-n(n-1)/2 pairs.  C1 - C2 is singular iff C1 x = C2 x for some nonzero x,
-and x can be scaled to one of the q + 1 directions (0, 1) and (1, s) of
-GF(q)^2.  So each direction maps every matrix to its image C x, and two
-matrices whose images coincide form a violating pair: O((q + 1) n) table
-lookups instead of O(n^2) determinants.  Bruteforce mode checks the grids
-themselves, with moss verify's certifier, which shares nothing with this.
+n(n-1)/2 pairs.  It runs the paper's own argument first: the members
+vI + wJ, J = [[0, 1], [1, lambda]], lie in the plane V = span(I, J), and
+det(vI + wJ) = v^2 + lambda*v*w - w^2 has the non-square discriminant
+lambda^2 + 4 = 4(alpha + 1), so C1 - C2, in V, is singular iff C1 = C2.
+The plane certificate finds and tests such a plane for any list.  A list
+that leaves every anisotropic plane goes to the direction scan: C1 - C2 is
+singular iff C1 x = C2 x for some nonzero x, and x can be scaled to one of
+the q + 1 directions (0, 1) and (1, s) of GF(q)^2.  So each direction maps
+every matrix to its image C x, and two matrices whose images coincide form
+a violating pair: O((q + 1) n) table lookups instead of O(n^2)
+determinants.  Bruteforce mode checks the grids themselves, with moss
+verify's certifier, which shares nothing with this.
 """
 
 from __future__ import annotations
@@ -128,26 +134,63 @@ class FamilyReport:
         return f"FamilyReport(mode={self.mode!r}, size={self.size}, pairs={self.pairs}, {state})"
 
 
+def _equal_key_pairs(keys: list[int]) -> list[tuple[int, int]]:
+    """The pairs i < j with keys[i] == keys[j], grouped by key."""
+    if len(set(keys)) == len(keys):
+        return []
+    groups = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return [pair for members in groups.values() for pair in combinations(members, 2)]
+
+
 def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
+    """Pairs i < j with C_i - C_j singular, sorted.  If all members lie in a
+    plane V whose nonzero matrices are all invertible, C_i - C_j lies in V,
+    so it is singular iff it is 0: the pairs are those of equal members.
+    Any other list goes to the direction scan.
+
+    V = span(B1, B2): B1 is the first nonzero member, B2 the first one
+    independent of it, with a nonzero minor at entries (i, j).  As det(tM)
+    = t^2 det M, V is anisotropic iff det B1 and det(x B1 + B2), x in F,
+    are nonzero.  A member's coordinates (X, Y) come from entries i and j by
+    Cramer's rule; it lies in V iff X B1 + Y B2 matches its other entries.
+    """
+    q, add, mul = field.q, field.add_table, field.mul_table
+    vectors = [(m.a, m.b, m.c, m.d) for m in matrices]
+    b1 = next((v for v in vectors if any(v)), (0, 0, 0, 0))  # zero: no B2 below
+    pivots = ((b2, i, j) for b2 in vectors for i, j in combinations(range(4), 2)
+              if mul[b1[i]][b2[j]] != mul[b1[j]][b2[i]])
+    b2, i, j = next(pivots, (None, 0, 0))
+    if b2 is None or any(mul[a][d] == mul[b][c] for a, b, c, d in [b1] + [
+            [add[mul[x][s]][t] for s, t in zip(b1, b2)] for x in range(q)]):
+        return _direction_scan(field, matrices)
+    sub = field.sub_table
+    inv = field.inv_table[sub[mul[b1[i]][b2[j]]][mul[b1[j]][b2[i]]]]
+    xi, xj, yi, yj = (mul[mul[inv][e]] for e in (b2[j], b2[i], b1[j], b1[i]))
+    cols = [list(col) for col in zip(*vectors)]
+    xs = [sub[xi[ci]][xj[cj]] for ci, cj in zip(cols[i], cols[j])]
+    ys = [sub[yj[cj]][yi[ci]] for ci, cj in zip(cols[i], cols[j])]
+    if any([add[mul[b1[k]][x]][mul[b2[k]][y]] for x, y in zip(xs, ys)] != cols[k]
+           for k in {0, 1, 2, 3} - {i, j}):
+        return _direction_scan(field, matrices)
+    return sorted(_equal_key_pairs([q * x + y for x, y in zip(xs, ys)]))
+
+
+def _direction_scan(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
     """Pairs i < j with C_i - C_j singular, found direction by direction.
 
     Images C x are keyed q * first + second.  A nonzero singular difference
     has a one-dimensional kernel, so its pair collides in one direction only;
     identical matrices collide in all of them, hence the set.
     """
-    q, n = field.q, len(matrices)
+    q = field.q
     add, mul = field.add_table, field.mul_table
     bad = set()
     for x1, x2 in [(0, 1)] + [(1, s) for s in range(q)]:
         m1, m2 = mul[x1], mul[x2]
-        keys = [q * add[m1[m.a]][m2[m.b]] + add[m1[m.c]][m2[m.d]] for m in matrices]
-        if len(set(keys)) == n:
-            continue
-        groups = defaultdict(list)
-        for i, key in enumerate(keys):
-            groups[key].append(i)
-        for members in groups.values():
-            bad.update(combinations(members, 2))
+        bad.update(_equal_key_pairs(
+            [q * add[m1[m.a]][m2[m.b]] + add[m1[m.c]][m2[m.d]] for m in matrices]))
     return sorted(bad)
 
 
@@ -155,13 +198,16 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     """Check every member and every unordered pair of the family.
 
     Fast mode runs the determinant criteria only: each member must be a
-    valid generator, and the pairs with det(C_i - C_j) = 0 are found by the
-    direction scan in O((q + 1) n), not pair by pair.  Bruteforce mode also
-    certifies each valid member's grid and every pair of them as moss verify
-    does (sudoku.certify_grid, sudoku.non_orthogonal_pairs); it is capped at
-    q <= DEFAULT_BRUTEFORCE_CAP, as each grid has q^4 cells.  The mode, the
-    cap and the members' fields (FieldMismatch unless each equals
-    family.field) are checked before any work is done.
+    valid generator, and the pairs with det(C_i - C_j) = 0 are found without
+    visiting pairs: by the plane certificate in O(q + n) when the members
+    lie in one plane whose nonzero matrices are all invertible (as every
+    build_family output does), else by the direction scan in O((q + 1) n).
+    Bruteforce mode also certifies each valid member's grid and every pair
+    of them as moss verify does (sudoku.certify_grid,
+    sudoku.non_orthogonal_pairs); it is capped at q <=
+    DEFAULT_BRUTEFORCE_CAP, as each grid has q^4 cells.  The mode, the cap
+    and the members' fields (FieldMismatch unless each equals family.field)
+    are checked before any work is done.
     """
     if mode not in ("fast", "bruteforce"):
         raise ValueError(f"unknown mode {mode!r}")

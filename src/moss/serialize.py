@@ -43,6 +43,8 @@ class SchemaViolation(ValueError):
 
 
 def _require_int(value, path: str) -> int:
+    if isinstance(value, _Repeated):
+        raise SchemaViolation(path, f"duplicate key {value.key!r}")
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaViolation(path, f"expected an integer, got {value!r}")
     return value
@@ -149,9 +151,13 @@ class SquareDocument:
     @classmethod
     def _validate(cls, data) -> "SquareDocument":
         """The document of parsed data.  Raises the first SchemaViolation of:
-        the keys, the header, c, the grid's shape and types, its cells."""
+        the keys (a repeated one first), the header, c, the grid's shape and
+        types, its cells.  An object nested where an integer belongs that
+        repeats a key is named at its own path, as a duplicate key."""
         if not isinstance(data, dict):
             raise SchemaViolation("$", "expected a JSON object")
+        if isinstance(data, _Repeated):
+            raise SchemaViolation(data.key, "duplicate key")
         for key in KEY_ORDER:
             if key not in data:
                 raise SchemaViolation(key, "missing")
@@ -206,11 +212,19 @@ def _reject_float(text: str):
     raise SchemaViolation("$", f"float {text} not allowed, integers only")
 
 
+class _Repeated(dict):
+    """A parsed object that repeats a key: its last values, and the first
+    repeated key, which _validate reports where the object sits."""
+
+    __slots__ = ("key",)
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A parsed object's dict, or SchemaViolation at a key that it repeats."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise SchemaViolation(key, "duplicate key")
-        data[key] = value
-    return data
+    """A parsed object's dict, or a _Repeated one if it repeats a key."""
+    data = dict(pairs)
+    if len(data) == len(pairs):
+        return data
+    seen = set()
+    repeated = _Repeated(data)
+    repeated.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return repeated

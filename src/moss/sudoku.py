@@ -45,6 +45,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import chain
+from math import isqrt
 from operator import add, eq, itemgetter
 
 from .gf import Field, factor_prime_power
@@ -199,12 +200,26 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     """
     if a.order != b.order:
         raise OrderMismatch(f"order {a.order} vs {b.order}")
-    rows_a, rows_b, n = a.rows, b.rows, a.order
-    _check_rows(rows_a, n)
-    _check_rows(rows_b, n)
+    return _census(_census_keys(a), b)
+
+
+def _census_keys(a: SudokuGrid) -> list[int]:
+    """n*s for every cell s of a, row by row, after a's range check."""
+    n = a.order
+    _check_rows(a.rows, n)
     scale = [n * s for s in range(n)]
-    keys = map(scale.__getitem__, chain.from_iterable(rows_a))
-    return len(set(map(add, keys, chain.from_iterable(rows_b)))) == n * n
+    return list(map(scale.__getitem__, chain.from_iterable(a.rows)))
+
+
+def _census(keys: list[int], b: SudokuGrid) -> bool:
+    """Whether b is orthogonal to the grid that _census_keys gave keys:
+    OrderMismatch unless b has its order, then b's range check and the
+    count of distinct keys n*s + t."""
+    n = b.order
+    if len(keys) != n * n:
+        raise OrderMismatch(f"order {isqrt(len(keys))} vs {n}")
+    _check_rows(b.rows, n)
+    return len(set(map(add, keys, chain.from_iterable(b.rows)))) == n * n
 
 
 @lru_cache(maxsize=16)
@@ -274,15 +289,18 @@ def non_orthogonal_pairs(kernels: Sequence[frozenset[int] | None],
                          grid_of: Callable[[int], SudokuGrid]) -> Iterator[tuple[int, int]]:
     """The pairs i < j, in order, of squares that are not orthogonal: by the
     disjointness of their kernels (certify_grid's), else by the census on
-    grid_of(i), built once per i when first needed, and grid_of(j)."""
+    grid_of(i) and grid_of(j).  grid_of(i) is built, range-checked and keyed
+    once per i, when first needed; grids of different orders raise
+    OrderMismatch, as in verify_orthogonal_bruteforce."""
     for i, kernel_i in enumerate(kernels):
-        grid_i = None
+        keys_i = None
         for j, kernel_j in enumerate(kernels[i + 1:], i + 1):
             if kernel_i is not None and kernel_j is not None:
                 orthogonal = kernel_i.isdisjoint(kernel_j)
             else:
-                grid_i = grid_i or grid_of(i)
-                orthogonal = verify_orthogonal_bruteforce(grid_i, grid_of(j))
+                if keys_i is None:
+                    keys_i = _census_keys(grid_of(i))
+                orthogonal = _census(keys_i, grid_of(j))
             if not orthogonal:
                 yield i, j
 

@@ -27,13 +27,14 @@ The plane specification of the construction lives here as well, since no
 command runs it: canonicalize (the C = B A^-1 of a plane, raising
 NotCanonicalizable when A is singular), meets_trivially (whether
 det(C1 - C2) is nonzero), the 2x2 arithmetic mat_sub, mat_mul, mat_det and
-mat_inverse they use, build_from_plane (the library grid of a plane's
-C), symbol_at (a cell by its address in F^4), format_mat2 (the literal
-that parse_mat2 reads) and count_alphas (the alpha census by exhaustive
-squaring and polynomial + 1).
+mat_inverse they use, mat_combination (v M1 + w M2, for planes of
+matrices), build_from_plane (the library grid of a plane's C), symbol_at
+(a cell by its address in F^4), format_mat2 (the literal that parse_mat2
+reads) and count_alphas (the alpha census by exhaustive squaring and
+polynomial + 1).
 The matrix arithmetic runs on _poly_tables too, so meets_trivially shares
-no table with verify_family's direction scan, and count_alphas ==
-len(alpha_census) checks the library's root-table search.
+no table with verify_family's plane certificate or direction scan, and
+count_alphas == len(alpha_census) checks the library's root-table search.
 
 reference_document_json is the document text by the encoder: json.dumps of
 the whole payload, with the grid from build_from_canonical (itself checked
@@ -411,6 +412,13 @@ def mat_mul(m1, m2):
     (e, f), (g, h) = m2.indices()
     dot = lambda x, y, z, w: add[mul[x][z]][mul[y][w]]
     return Mat2(m1.field, dot(a, b, e, g), dot(a, b, f, h), dot(c, d, e, g), dot(c, d, f, h))
+
+
+def mat_combination(v, m1, w, m2):
+    """v * M1 + w * M2 for element indices v and w."""
+    add, mul, _, _ = _field_tables(m1.field)
+    return Mat2(m1.field, *(add[mul[v][x]][mul[w][y]]
+                            for x, y in zip((m1.a, m1.b, m1.c, m1.d), (m2.a, m2.b, m2.c, m2.d))))
 
 
 def mat_det(m):

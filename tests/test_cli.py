@@ -388,7 +388,7 @@ def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
     def census(a, b):
         raise AssertionError("the cell census was called")
 
-    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
+    monkeypatch.setattr(moss.sudoku, "_census", census)
     assert main(["verify", "--files", *map(str, paths)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "8 squares ok, 28 pairs checked, 0 failures"
     twin = tmp_path / "twin.json"
@@ -470,7 +470,7 @@ def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
     def census(a, b):
         raise AssertionError("the cell census was called")
 
-    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
+    monkeypatch.setattr(moss.sudoku, "_census", census)
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
 
@@ -651,14 +651,14 @@ def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch,
         return kernels[-1] if len(kernels) % 2 else None
 
     pairs = []
-    original_census = moss.sudoku.verify_orthogonal_bruteforce
+    original_census = moss.sudoku._census
 
     def census(a, b):
         pairs.append((a, b))
         return original_census(a, b)
 
     monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
-    monkeypatch.setattr(moss.sudoku, "verify_orthogonal_bruteforce", census)
+    monkeypatch.setattr(moss.sudoku, "_census", census)
     code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
     # 73 squares, 37 with a kernel: all but the 37 * 36 / 2 pairs of those

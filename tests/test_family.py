@@ -22,11 +22,17 @@ from moss.planes import Mat2, is_valid_generator
 from moss.sudoku import build_from_canonical
 from oracles import (
     ODD_PRIME_POWERS_49,
+    ODD_PRIME_POWERS_127,
     PolyElement,
     all_valid_generators,
     count_alphas,
     get_field,
+    index_rank,
+    lsf,
+    mat_combination,
     mat_det,
+    mat_inverse,
+    mat_mul,
     mat_sub,
     meets_trivially,
     orthogonal_by_pair_census,
@@ -222,7 +228,7 @@ def test_bruteforce_mode_runs_no_census_on_a_clean_family(q, monkeypatch):
     def census(a, b):
         raise AssertionError("the cell census was called")
 
-    _rebind(monkeypatch, "verify_orthogonal_bruteforce", census)
+    _rebind(monkeypatch, "_census", census)
     builds = _count_builds(monkeypatch)
     report = verify_family(build_family(get_field(q)), "bruteforce")
     assert report.ok and report.size == q * (q - 1)
@@ -278,7 +284,7 @@ def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
         return original_census(a, b)
 
     original_kernel = _rebind(monkeypatch, "coset_kernel", every_other)
-    original_census = _rebind(monkeypatch, "verify_orthogonal_bruteforce", census)
+    original_census = _rebind(monkeypatch, "_census", census)
     withheld = verify_family(family, "bruteforce")
     assert withheld.violations == report.violations
     # all pairs but those of the (n + 1) // 2 members that kept a kernel
@@ -340,9 +346,86 @@ def test_members_of_an_equal_field_instance_are_accepted():
     assert verify_family(Family(fam.field, fam.alpha, fam.lam, twin.matrices), "fast").ok
 
 
+def _count_scans(monkeypatch):
+    """Count the direction scans that verify_family runs."""
+    calls = []
+
+    def counted(field, matrices):
+        calls.append(len(matrices))
+        return original(field, matrices)
+
+    original = moss.family._direction_scan
+    monkeypatch.setattr(moss.family, "_direction_scan", counted)
+    return calls
+
+
+def _planes(fam):
+    """Name -> (basis M1, M2, anisotropic) of four planes of 2x2 matrices:
+    the family's span(I, J), its conjugate by P = [[1, 1], [1, 2]], the
+    diagonal matrices and span(I, N) with N nilpotent."""
+    field = fam.field
+    identity, j = Mat2(field, 1, 0, 0, 1), Mat2(field, 0, 1, 1, fam.lam.index)
+    p = Mat2(field, 1, 1, 1, 2)
+    return {
+        "family": (identity, j, True),
+        "conjugate": (identity, mat_mul(mat_mul(p, j), mat_inverse(p)), True),
+        "diagonal": (identity, Mat2(field, 1, 0, 0, 0), False),
+        "nilpotent": (identity, Mat2(field, 0, 1, 0, 0), False),
+    }
+
+
+@pytest.mark.parametrize("q, examples", [(3, 40), (5, 40), (7, 30), (9, 30), (25, 20), (27, 20)])
+def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
+    """Lists drawn from one plane, with scalar multiples, duplicates and the
+    zero matrix, shuffled: the fast violations are exactly the pairs that
+    meets_trivially rejects, and the direction scan runs iff the plane is
+    isotropic or the list spans less than the plane."""
+    field = get_field(q)
+    fam = build_family(field)
+    planes = _planes(fam)
+    element = st.integers(0, q - 1)
+    scans = _count_scans(monkeypatch)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.sampled_from(sorted(planes)), st.lists(st.tuples(element, element), min_size=1,
+                                                     max_size=20), st.data())
+    def check(name, coords, data):
+        m1, m2, anisotropic = planes[name]
+        matrices = [mat_combination(v, m1, w, m2) for v, w in coords]
+        member = st.integers(0, len(matrices) - 1)
+        for i, t in data.draw(st.lists(st.tuples(member, element), max_size=4), label="multiples"):
+            matrices.append(mat_combination(t, matrices[i], 0, matrices[i]))
+        for i in data.draw(st.lists(member, max_size=4), label="duplicates"):
+            matrices.append(matrices[i])
+        matrices += [Mat2(field, 0, 0, 0, 0)] * data.draw(st.integers(0, 2), label="zeros")
+        matrices = data.draw(st.permutations(matrices), label="order")
+        n = len(matrices)
+        del scans[:]
+        report = verify_family(Family(field, fam.alpha, fam.lam, matrices), "fast")
+        expected = [(i, j) for i in range(n) for j in range(i + 1, n)
+                    if not meets_trivially(matrices[i], matrices[j])]
+        assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
+        rank = index_rank(field.p, tuple(lsf(field.modulus)), [
+            (m.a, m.b, m.c, m.d) for m in matrices])
+        assert scans == ([] if anisotropic and rank == 2 else [n])
+
+    check()
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
+def test_every_family_takes_the_plane_certificate(q, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the direction scan ran")
+
+    monkeypatch.setattr(moss.family, "_direction_scan", no_scan)
+    report = verify_family(build_family(get_field(q)), "fast")
+    assert report.ok and report.size == q * (q - 1)
+
+
 @pytest.mark.parametrize("q, examples", [(3, 60), (5, 60), (7, 40), (9, 40), (25, 20)])
 def test_direction_scan_matches_pairwise_oracle(q, examples):
-    """The fast violations are exactly the pairs meets_trivially rejects.
+    """The fast violations, and the direction scan's pairs, are exactly the
+    pairs meets_trivially rejects.
 
     Random matrices rarely collide, so duplicates and members that differ
     from another by a rank-1 matrix (a singular nonzero difference) are
@@ -380,12 +463,15 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
             if not meets_trivially(matrices[i], matrices[j])
         ]
         assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
+        assert moss.family._direction_scan(field, matrices) == expected
         assert report.pairs == n * (n - 1) // 2
 
     check()
 
 
 def test_fast_scan_agrees_with_meets_trivially_q3():
+    """A family with a copy lies in the family's plane, so verify_family
+    takes the plane certificate; the scan is run directly as well."""
     field = get_field(3)
     fam = build_family(field)
     spiked = Family(field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[3]])
@@ -397,6 +483,7 @@ def test_fast_scan_agrees_with_meets_trivially_q3():
         if not meets_trivially(spiked.matrices[i], spiked.matrices[j])
     }
     assert {v for kind, v in report.violations if kind == "not_orthogonal"} == expected
+    assert moss.family._direction_scan(field, spiked.matrices) == sorted(expected)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])

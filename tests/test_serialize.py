@@ -141,6 +141,24 @@ def test_a_repeated_key_is_a_violation_not_its_last_value():
         SquareDocument.from_json(text)
 
 
+@pytest.mark.parametrize("where", [("grid", 40, 17), ("c", 1, 0), ("modulus", 0), ("q",)])
+def test_a_repeated_key_below_the_top_is_named_at_its_path(where):
+    """An object that repeats a key, where an integer belongs, is reported
+    at its own path, as a duplicate key, whichever value a later key has."""
+    data = json.loads(SquareDocument.from_matrix(
+        Mat2.from_indices(get_field(9), ((0, 1), (1, 1)))).to_json())
+    *outer, last = where
+    container = data
+    for step in outer:
+        container = container[step]
+    container[last] = "@"
+    path = where[0] + "".join(f"[{i}]" for i in where[1:])
+    for repeated in ('{"x": 1, "x": 2}', '{"y": {}, "x": 0, "x": 0}'):
+        with pytest.raises(SchemaViolation) as exc_info:
+            SquareDocument.from_json(json.dumps(data).replace('"@"', repeated))
+        assert str(exc_info.value) == f"{path}: duplicate key 'x'"
+
+
 @pytest.mark.parametrize("name, k", [("k-zero", 0), ("k-negative", -1)])
 def test_degree_below_one_is_a_q_violation(name, k):
     with pytest.raises(SchemaViolation) as exc_info:

@@ -217,6 +217,34 @@ def test_checks_build_only_the_caches_they_read(monkeypatch):
         assert vars(a) == {"q": 3, "rows": a.rows} and vars(b) == {"q": 3, "rows": b.rows}
 
 
+def test_census_fallback_checks_each_grid_once(monkeypatch):
+    """Without kernels, non_orthogonal_pairs builds each row square's grid
+    once per row and each column square's grid once per pair, and
+    range-checks every grid once, when it is built: 5 + 15 grids for the 6
+    squares of q = 3 with a copy of square 0 in place of square 5.  Grids
+    of different orders raise OrderMismatch."""
+    members = build_family(get_field(3)).matrices
+    members[5] = members[0]
+    built, checked = [], []
+    original = moss.sudoku._check_rows
+
+    def grid_of(i):
+        built.append(build_from_canonical(members[i]))
+        return built[-1]
+
+    def counting_check(rows, n):
+        checked.append(rows)
+        original(rows, n)
+
+    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
+    assert list(moss.sudoku.non_orthogonal_pairs([None] * 6, grid_of)) == [(0, 5)]
+    assert len(built) == 20
+    assert list(map(id, checked)) == [id(grid.rows) for grid in built]
+    mixed = [built[0], build_from_canonical(build_family(get_field(5)).matrices[0])]
+    with pytest.raises(OrderMismatch, match=r"^order 9 vs 25$"):
+        list(moss.sudoku.non_orthogonal_pairs([None, None], mixed.__getitem__))
+
+
 @pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
 def test_grid_rejects_a_bad_q_on_construction(q):
     """q is checked when the grid is made, so no check reads a grid of
