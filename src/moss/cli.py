@@ -10,8 +10,9 @@ ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
 
 verify certifies each document's grid (sudoku.certify_grid), keeps its
-coset kernel, not its cells, and finds the pairs that are not orthogonal as
-verify_family's bruteforce mode does (sudoku.non_orthogonal_pairs).
+coset kernel's row map, not its cells, and finds the pairs that are not
+orthogonal as verify_family's bruteforce mode does
+(sudoku.non_orthogonal_pairs).
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # A square keeps its document and its grid's kernel (q^2 - 1 cells),
-    # not the grid's q^4 cells.
-    squares: list[tuple[Path, SquareDocument, frozenset[int] | None]] = []
+    # A square keeps its document and its grid's row map (q^2 ints), not
+    # the grid's q^4 cells.
+    squares: list[tuple[Path, SquareDocument, tuple[int, ...] | None]] = []
     failures = 0
     for name in args.files:
         path = Path(name)

@@ -14,10 +14,12 @@ of symbols is a relabeling of the same square.
 
 build_from_canonical computes that label in closed form for g = [I; C],
 by blocks: the q symbols of a row inside one subsquare are one of q^2
-fixed blocks (block_symbols, built once per field), and block_plan says
-which, so a grid, or its text in any format (render_grid), takes q^3 block
-lookups.  The oracles that check both, a brute-force coset labeling of any
-plane and a per-cell renderer, are in tests/oracles.py, next to the
+fixed blocks (block_symbols, built once per field).  block_plan gives one
+itemgetter per large row, which picks each of its rows' q blocks out of
+one of q strips of blocks per field (_strips, as ints or as text), so a
+grid, or its text in any format (render_grid), takes one pick per row.
+The oracles that check both, a brute-force coset labeling of any plane
+and a per-cell renderer, are in tests/oracles.py, next to the
 canonicalization that takes a plane to its C.
 
 The checks read the grid itself and share nothing with the builder.
@@ -26,27 +28,39 @@ verify_sudoku compares each row, column (a zip of the rows) and subsquare
 superimposes two grids, all n^2 cells of them: a cell holding s in A and t
 in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
 [0, n), so the grids are orthogonal iff the n^2 keys are distinct.  Each
-check range-checks the rows it reads, every time it reads them.
+check, coset_kernel too, range-checks the rows it reads, every time it
+reads them.
 
 coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
 K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
-cell (R, C) added digit-wise in base p, as GF(q) adds element indices.
-Two such grids are orthogonal iff their kernels meet only at 0, so a pair
-costs one set disjointness test instead of n^2 cells.  Rows, columns and
-subsquares are the cosets of row 0, column 0 and box 0, so K also gives
-the grid's whole sudoku report.  certify_grid and non_orthogonal_pairs, the
-certifier of moss verify and of verify_family's bruteforce mode, use
-kernels where grids have them and the checks above where they do not.
+cell (R, C) added (+) and subtracted (-) digit-wise in base p, as GF(q)
+adds element indices.  K has one cell (R, kappa(R)) in each row, and the
+grid is the coset partition of K iff (1) row 0 holds n distinct symbols,
+(2) every row is row 0 shifted, grid[R][C] = grid[0][C - kappa(R)], and
+(3) kappa(R + g) = kappa(R) + kappa(g) for every R and each of the 2k
+generators g = p^i, q*p^i.  Proof: by (2), (R, C) and (R', C') share a
+symbol iff C - kappa(R) = C' - kappa(R'); by (3), iff (R' - R, C' - C) is
+in K.  So coset_kernel returns kappa, a row map of n ints, after one pass
+per row; the pass also range-checks the grid.  Two such grids are
+orthogonal iff their kernels meet only at 0, that is iff their row maps
+differ in every row R != 0, so the pairs of N squares cost one scan of N
+row maps instead of n^2 cells a pair.  Rows, columns and subsquares are
+the cosets of row 0, column 0 and box 0, so kappa also gives the grid's
+whole sudoku report.  certify_grid and non_orthogonal_pairs, the
+certifier of moss verify and of verify_family's bruteforce mode, use row
+maps where grids have them and the checks above where they do not.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import defaultdict
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations, islice
 from math import isqrt
-from operator import add, eq, itemgetter
+from operator import add, itemgetter, methodcaller
 
 from .gf import Field, factor_prime_power
 from .planes import Mat2, is_valid_generator
@@ -98,16 +112,16 @@ class SudokuReport:
         return self.latin_rows and self.latin_cols and self.subsquares
 
 
-def block_plan(c: Mat2) -> Iterator[list[int]]:
-    """The grid of [I; C], C = [[a, b], [c, d]], as block keys, row by row.
+def block_plan(c: Mat2) -> list[itemgetter]:
+    """The grid of [I; C], C = [[a, b], [c, d]], as one picker per large row.
 
     Cell (x1, x2, x3, x4) gets symbol q*(x2 + h) + (x4 - shift) with
     t = (x3 - a*x1)/b, h = -t and shift = c*x1 + d*t.  So the q symbols of
-    row (x1, x2) in large column x3 are entry q*(x2 + h) + shift of
-    block_symbols(field), and each large row x1 needs only its q pairs
-    (h, shift).  Yields the q keys of each of the q^2 rows, top to bottom.
-    Raises NotAGenerator, before the first row, when C is singular or lower
-    triangular.
+    row (x1, x2) in large column x3 are entry q*h + shift of strip x2 (see
+    _strips), and large row x1 needs only its q keys q*h + shift: its
+    picker is the itemgetter of those keys, and picker(strip x2) gives the
+    q blocks of row (x1, x2).  Raises NotAGenerator when C is singular or
+    lower triangular.
     """
     if not is_valid_generator(c):
         raise NotAGenerator(f"{c!r} is singular or lower triangular")
@@ -116,12 +130,12 @@ def block_plan(c: Mat2) -> Iterator[list[int]]:
     add, sub, mul, neg = field.add_table, field.sub_table, field.mul_table, field.neg_table
     a, cc, d = c.a, c.c, c.d
     inv_b = field.inv_table[c.b]
-    pairs = []
+    pickers = []
     for x1 in range(q):
         ax1, cx1 = mul[a][x1], mul[cc][x1]
         ts = [mul[sub[x3][ax1]][inv_b] for x3 in range(q)]
-        pairs.append([(neg[t], add[cx1][mul[d][t]]) for t in ts])
-    return ([q * add_x2[h] + shift for h, shift in row] for row in pairs for add_x2 in add)
+        pickers.append(itemgetter(*[q * neg[t] + add[cx1][mul[d][t]] for t in ts]))
+    return pickers
 
 
 @lru_cache(maxsize=16)
@@ -133,20 +147,36 @@ def block_symbols(field: Field) -> tuple[tuple[int, ...], ...]:
                  for u in range(q) for shift in range(q))
 
 
+@lru_cache(maxsize=16)
+def _strips(field: Field, form: str) -> tuple[tuple, ...]:
+    """The q strips of a field's blocks: strip x2 holds, at key q*h + shift,
+    block q*(x2 + h) + shift of block_symbols(field), as a tuple of ints
+    ("ints"), space-joined and right-aligned to the widest symbol ("text")
+    or comma-joined ("csv").  Built on first use, once per field and form."""
+    q, add = field.q, field.add_table
+    blocks = block_symbols(field)
+    if form != "ints":
+        width, sep = (len(str(q * q - 1)), " ") if form == "text" else (0, ",")
+        blocks = tuple(sep.join(f"{s:>{width}}" for s in block) for block in blocks)
+    return tuple(tuple(blocks[q * add[x2][h] + shift] for h in range(q) for shift in range(q))
+                 for x2 in range(q))
+
+
 def build_from_canonical(c: Mat2) -> SudokuGrid:
     """Sudoku grid generated by the column span of [I; C].
 
-    Each row joins the blocks that block_plan names for it.  Raises
-    NotAGenerator when C is singular or lower triangular.
+    Each row extends by the blocks that its large row's picker (block_plan)
+    takes from its strip.  Raises NotAGenerator when C is singular or lower
+    triangular.
     """
     plan = block_plan(c)
-    blocks = block_symbols(c.field)
+    strips = _strips(c.field, "ints")
     rows = []
-    for keys in plan:
-        row = []
-        for key in keys:
-            row += blocks[key]
-        rows.append(row[:])  # exact size: growing left spare room in row
+    for pick in plan:
+        for strip in strips:
+            row = []
+            any(map(row.extend, pick(strip)))  # extend returns None, so any takes every block
+            rows.append(row[:])  # exact size: extending left spare room in row
     return SudokuGrid(c.field.q, rows)
 
 
@@ -239,92 +269,136 @@ def _shift(sums: tuple[tuple[int, ...], ...], q: int, by: int) -> list[int]:
     return [q * h + l for h in high for l in low]
 
 
-def coset_kernel(grid: SudokuGrid) -> frozenset[int] | None:
-    """The nonzero cells R*n + C of the subgroup K whose cosets are the
-    grid's symbol classes, or None if the grid is not such a partition.
+@lru_cache(maxsize=1)
+def _row_shifts(q: int) -> tuple[itemgetter, ...]:
+    """getter[u] = itemgetter(C + u for C in [0, q^2)), digit-wise: it reads
+    a row shifted by u.  The q^2 getters share one int object per index, so
+    they hold about one grid's worth of pointers.  Built on first use, for
+    the last q only; raises ValueError when q is not a prime power."""
+    _, sums = _digit_sums(q)
+    index = list(range(q * q)).__getitem__
+    return tuple(itemgetter(*map(index, _shift(sums, q, u))) for u in range(q * q))
 
-    K is the set of cells holding the symbol of cell (0, 0), one per row.
-    The grid must be invariant under translation by its cells in rows p^i
-    and q*p^i (i < k), one row and one column permutation each, compared
-    on row tuples with itemgetter.  These 2k rows span the row coordinates
-    digit-wise, so the translations generate a subgroup H with a cell in
-    every row; invariance puts H inside K, and K has one cell per row, so
-    H = K.  Then every symbol class is a union of cosets of K, and since
-    row 0 meets K only at (0, 0), its n distinct symbols put one coset in
-    each class.  Raises MalformedGrid as verify_sudoku does, on every call.
+
+def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
+    """The row map kappa of the subgroup K whose cosets are the grid's
+    symbol classes, or None if the grid is not such a partition.
+
+    K = {(R, kappa(R))} has one cell in each row: kappa(R) is the column of
+    row R that holds the symbol of cell (0, 0), and kappa(0) = 0.  With +
+    and - digit-wise in base p, q = p^k, the grid is the coset partition of
+    K iff (1) row 0 holds n distinct symbols, (2) every row is row 0
+    shifted, grid[R][C] = grid[0][C - kappa(R)], and (3) kappa is additive,
+    kappa(R + g) = kappa(R) + kappa(g) for every R and each of the 2k
+    generators g = p^i, q*p^i of the row coordinates.  By (2), cells (R, C)
+    and (R', C') share a symbol iff C - kappa(R) = C' - kappa(R'), and by
+    (3) iff (R' - R, C' - C) lies in K.  Each row costs one index, one
+    itemgetter and one tuple compare; (3) costs O(k n).
+
+    The range check is folded in: an exact int type set over all cells and
+    row 0 in [0, n) put every row that passes (2) in range.  Any grid that
+    fails goes through _check_rows, so it raises MalformedGrid as
+    verify_sudoku does, on every call, before None is returned.
     """
     q, n, rows = grid.q, grid.order, grid.rows
-    _check_rows(rows, n)
+    kappa = _row_map(q, n, rows)
+    if kappa is None:
+        _check_rows(rows, n)
+    return kappa
+
+
+def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
+    """coset_kernel's kappa, or None for a grid that fails its shape, type,
+    row-0 range or one of its three conditions (or whose q is not a prime
+    power)."""
     try:
-        places, sums = _digit_sums(q)
-    except ValueError:
-        return None
-    s0 = rows[0][0]
-    if len(set(rows[0])) != n or any(row.count(s0) != 1 for row in rows):
-        return None
-    cells = [r * n + row.index(s0) for r, row in enumerate(rows)]
-    tables = tuple(map(tuple, rows))
-    for r in places + tuple(q * w for w in places):
-        rmap, cmap = _shift(sums, q, r), _shift(sums, q, cells[r] % n)
-        image = itemgetter(*cmap)
-        if not all(map(eq, map(image, map(tables.__getitem__, rmap)), tables)):
+        if len(rows) != n or set(map(len, rows)) != {n}:
             return None
-    return frozenset(cells[1:])
+    except TypeError:
+        return None
+    row0 = rows[0]
+    if (set(map(type, chain.from_iterable(rows))) != {int} or min(row0) < 0
+            or max(row0) >= n or len(set(row0)) != n):
+        return None
+    try:
+        getters = _row_shifts(q)
+        kappa = tuple(map(methodcaller("index", row0[0]), rows))
+    except ValueError:  # q is not a prime power, or a row lacks the symbol
+        return None
+    first = tuple(row0)
+    if not all(getters[u](row) == first for u, row in zip(kappa, rows)):
+        return None
+    places, sums = _digit_sums(q)
+    for g in places + tuple(q * w for w in places):
+        shifted = _shift(sums, q, kappa[g])
+        if getters[g](kappa) != tuple(map(shifted.__getitem__, kappa)):
+            return None
+    return kappa
 
 
-def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, frozenset[int] | None]:
-    """The grid's sudoku report and coset kernel (None if it has none).  The
-    cosets of K are latin in rows, as K meets row 0 only at 0, and in columns
-    and subsquares iff K meets column 0 and box 0 (R, C < q) only at 0;
-    verify_sudoku decides any other grid.  Raises MalformedGrid likewise."""
-    kernel = coset_kernel(grid)
-    if kernel is None:
+def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, tuple[int, ...] | None]:
+    """The grid's sudoku report and coset kernel's row map kappa (None if it
+    has none).  A kappa meets coset_kernel's three conditions (row 0
+    distinct, row R is row 0 shifted by kappa(R), kappa additive on the 2k
+    generators), so the symbol classes are the cosets of K = {(R,
+    kappa(R))}: they are latin in rows, as K has one cell per row, in
+    columns iff kappa(R) != 0 for every R != 0 (K meets column 0 only at
+    0), and in subsquares iff kappa(R) >= q for 0 < R < q (K meets box 0
+    only at 0).  verify_sudoku decides any other grid.  Raises
+    MalformedGrid as coset_kernel does."""
+    kappa = coset_kernel(grid)
+    if kappa is None:
         return verify_sudoku(grid), None
-    q, n = grid.q, grid.order
-    low = [divmod(cell, n) for cell in kernel if cell % n < q]  # (R, C) with C < q
-    return SudokuReport(True, all(c for _, c in low), all(r >= q for r, _ in low)), kernel
+    q = grid.q
+    return SudokuReport(True, 0 not in kappa[1:], min(kappa[1:q], default=q) >= q), kappa
 
 
-def non_orthogonal_pairs(kernels: Sequence[frozenset[int] | None],
+def non_orthogonal_pairs(kernels: Sequence[tuple[int, ...] | None],
                          grid_of: Callable[[int], SudokuGrid]) -> Iterator[tuple[int, int]]:
-    """The pairs i < j, in order, of squares that are not orthogonal: by the
-    disjointness of their kernels (certify_grid's), else by the census on
-    grid_of(i) and grid_of(j).  grid_of(i) is built, range-checked and keyed
-    once per i, when first needed; grids of different orders raise
-    OrderMismatch, as in verify_orthogonal_bruteforce."""
+    """The pairs i < j, sorted, of squares that are not orthogonal.  Two
+    squares with row maps (certify_grid's) are not orthogonal iff their
+    kernels share a cell (R, C) with R != 0, that is iff kappa_i(R) ==
+    kappa_j(R): one scan of the rows R != 0 groups the squares by
+    kappa_i(R).  A pair with a square that has no row map goes to the
+    census on grid_of(i) and grid_of(j); grid_of(i) is built, range-checked
+    and keyed once per i, when first needed, and grids of different orders
+    raise OrderMismatch, as in verify_orthogonal_bruteforce."""
+    mapped = [i for i, kappa in enumerate(kernels) if kappa is not None]
+    unmapped = [i for i, kappa in enumerate(kernels) if kappa is None]
+    bad = set()
+    for column in islice(zip(*map(kernels.__getitem__, mapped)), 1, None):
+        if len(set(column)) < len(column):
+            groups = defaultdict(list)
+            for i, column_of_i in zip(mapped, column):
+                groups[column_of_i].append(i)
+            bad.update(pair for group in groups.values() for pair in combinations(group, 2))
     for i, kernel_i in enumerate(kernels):
         keys_i = None
-        for j, kernel_j in enumerate(kernels[i + 1:], i + 1):
-            if kernel_i is not None and kernel_j is not None:
-                orthogonal = kernel_i.isdisjoint(kernel_j)
-            else:
-                if keys_i is None:
-                    keys_i = _census_keys(grid_of(i))
-                orthogonal = _census(keys_i, grid_of(j))
-            if not orthogonal:
-                yield i, j
-
-
-@lru_cache(maxsize=16)
-def _block_texts(field: Field, padded: bool) -> tuple[str, ...]:
-    """block_symbols(field) as one string per block: space-joined and right-
-    aligned to the widest symbol if padded (text), else comma-joined."""
-    width, sep = (len(str(field.q * field.q - 1)), " ") if padded else (0, ",")
-    return tuple(sep.join(f"{s:>{width}}" for s in block) for block in block_symbols(field))
+        partners = (range(i + 1, len(kernels)) if kernel_i is None
+                    else unmapped[bisect(unmapped, i):])
+        for j in partners:
+            if keys_i is None:
+                keys_i = _census_keys(grid_of(i))
+            if not _census(keys_i, grid_of(j)):
+                bad.add((i, j))
+    yield from sorted(bad)
 
 
 def render_grid(c: Mat2, style: str = "text") -> str:
     """The grid of [I; C] as text (blocks split by " | ", large rows by -+-
     rules), csv (a line per row) or json (the array, as json.dumps writes it
-    without spaces): each row joins the block strings block_plan names.
-    Raises ValueError for an unknown style, NotAGenerator for an invalid C."""
+    without spaces): each row joins the block strings that its large row's
+    picker (block_plan) takes from its strip.  Raises ValueError for an
+    unknown style, NotAGenerator for an invalid C."""
     if style not in ("text", "csv", "json"):
         raise ValueError(f"unknown style {style!r}")
     padded = style == "text"
-    text = _block_texts(c.field, padded).__getitem__
-    rows = [(" | " if padded else ",").join(map(text, keys)) for keys in block_plan(c)]
+    plan = block_plan(c)
+    strips = _strips(c.field, "text" if padded else "csv")
+    join = (" | " if padded else ",").join
+    rows = [join(pick(strip)) for pick in plan for strip in strips]
     if not padded:
         return f"[[{'],['.join(rows)}]]" if style == "json" else "\n".join(rows)
     q = c.field.q
-    rule = "-+-".join(["-" * len(text(0))] * q)  # every block string has one width
+    rule = "-+-".join(["-" * len(strips[0][0])] * q)  # every block string has one width
     return f"\n{rule}\n".join("\n".join(rows[r:r + q]) for r in range(0, q * q, q))

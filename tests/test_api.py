@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
-import moss.sudoku
 from moss.gf import GF, Field, FieldElement
 from moss.family import build_family, derive_lambda, find_alpha
 from moss.planes import Mat2
 from moss.serialize import SquareDocument
 from moss.sudoku import (
+    MalformedGrid,
     SudokuGrid,
     build_from_canonical,
     certify_grid,
@@ -104,10 +104,11 @@ def test_mat2_and_family_records():
     assert len({family, again}) == 2
 
 
-def test_sudoku_grid_record(monkeypatch):
+def test_sudoku_grid_record():
     """A grid is a (q, rows) record: it compares by its order and rows and is
     unhashable.  Its checks cache nothing on it: after each check it holds
-    only q and rows, and the check range-checked each grid it read once."""
+    only q and rows, and a cell changed after a passing check is caught on
+    the next call."""
     c = build_family(GF(9)).matrices[5]
     built = build_from_canonical(c)
     plain = SudokuGrid(9, [list(row) for row in built.rows])
@@ -115,21 +116,16 @@ def test_sudoku_grid_record(monkeypatch):
     assert not any(isinstance(v, functools.cached_property) for v in vars(SudokuGrid).values())
     assert repr(plain) == "SudokuGrid(q=9)"
     assert plain == built and built == plain
-    read = []
-    original = moss.sudoku._check_rows
-
-    def counting_check(rows, n):
-        read.append(id(rows))
-        original(rows, n)
-
-    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
     for check, grids in [(verify_sudoku, [built]), (coset_kernel, [built]), (certify_grid, [plain]),
                          (verify_orthogonal_bruteforce, [built, plain]),
                          (verify_orthogonal_bruteforce, [plain, built])]:
-        read.clear()
         check(*grids)
-        assert read == [id(grid.rows) for grid in grids]
         assert all(vars(grid) == {"q": 9, "rows": grid.rows} for grid in (built, plain))
+        for grid in grids:
+            symbol, grid.rows[4][7] = grid.rows[4][7], 81
+            with pytest.raises(MalformedGrid, match=r"^symbol 81 out of range \[0, 81\)$"):
+                check(*grids)
+            grid.rows[4][7] = symbol
     assert plain == built and built == plain
     changed = [list(row) for row in built.rows]
     changed[4][7] = (changed[4][7] + 1) % 81

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from moss.cli import main
 from moss.family import build_family
 from moss.gf import Field
 from moss.serialize import SquareDocument
-from oracles import get_field
+from oracles import get_field, orthogonal_by_pair_census
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -446,20 +447,29 @@ def test_emitting_json_builds_one_field(argv, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_verify_range_checks_each_grid_once(tmp_path, monkeypatch, capsys):
-    """coset_kernel range-checks each document's grid once, and a grid
-    whose kernel proves it a sudoku square is not checked again."""
+def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
+    """verify range-checks each document's grid on its own call and keeps
+    nothing from an earlier run: after the family passes, its fourth grid
+    is built with True (equal to 1) in row 5, and verify stops there with
+    the range check's message, exit 2."""
     files = _write_family(tmp_path)
-    calls = []
-    original = moss.sudoku._check_rows
-
-    def counting_check(rows, n):
-        calls.append(n)
-        original(rows, n)
-
-    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
     assert main(["verify", "--files", *files]) == 0
-    assert calls == [9] * len(files) == [9] * 6
+    original = SquareDocument.to_grid
+    built = []
+
+    def changed(doc):
+        built.append(original(doc))
+        if len(built) == 4:
+            row = built[-1].rows[5]
+            row[row.index(1)] = True
+        return built[-1]
+
+    monkeypatch.setattr(SquareDocument, "to_grid", changed)
+    capsys.readouterr()
+    assert main(["verify", "--files", *files]) == 2
+    out, err = capsys.readouterr()
+    assert out == "".join(f"OK {path}\n" for path in files[:3])
+    assert err == "error: symbol True out of range [0, 9)\n"
 
 
 def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
@@ -665,6 +675,43 @@ def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch,
     assert len(kernels) == 73 and len(pairs) == 73 * 72 // 2 - 37 * 36 // 2 == 1962
     # the builds after the last kernel are the pair phase's
     assert len(builds) - builds_at_kernel[-1] <= 1962 + 73
+
+
+@pytest.mark.parametrize("withheld", [None, 0, 1])
+def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypatch, capsys):
+    """The row scan finds the failing pairs row by row, but verify prints
+    them in the order of itertools.combinations, and they are exactly the
+    pairs that the oracle's census rejects: 12 q = 9 squares with member 0
+    at positions 0, 5 and 9 and member 3 at 3 and 7 fail (0, 5), (0, 9),
+    (3, 7) and (5, 9).  The lines stay the same when the kernel of every
+    other grid, the even or the odd positions, is withheld, so that the
+    census pairs merge with the row scan's."""
+    members = build_family(get_field(9)).matrices[:12]
+    members[5] = members[9] = members[0]
+    members[7] = members[3]
+    files = []
+    for i, m in enumerate(members):
+        files.append(str(tmp_path / f"square_{i:02d}.json"))
+        Path(files[-1]).write_text(SquareDocument.from_matrix(m).to_json())
+    grids = [moss.sudoku.build_from_canonical(m) for m in members]
+    expected = [f"FAIL {files[i]} vs {files[j]}: not orthogonal"
+                for i, j in combinations(range(12), 2)
+                if not orthogonal_by_pair_census(grids[i], grids[j])]
+    assert len(expected) == 4
+    if withheld is not None:
+        calls = []
+        original = moss.sudoku.coset_kernel
+
+        def every_other(grid):
+            calls.append(grid)
+            return None if len(calls) % 2 != withheld else original(grid)
+
+        monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
+    capsys.readouterr()
+    assert main(["verify", "--files", *files]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == expected
+    assert out[-1] == "12 squares ok, 66 pairs checked, 4 failures"
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

@@ -192,29 +192,29 @@ def test_verify_malformed():
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
-def test_checks_build_only_the_caches_they_read(monkeypatch):
-    """verify_sudoku, coset_kernel, certify_grid and the census range-check
-    each grid they read once per call, a then b, and leave only q and rows
-    on every grid."""
+def test_checks_build_only_the_caches_they_read():
+    """verify_sudoku, coset_kernel, certify_grid and the census leave only q
+    and rows on every grid, so cells changed after a passing check, in a
+    row other than 0, are caught on the next call, the first grid read
+    first: a's 1 becomes True, 1.0 (both equal to 1) or 100, b's 1 becomes
+    -1.  Changed back, the grids pass again."""
     a, b = (build_from_canonical(mat(get_field(3), c)) for c in (((0, 2), (2, 1)), ((0, 1), (1, 1))))
-    names = {id(a.rows): "a", id(b.rows): "b"}
-    calls = []
-    original = moss.sudoku._check_rows
-
-    def counting_check(rows, n):
-        calls.append((names[id(rows)], n))
-        original(rows, n)
-
-    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
-    for check, expected in [(lambda: verify_sudoku(a).ok, ["a"]),
-                            (lambda: coset_kernel(a) is not None, ["a"]),
-                            (lambda: certify_grid(b)[0].ok, ["b"]),
-                            (lambda: verify_orthogonal_bruteforce(a, b), ["a", "b"]),
-                            (lambda: verify_orthogonal_bruteforce(b, a), ["b", "a"])]:
-        calls.clear()
+    for check, first in [(lambda: verify_sudoku(a).ok, a),
+                         (lambda: coset_kernel(a) is not None, a),
+                         (lambda: certify_grid(b)[0].ok, b),
+                         (lambda: verify_orthogonal_bruteforce(a, b), a),
+                         (lambda: verify_orthogonal_bruteforce(b, a), b)]:
         assert check()
-        assert calls == [(name, 9) for name in expected]
         assert vars(a) == {"q": 3, "rows": a.rows} and vars(b) == {"q": 3, "rows": b.rows}
+        for bad in (True, 1.0, 100):
+            cols = [grid.rows[4].index(1) for grid in (a, b)]
+            a.rows[4][cols[0]], b.rows[4][cols[1]] = bad, -1
+            with pytest.raises(MalformedGrid) as exc_info:
+                check()
+            symbol = bad if first is a else -1
+            assert str(exc_info.value) == f"symbol {symbol!r} out of range [0, 9)"
+            a.rows[4][cols[0]] = b.rows[4][cols[1]] = 1
+            assert check()
 
 
 def test_census_fallback_checks_each_grid_once(monkeypatch):
@@ -411,6 +411,53 @@ def cell_sum(q, x, y):
     return tuple(q * add[u // q][v // q] + add[u % q][v % q] for u, v in zip(x, y))
 
 
+def coord_sum(q, u, v):
+    """Row (or column) coordinates u = q*x1 + x2 added digit by digit."""
+    return cell_sum(q, (u,), (v,))[0]
+
+
+def shifted_rows(q, row0, kappa):
+    """The grid whose row R is row0 shifted by kappa(R): row0[C] sits in
+    column C + kappa(R)."""
+    rows = [[None] * (q * q) for _ in kappa]
+    for row, u in zip(rows, kappa):
+        for col, s in enumerate(row0):
+            row[coord_sum(q, col, u)] = s
+    return rows
+
+
+def is_additive(q, kappa):
+    """Whether kappa(R + S) = kappa(R) + kappa(S) for all R and S."""
+    n = q * q
+    return all(kappa[coord_sum(q, r, s)] == coord_sum(q, kappa[r], kappa[s])
+               for r in range(n) for s in range(n))
+
+
+def kappa_broken_at(q, g):
+    """A bijective kappa on [0, q^2), kappa(0) = 0, that is additive on the
+    generators before number g of p^i, q*p^i (i < k), the order in which
+    coset_kernel checks them, but not on generator number g, gen.  It is the
+    identity except on the coset 2*gen + H of the span H of the earlier
+    generators, which it translates by the first generator, inside H.  For
+    g = 0, H = {0}: it swaps 2*gen and the second generator instead."""
+    field = get_field(q)
+    places = [field.p ** i for i in range(field.k)]
+    gens = places + [q * w for w in places]
+    kappa = list(range(q * q))
+    twice = coord_sum(q, gens[g], gens[g])
+    if g == 0:
+        kappa[twice], kappa[gens[1]] = gens[1], twice
+        return kappa
+    span = {0}
+    for h in gens[:g]:
+        for _ in range(field.p - 1):
+            span |= {coord_sum(q, x, h) for x in span}
+    for h in span:
+        r = coord_sum(q, twice, h)
+        kappa[r] = coord_sum(q, r, gens[0])
+    return kappa
+
+
 def span_of(q, vectors):
     """The cells that sums of multiples of the vectors reach from (0, 0)."""
     span = {(0, 0)}
@@ -499,8 +546,10 @@ def kernel_pairs(draw, q):
 
 @pytest.mark.parametrize("q, examples", [(3, 150), (5, 80), (7, 50), (9, 40), (25, 6), (27, 6)])
 def test_coset_kernels_decide_orthogonality_exactly(q, examples):
-    """Disjoint kernels where both grids have one, else the census that
-    verify falls back to, agrees with the pair oracle on every pair.  At
+    """Row maps that differ in every row R != 0 (kernels that meet only at
+    0) where both grids have one, else the census that verify falls back
+    to, agrees with the pair oracle on every pair.  A row map kappa is the
+    kernel {R*n + kappa(R)}: the cells of the (0, 0) symbol.  At
     q = 9, 25 and 27 (k > 1) digit-wise addition differs from index
     addition."""
     n = q * q
@@ -515,13 +564,15 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
                 assert (kernel is not None) is expect
             if kernel is not None:
                 s0 = grid.rows[0][0]
-                assert kernel == {r * n + c for r, row in enumerate(grid.rows)
-                                  for c, s in enumerate(row) if s == s0} - {0}
+                assert kernel[0] == 0 and len(kernel) == n
+                assert {r * n + kernel[r] for r in range(1, n)} == {
+                    r * n + c for r, row in enumerate(grid.rows)
+                    for c, s in enumerate(row) if s == s0} - {0}
             kernels.append(kernel)
         (a, _), (b, _) = pair
         ka, kb = kernels
         if ka is not None and kb is not None:
-            verdict = ka.isdisjoint(kb)
+            verdict = all(map(int.__ne__, ka[1:], kb[1:]))
         else:
             verdict = verify_orthogonal_bruteforce(a, b)
         assert verdict == orthogonal_by_pair_census(a, b)
@@ -530,22 +581,30 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
 
 
 def test_coset_kernel_basis_stays_within_2k_cells(monkeypatch):
-    """coset_kernel translates a grid by at most the 2k cells of its (0, 0)
-    class in rows p^i and q*p^i, one row and one column permutation per
-    cell, and rejects the grid at the first translation that moves it."""
+    """coset_kernel checks that kappa is additive on the 2k generators p^i
+    and q*p^i of the row coordinates only, one shift map per generator, and
+    builds none for a grid that fails the row-shift test.  A grid whose
+    rows are row 0 shifted by a kappa that is additive on the generators
+    before number g only is rejected at g."""
     maps = []
     shift = moss.sudoku._shift
     monkeypatch.setattr(moss.sudoku, "_shift", lambda *args: maps.append(args) or shift(*args))
     for q, k in ((3, 1), (9, 2)):
         n = q * q
+        moss.sudoku._row_shifts(q)  # the cached getters, built outside the count
         for seed in range(20):
             rng = random.Random(seed)
             maps.clear()
             assert coset_kernel(SudokuGrid(q, [rng.sample(range(n), n) for _ in range(n)])) is None
-            assert len(maps) <= 2 * 2 * k
+            assert maps == []
         maps.clear()
-        assert coset_kernel(build_from_canonical(family_matrices(q)[0])) is not None
-        assert len(maps) == 2 * 2 * k
+        rows = build_from_canonical(family_matrices(q)[0]).rows
+        assert coset_kernel(SudokuGrid(q, rows)) is not None
+        assert len(maps) == 2 * k
+        for g in range(2 * k):
+            maps.clear()
+            assert coset_kernel(SudokuGrid(q, shifted_rows(q, rows[0], kappa_broken_at(q, g)))) is None
+            assert len(maps) == g + 1
 
 
 def test_coset_kernel_of_the_golden_grid_and_of_order_36():
@@ -553,8 +612,62 @@ def test_coset_kernel_of_the_golden_grid_and_of_order_36():
     # Z_n^2 but not of (Z_p^k)^4 for n = 36: there is no such p.
     rows = [[(r + c) % 36 for c in range(36)] for r in range(36)]
     assert coset_kernel(SudokuGrid(6, rows)) is None
-    assert coset_kernel(SudokuGrid(3, GOLDEN_GRID_Q3)) == frozenset(
+    kappa = coset_kernel(SudokuGrid(3, GOLDEN_GRID_Q3))
+    assert kappa == (0, 7, 5, 2, 6, 4, 1, 8, 3)
+    assert {r * 9 + kappa[r] for r in range(1, 9)} == frozenset(
         r * 9 + c for r, row in enumerate(GOLDEN_GRID_Q3) for c, s in enumerate(row) if s == 0) - {0}
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_a_row_shifted_grid_needs_an_additive_kappa(q):
+    """Row 0 shifted by a bijective kappa that is not additive passes the
+    row-shift test, and is latin in rows and columns, but it is no coset
+    partition: coset_kernel gives None and certify_grid gives
+    verify_sudoku's report, which the per-cell flags confirm.  Each kappa
+    breaks additivity at another generator; a random one breaks it
+    anywhere."""
+    n = q * q
+    row0 = build_from_canonical(family_matrices(q)[0]).rows[0]
+    rng = random.Random(q)
+    kappas = [kappa_broken_at(q, g) for g in range(2 * get_field(q).k)]
+    kappas.append([0] + rng.sample(range(1, n), n - 1))
+    for kappa in kappas:
+        assert sorted(kappa) == list(range(n)) and kappa[0] == 0
+        assert not is_additive(q, kappa)
+        grid = SudokuGrid(q, shifted_rows(q, row0, kappa))
+        assert coset_kernel(grid) is None
+        report = verify_sudoku(grid)
+        assert report.latin_rows and report.latin_cols
+        assert certify_grid(grid) == (report, None)
+        assert (report.latin_rows, report.latin_cols, report.subsquares) == sudoku_flags_per_cell(grid)
+    assert is_additive(q, coset_kernel(build_from_canonical(family_matrices(q)[0])))
+
+
+def test_coset_kernel_range_checks_the_rows_past_row_0():
+    """coset_kernel compares row 0's range alone; the row-shift test puts
+    every other row in row 0's symbols, but True and 1.0 equal 1, so the
+    exact int type set over all cells must catch them.  Every failure goes
+    through _check_rows: True, -1 or 1.0 in row 40 raises its message in
+    coset_kernel and certify_grid, and so does a 100 in row 50 of a grid
+    whose row 3 is not a shift of row 0, though the kernel fails at row 3
+    first."""
+    rows = build_from_canonical(family_matrices(9)[0]).rows
+    cases = []
+    for bad in (True, -1, 1.0):
+        changed = [list(row) for row in rows]
+        changed[40][changed[40].index(1)] = bad
+        cases.append((changed, f"symbol {bad!r} out of range [0, 81)"))
+    changed = [list(row) for row in rows]
+    changed[3][0], changed[3][1] = changed[3][1], changed[3][0]
+    changed[50][7] = 100
+    cases.append((changed, "symbol 100 out of range [0, 81)"))
+    for changed, message in cases:
+        for check in (coset_kernel, certify_grid):
+            with pytest.raises(MalformedGrid) as exc_info:
+                check(SudokuGrid(9, changed))
+            assert str(exc_info.value) == message
+    changed[50][7] = rows[50][7]
+    assert coset_kernel(SudokuGrid(9, changed)) is None
 
 
 def _assert_kernel_verdict(grid):
