@@ -9,10 +9,10 @@ from its generator matrix, never from an int grid.  Exit codes: 0 success,
 ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
 
-verify certifies each document's grid (sudoku.certify_grid), keeps its
-coset kernel's row map, not its cells, and finds the pairs that are not
-orthogonal as verify_family's bruteforce mode does
-(sudoku.non_orthogonal_pairs).
+verify certifies each document's grid by its coset kernel
+(sudoku.certify_grid), fails a grid that has none, keeps the kernel's row
+map, not the cells, and finds the pairs that are not orthogonal as
+verify_family's bruteforce mode does (sudoku.non_orthogonal_pairs).
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # A square keeps its document and its grid's row map (q^2 ints), not
-    # the grid's q^4 cells.
-    squares: list[tuple[Path, SquareDocument, tuple[int, ...] | None]] = []
+    # A square keeps its path and its grid's row map (q^2 ints), not its
+    # document or the grid's q^4 cells.
+    squares: list[tuple[Path, tuple[int, ...]]] = []
+    q = None  # the order of the squares kept so far
     failures = 0
     for name in args.files:
         path = Path(name)
@@ -121,17 +122,17 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {exc}")
             failures += 1
             continue
-        if squares and doc.q != squares[0][1].q:
-            raise ValueError(f"files mix different orders: {squares[0][1].q}, {doc.q}")
-        report, kernel = certify_grid(doc.to_grid())
-        if not report.ok:
-            print(f"FAIL {path}: {report!r}")
+        if q is not None and doc.q != q:
+            raise ValueError(f"files mix different orders: {q}, {doc.q}")
+        certified = certify_grid(doc.to_grid())
+        if certified is None or not certified[0].ok:
+            print(f"FAIL {path}: {'no coset kernel' if certified is None else repr(certified[0])}")
             failures += 1
             continue
         print(f"OK {path}")
-        squares.append((path, doc, kernel))
-    kernels = [kernel for _, _, kernel in squares]
-    for i, j in non_orthogonal_pairs(kernels, lambda i: squares[i][1].to_grid()):
+        q = doc.q
+        squares.append((path, certified[1]))
+    for i, j in non_orthogonal_pairs([kernel for _, kernel in squares]):
         print(f"FAIL {squares[i][0]} vs {squares[j][0]}: not orthogonal")
         failures += 1
     pairs = len(squares) * (len(squares) - 1) // 2

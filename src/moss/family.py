@@ -202,9 +202,9 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     visiting pairs: by the plane certificate in O(q + n) when the members
     lie in one plane whose nonzero matrices are all invertible (as every
     build_family output does), else by the direction scan in O((q + 1) n).
-    Bruteforce mode also certifies each valid member's grid and every pair
-    of them as moss verify does (sudoku.certify_grid,
-    sudoku.non_orthogonal_pairs); it is capped at q <=
+    Bruteforce mode also certifies each valid member's grid by its coset
+    kernel and every pair of the certified ones, as moss verify does
+    (sudoku.certify_grid, sudoku.non_orthogonal_pairs); it is capped at q <=
     DEFAULT_BRUTEFORCE_CAP, as each grid has q^4 cells.  The mode, the cap
     and the members' fields (FieldMismatch unless each equals family.field)
     are checked before any work is done.
@@ -234,13 +234,15 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     )
 
     if mode == "bruteforce":
-        certified = [certify_grid(build_from_canonical(m)) for _, m in valid]
-        violations.extend(("not_sudoku", (i,)) for (i, _), (report, _) in zip(valid, certified)
-                          if not report.ok)
-        pairs = non_orthogonal_pairs([kernel for _, kernel in certified],
-                                     lambda a: build_from_canonical(valid[a][1]))
-        violations.extend(("not_orthogonal_bruteforce", (valid[a][0], valid[b][0]))
-                          for a, b in pairs)
+        certified = []
+        for i, m in valid:
+            found = certify_grid(build_from_canonical(m))
+            if found is None or not found[0].ok:
+                violations.append(("not_sudoku", (i,)))
+            else:
+                certified.append((i, found[1]))
+        violations.extend(("not_orthogonal_bruteforce", (certified[a][0], certified[b][0]))
+                          for a, b in non_orthogonal_pairs([kernel for _, kernel in certified]))
 
     violations.sort()
     return FamilyReport(mode, n, n * (n - 1) // 2, violations)

@@ -47,19 +47,17 @@ differ in every row R != 0, so the pairs of N squares cost one scan of N
 row maps instead of n^2 cells a pair.  Rows, columns and subsquares are
 the cosets of row 0, column 0 and box 0, so kappa also gives the grid's
 whole sudoku report.  certify_grid and non_orthogonal_pairs, the
-certifier of moss verify and of verify_family's bruteforce mode, use row
-maps where grids have them and the checks above where they do not.
+certifier of moss verify and of verify_family's bruteforce mode, read
+row maps alone: a grid without kappa is no square of the paper, and fails.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from math import isqrt
 from operator import add, itemgetter, methodcaller
 
 from .gf import Field, factor_prime_power
@@ -228,27 +226,13 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     MalformedGrid, as verify_sudoku does, for a grid of the wrong shape or
     with a symbol that is not an int in [0, n); a is checked before b.
     """
-    if a.order != b.order:
-        raise OrderMismatch(f"order {a.order} vs {b.order}")
-    return _census(_census_keys(a), b)
-
-
-def _census_keys(a: SudokuGrid) -> list[int]:
-    """n*s for every cell s of a, row by row, after a's range check."""
     n = a.order
+    if n != b.order:
+        raise OrderMismatch(f"order {n} vs {b.order}")
     _check_rows(a.rows, n)
-    scale = [n * s for s in range(n)]
-    return list(map(scale.__getitem__, chain.from_iterable(a.rows)))
-
-
-def _census(keys: list[int], b: SudokuGrid) -> bool:
-    """Whether b is orthogonal to the grid that _census_keys gave keys:
-    OrderMismatch unless b has its order, then b's range check and the
-    count of distinct keys n*s + t."""
-    n = b.order
-    if len(keys) != n * n:
-        raise OrderMismatch(f"order {isqrt(len(keys))} vs {n}")
     _check_rows(b.rows, n)
+    scale = [n * s for s in range(n)]
+    keys = map(scale.__getitem__, chain.from_iterable(a.rows))
     return len(set(map(add, keys, chain.from_iterable(b.rows)))) == n * n
 
 
@@ -336,52 +320,40 @@ def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
     return kappa
 
 
-def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, tuple[int, ...] | None]:
-    """The grid's sudoku report and coset kernel's row map kappa (None if it
-    has none).  A kappa meets coset_kernel's three conditions (row 0
-    distinct, row R is row 0 shifted by kappa(R), kappa additive on the 2k
-    generators), so the symbol classes are the cosets of K = {(R,
-    kappa(R))}: they are latin in rows, as K has one cell per row, in
-    columns iff kappa(R) != 0 for every R != 0 (K meets column 0 only at
-    0), and in subsquares iff kappa(R) >= q for 0 < R < q (K meets box 0
-    only at 0).  verify_sudoku decides any other grid.  Raises
-    MalformedGrid as coset_kernel does."""
+def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, tuple[int, ...]] | None:
+    """The grid's sudoku report and its coset kernel's row map kappa, or
+    None if coset_kernel finds no kappa.  A kappa meets coset_kernel's
+    three conditions (row 0 distinct, row R is row 0 shifted by kappa(R),
+    kappa additive on the 2k generators), so the symbol classes are the
+    cosets of K = {(R, kappa(R))}: they are latin in rows, as K has one
+    cell per row, in columns iff kappa(R) != 0 for every R != 0 (K meets
+    column 0 only at 0), and in subsquares iff kappa(R) >= q for 0 < R < q
+    (K meets box 0 only at 0).  Raises MalformedGrid as coset_kernel
+    does."""
     kappa = coset_kernel(grid)
     if kappa is None:
-        return verify_sudoku(grid), None
+        return None
     q = grid.q
     return SudokuReport(True, 0 not in kappa[1:], min(kappa[1:q], default=q) >= q), kappa
 
 
-def non_orthogonal_pairs(kernels: Sequence[tuple[int, ...] | None],
-                         grid_of: Callable[[int], SudokuGrid]) -> Iterator[tuple[int, int]]:
-    """The pairs i < j, sorted, of squares that are not orthogonal.  Two
-    squares with row maps (certify_grid's) are not orthogonal iff their
-    kernels share a cell (R, C) with R != 0, that is iff kappa_i(R) ==
-    kappa_j(R): one scan of the rows R != 0 groups the squares by
-    kappa_i(R).  A pair with a square that has no row map goes to the
-    census on grid_of(i) and grid_of(j); grid_of(i) is built, range-checked
-    and keyed once per i, when first needed, and grids of different orders
-    raise OrderMismatch, as in verify_orthogonal_bruteforce."""
-    mapped = [i for i, kappa in enumerate(kernels) if kappa is not None]
-    unmapped = [i for i, kappa in enumerate(kernels) if kappa is None]
+def non_orthogonal_pairs(kernels: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The pairs i < j, sorted, of squares that are not orthogonal, from
+    their row maps (certify_grid's).  Two squares are not orthogonal iff
+    their kernels share a cell (R, C) with R != 0, that is iff kappa_i(R)
+    == kappa_j(R): one scan of the rows R != 0 groups the squares by
+    kappa_i(R).  Raises OrderMismatch for row maps of different lengths."""
+    for kappa in kernels:
+        if len(kappa) != len(kernels[0]):
+            raise OrderMismatch(f"order {len(kernels[0])} vs {len(kappa)}")
     bad = set()
-    for column in islice(zip(*map(kernels.__getitem__, mapped)), 1, None):
+    for column in islice(zip(*kernels), 1, None):
         if len(set(column)) < len(column):
             groups = defaultdict(list)
-            for i, column_of_i in zip(mapped, column):
+            for i, column_of_i in enumerate(column):
                 groups[column_of_i].append(i)
             bad.update(pair for group in groups.values() for pair in combinations(group, 2))
-    for i, kernel_i in enumerate(kernels):
-        keys_i = None
-        partners = (range(i + 1, len(kernels)) if kernel_i is None
-                    else unmapped[bisect(unmapped, i):])
-        for j in partners:
-            if keys_i is None:
-                keys_i = _census_keys(grid_of(i))
-            if not _census(keys_i, grid_of(j)):
-                bad.add((i, j))
-    yield from sorted(bad)
+    return sorted(bad)
 
 
 def render_grid(c: Mat2, style: str = "text") -> str:

@@ -378,18 +378,28 @@ def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
     assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 30
 
 
+def _bar_cell_checks(monkeypatch):
+    """Make verify_sudoku and the cell census raise wherever moss binds them:
+    the certifier must decide every grid and pair by coset kernels."""
+    for name in ("verify_sudoku", "verify_orthogonal_bruteforce"):
+        original = getattr(moss.sudoku, name)
+
+        def barred(*grids, name=name):
+            raise AssertionError(f"{name} was called")
+
+        for module in (moss, moss.sudoku, moss.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, barred)
+
+
 def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
     """Documents of order 625 are decided by their coset kernels: the cell
-    census, about 0.1 s a pair there, is never called."""
+    census, about 0.1 s a pair there, and verify_sudoku are never called."""
     paths = []
     for i, m in enumerate(build_family(Field(5, 2)).matrices[:8]):
         paths.append(tmp_path / f"square_{i}.json")
         paths[-1].write_text(SquareDocument.from_matrix(m).to_json())
-
-    def census(a, b):
-        raise AssertionError("the cell census was called")
-
-    monkeypatch.setattr(moss.sudoku, "_census", census)
+    _bar_cell_checks(monkeypatch)
     assert main(["verify", "--files", *map(str, paths)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "8 squares ok, 28 pairs checked, 0 failures"
     twin = tmp_path / "twin.json"
@@ -474,13 +484,10 @@ def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
 
 def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
     """Every square of a clean family has a coset kernel, so verify decides
-    every pair by kernels and never calls the cell census."""
+    every square and every pair by kernels and never calls the cell census
+    or verify_sudoku."""
     files = _write_family(tmp_path)
-
-    def census(a, b):
-        raise AssertionError("the cell census was called")
-
-    monkeypatch.setattr(moss.sudoku, "_census", census)
+    _bar_cell_checks(monkeypatch)
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
 
@@ -488,24 +495,18 @@ def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
 def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, capsys):
     """A document's kernel decides that it is a sudoku square, so verify runs
     verify_sudoku on none of a family's documents; when no kernel is found,
-    verify_sudoku decides each of them and verify prints the same lines."""
+    each document is a FAIL line, still without verify_sudoku, and no pair
+    is checked."""
     files = _write_family(tmp_path)
-    reports = []
-    original = moss.sudoku.verify_sudoku
-
-    def counted(grid):
-        reports.append(original(grid))
-        return reports[-1]
-
-    monkeypatch.setattr(moss.sudoku, "verify_sudoku", counted)
+    _bar_cell_checks(monkeypatch)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 0
-    out = capsys.readouterr().out
-    assert reports == []
+    assert capsys.readouterr().out == "".join(f"OK {path}\n" for path in files) + \
+        "6 squares ok, 15 pairs checked, 0 failures\n"
     monkeypatch.setattr(moss.sudoku, "coset_kernel", lambda grid: None)
-    assert main(["verify", "--files", *files]) == 0
-    assert capsys.readouterr().out == out
-    assert len(reports) == len(files) and all(report.ok for report in reports)
+    assert main(["verify", "--files", *files]) == 1
+    assert capsys.readouterr().out == "".join(f"FAIL {path}: no coset kernel\n" for path in files) + \
+        "0 squares ok, 0 pairs checked, 6 failures\n"
 
 
 def _count_builds(monkeypatch):
@@ -645,12 +646,12 @@ def test_verify_mixed_q9_list_golden_bytes(tmp_path, monkeypatch, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
 
 
-def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch, capsys):
-    """With every other square's kernel withheld, verify decides the pairs
-    with a kernelless side, square_05 against its twin among them, by the
-    cell census on rebuilt grids, and prints the same bytes.  Each such
-    pair builds its column square's grid; its row square's grid is built
-    once per row, not once per pair."""
+def test_verify_fails_the_squares_without_a_kernel(tmp_path, monkeypatch, capsys):
+    """With every other square's kernel withheld, from the first, verify
+    prints "no coset kernel" for each square without one, never OK, and
+    leaves it out of the pair phase, which builds no grid: twin.json keeps
+    its kernel, square_05 does not, so their pair is not checked.  The
+    two schema breaks stay FAIL lines of their own."""
     builds = _count_builds(monkeypatch)
     kernels, builds_at_kernel = [], []
     original_kernel = moss.sudoku.coset_kernel
@@ -660,21 +661,18 @@ def test_verify_falls_back_to_the_census_without_a_kernel(tmp_path, monkeypatch,
         builds_at_kernel.append(len(builds))
         return kernels[-1] if len(kernels) % 2 else None
 
-    pairs = []
-    original_census = moss.sudoku._census
-
-    def census(a, b):
-        pairs.append((a, b))
-        return original_census(a, b)
-
     monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
-    monkeypatch.setattr(moss.sudoku, "_census", census)
     code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
-    # 73 squares, 37 with a kernel: all but the 37 * 36 / 2 pairs of those
-    assert len(kernels) == 73 and len(pairs) == 73 * 72 // 2 - 37 * 36 // 2 == 1962
-    # the builds after the last kernel are the pair phase's
-    assert len(builds) - builds_at_kernel[-1] <= 1962 + 73
+    files = sorted(f"fam/{path.name}" for path in Path("fam").iterdir())
+    loaded = files[:36] + ["twin.json"] + files[36:]
+    assert len(kernels) == len(loaded) == 73 and all(kernels)
+    expected = [f"OK {path}" if i % 2 == 0 else f"FAIL {path}: no coset kernel"
+                for i, path in enumerate(loaded)]
+    expected.insert(37, "FAIL corrupt.json: grid: grid disagrees with the square rebuilt from c")
+    expected += ["FAIL broken.json: c: missing", "37 squares ok, 666 pairs checked, 38 failures"]
+    assert (code, out) == (1, "".join(line + "\n" for line in expected))
+    # one grid per loaded square and corrupt.json's rebuild, none after the last kernel
+    assert len(builds) == builds_at_kernel[-1] == 74
 
 
 @pytest.mark.parametrize("withheld", [None, 0, 1])
@@ -683,9 +681,10 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
     them in the order of itertools.combinations, and they are exactly the
     pairs that the oracle's census rejects: 12 q = 9 squares with member 0
     at positions 0, 5 and 9 and member 3 at 3 and 7 fail (0, 5), (0, 9),
-    (3, 7) and (5, 9).  The lines stay the same when the kernel of every
-    other grid, the even or the odd positions, is withheld, so that the
-    census pairs merge with the row scan's."""
+    (3, 7) and (5, 9).  When the kernel of every other grid, the even or
+    the odd positions, is withheld, those squares fail on their own and the
+    failing pairs are the oracle's among the rest: (3, 7) and (5, 9) for
+    the odd positions, none for the even ones."""
     members = build_family(get_field(9)).matrices[:12]
     members[5] = members[9] = members[0]
     members[7] = members[3]
@@ -694,10 +693,12 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
         files.append(str(tmp_path / f"square_{i:02d}.json"))
         Path(files[-1]).write_text(SquareDocument.from_matrix(m).to_json())
     grids = [moss.sudoku.build_from_canonical(m) for m in members]
-    expected = [f"FAIL {files[i]} vs {files[j]}: not orthogonal"
-                for i, j in combinations(range(12), 2)
-                if not orthogonal_by_pair_census(grids[i], grids[j])]
-    assert len(expected) == 4
+    kept = [i for i in range(12) if withheld is None or i % 2 != withheld]
+    expected = [f"FAIL {files[i]}: no coset kernel" for i in range(12) if i not in kept]
+    expected += [f"FAIL {files[i]} vs {files[j]}: not orthogonal"
+                 for i, j in combinations(kept, 2)
+                 if not orthogonal_by_pair_census(grids[i], grids[j])]
+    assert len(expected) == {None: 4, 0: 8, 1: 6}[withheld]
     if withheld is not None:
         calls = []
         original = moss.sudoku.coset_kernel
@@ -711,7 +712,28 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
     assert main(["verify", "--files", *files]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FAIL")] == expected
-    assert out[-1] == "12 squares ok, 66 pairs checked, 4 failures"
+    pairs = len(kept) * (len(kept) - 1) // 2
+    assert out[-1] == f"{len(kept)} squares ok, {pairs} pairs checked, {len(expected)} failures"
+
+
+def test_verify_fails_one_square_without_a_kernel(tmp_path, monkeypatch, capsys):
+    """A q = 5 tree with one document's kernel withheld: that document is
+    "FAIL <path>: no coset kernel", never OK, exit 1, and the summary counts
+    the other 19 squares and their 171 pairs."""
+    files = _write_family(tmp_path, q=5)
+    original = moss.sudoku.coset_kernel
+    calls = []
+
+    def withhold_the_eighth(grid):
+        calls.append(grid)
+        return None if len(calls) == 8 else original(grid)
+
+    monkeypatch.setattr(moss.sudoku, "coset_kernel", withhold_the_eighth)
+    capsys.readouterr()
+    assert main(["verify", "--files", *files]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"OK {path}" for path in files[:7]] + [f"FAIL {files[7]}: no coset kernel"] + \
+        [f"OK {path}" for path in files[8:]] + ["19 squares ok, 171 pairs checked, 1 failures"]
 
 
 def test_verify_detects_corrupted_grid(tmp_path, capsys):

@@ -224,11 +224,13 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_bruteforce_mode_runs_no_census_on_a_clean_family(q, monkeypatch):
     """Every member's grid has a coset kernel, so bruteforce mode builds each
-    grid once, decides every pair by kernels and never calls the census."""
-    def census(a, b):
-        raise AssertionError("the cell census was called")
+    grid once, decides every grid and pair by kernels and never calls the
+    census or verify_sudoku."""
+    for name in ("verify_sudoku", "verify_orthogonal_bruteforce"):
+        def barred(*grids, name=name):
+            raise AssertionError(f"{name} was called")
 
-    _rebind(monkeypatch, "_census", census)
+        _rebind(monkeypatch, name, barred)
     builds = _count_builds(monkeypatch)
     report = verify_family(build_family(get_field(q)), "bruteforce")
     assert report.ok and report.size == q * (q - 1)
@@ -259,9 +261,9 @@ CORRUPTED = {
 @pytest.mark.parametrize("name", CORRUPTED)
 def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
     """The not_orthogonal_bruteforce pairs are those that the oracle's cell
-    census rejects among the valid members, and stay so when every other
-    member's kernel is withheld and the pairs with a kernelless side go to
-    the census through verify_family."""
+    census rejects among the valid members.  With every other valid
+    member's kernel withheld, from the first, each of those members is
+    not_sudoku and the pairs are the oracle's among the others."""
     q, corrupt = CORRUPTED[name]
     fam = build_family(get_field(q))
     family = Family(fam.field, fam.alpha, fam.lam, corrupt(fam, fam.matrices))
@@ -273,23 +275,40 @@ def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
     assert [pair for kind, pair in report.violations if kind == "not_orthogonal_bruteforce"] \
         == expected
 
-    kernels, census_calls = [], []
+    kernels = []
 
     def every_other(grid):
         kernels.append(original_kernel(grid))
-        return kernels[-1] if len(kernels) % 2 else None
-
-    def census(a, b):
-        census_calls.append((a, b))
-        return original_census(a, b)
+        return None if len(kernels) % 2 else kernels[-1]
 
     original_kernel = _rebind(monkeypatch, "coset_kernel", every_other)
-    original_census = _rebind(monkeypatch, "_census", census)
     withheld = verify_family(family, "bruteforce")
-    assert withheld.violations == report.violations
-    # all pairs but those of the (n + 1) // 2 members that kept a kernel
-    n, kept = len(grids), (len(grids) + 1) // 2
-    assert len(kernels) == n and len(census_calls) == n * (n - 1) // 2 - kept * (kept - 1) // 2
+    assert len(kernels) == len(grids) and all(kernels)
+    assert withheld.violations == sorted(
+        [v for v in report.violations if v[0] != "not_orthogonal_bruteforce"]
+        + [("not_sudoku", (i,)) for i, _ in grids[::2]]
+        + [("not_orthogonal_bruteforce", (i, j)) for (i, a), (j, b) in combinations(grids[1::2], 2)
+           if not orthogonal_by_pair_census(a, b)])
+
+
+def test_bruteforce_mode_fails_a_member_without_a_kernel(monkeypatch):
+    """The q = 3 family with a copy of member 2: with member 2's kernel
+    withheld, bruteforce mode reports it not_sudoku and no pair with it,
+    so only the determinant check names the pair (2, 6)."""
+    fam = build_family(get_field(3))
+    family = Family(fam.field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[2]])
+    assert verify_family(family, "bruteforce").violations == [
+        ("not_orthogonal", (2, 6)), ("not_orthogonal_bruteforce", (2, 6))]
+    calls = []
+
+    def withhold_the_third(grid):
+        calls.append(grid)
+        return None if len(calls) == 3 else original(grid)
+
+    original = _rebind(monkeypatch, "coset_kernel", withhold_the_third)
+    report = verify_family(family, "bruteforce")
+    assert report.violations == [("not_orthogonal", (2, 6)), ("not_sudoku", (2,))]
+    assert repr(report) == "FamilyReport(mode='bruteforce', size=7, pairs=21, 2 violations)"
 
 
 def test_verify_family_guards():

@@ -217,32 +217,44 @@ def test_checks_build_only_the_caches_they_read():
             assert check()
 
 
-def test_census_fallback_checks_each_grid_once(monkeypatch):
-    """Without kernels, non_orthogonal_pairs builds each row square's grid
-    once per row and each column square's grid once per pair, and
-    range-checks every grid once, when it is built: 5 + 15 grids for the 6
-    squares of q = 3 with a copy of square 0 in place of square 5.  Grids
-    of different orders raise OrderMismatch."""
+def test_non_orthogonal_pairs_reads_row_maps_of_one_order():
+    """non_orthogonal_pairs takes row maps alone and returns the sorted
+    failing pairs: (0, 5) for the 6 squares of q = 3 with a copy of square
+    0 in place of square 5, and nothing for the empty list.  Row maps of
+    different lengths raise OrderMismatch: zip would have cut a GF(5) map
+    to its first 9 rows and read the pair as orthogonal."""
     members = build_family(get_field(3)).matrices
     members[5] = members[0]
-    built, checked = [], []
-    original = moss.sudoku._check_rows
+    kernels = [coset_kernel(build_from_canonical(m)) for m in members]
+    assert moss.sudoku.non_orthogonal_pairs(kernels) == [(0, 5)]
+    assert moss.sudoku.non_orthogonal_pairs([]) == []
+    other = coset_kernel(build_from_canonical(build_family(get_field(5)).matrices[0]))
+    for mixed, message in [([kernels[0], other], r"^order 9 vs 25$"),
+                           ([other, kernels[1], kernels[2]], r"^order 25 vs 9$")]:
+        with pytest.raises(OrderMismatch, match=message):
+            moss.sudoku.non_orthogonal_pairs(mixed)
 
-    def grid_of(i):
-        built.append(build_from_canonical(members[i]))
-        return built[-1]
+
+def test_census_checks_each_grid_once(monkeypatch):
+    """verify_orthogonal_bruteforce range-checks each grid once, a before
+    b, and grids of different orders raise OrderMismatch before either is
+    checked."""
+    a, b = (build_from_canonical(m) for m in build_family(get_field(3)).matrices[:2])
+    checked = []
+    original = moss.sudoku._check_rows
 
     def counting_check(rows, n):
         checked.append(rows)
         original(rows, n)
 
     monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
-    assert list(moss.sudoku.non_orthogonal_pairs([None] * 6, grid_of)) == [(0, 5)]
-    assert len(built) == 20
-    assert list(map(id, checked)) == [id(grid.rows) for grid in built]
-    mixed = [built[0], build_from_canonical(build_family(get_field(5)).matrices[0])]
+    assert verify_orthogonal_bruteforce(a, b) and not verify_orthogonal_bruteforce(b, b)
+    assert list(map(id, checked)) == [id(a.rows), id(b.rows), id(b.rows), id(b.rows)]
+    checked.clear()
+    other = build_from_canonical(build_family(get_field(5)).matrices[0])
     with pytest.raises(OrderMismatch, match=r"^order 9 vs 25$"):
-        list(moss.sudoku.non_orthogonal_pairs([None, None], mixed.__getitem__))
+        verify_orthogonal_bruteforce(a, other)
+    assert checked == []
 
 
 @pytest.mark.parametrize("q", [-3, 0, 3.0, True, "3"])
@@ -546,9 +558,9 @@ def kernel_pairs(draw, q):
 
 @pytest.mark.parametrize("q, examples", [(3, 150), (5, 80), (7, 50), (9, 40), (25, 6), (27, 6)])
 def test_coset_kernels_decide_orthogonality_exactly(q, examples):
-    """Row maps that differ in every row R != 0 (kernels that meet only at
-    0) where both grids have one, else the census that verify falls back
-    to, agrees with the pair oracle on every pair.  A row map kappa is the
+    """non_orthogonal_pairs on the row maps (kernels that meet only at 0
+    iff the maps differ in every row R != 0) where both grids have one,
+    else the package's census, agrees with the pair oracle on every pair.  A row map kappa is the
     kernel {R*n + kappa(R)}: the cells of the (0, 0) symbol.  At
     q = 9, 25 and 27 (k > 1) digit-wise addition differs from index
     addition."""
@@ -572,7 +584,7 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
         (a, _), (b, _) = pair
         ka, kb = kernels
         if ka is not None and kb is not None:
-            verdict = all(map(int.__ne__, ka[1:], kb[1:]))
+            verdict = not moss.sudoku.non_orthogonal_pairs(kernels)
         else:
             verdict = verify_orthogonal_bruteforce(a, b)
         assert verdict == orthogonal_by_pair_census(a, b)
@@ -618,28 +630,37 @@ def test_coset_kernel_of_the_golden_grid_and_of_order_36():
         r * 9 + c for r, row in enumerate(GOLDEN_GRID_Q3) for c, s in enumerate(row) if s == 0) - {0}
 
 
+def kappa_keeping_boxes(q):
+    """A bijective kappa, kappa(0) = 0, that is not additive but whose
+    row-shifted grid is a sudoku square: kappa(q*r1 + r2) = q*r2' + r1,
+    with r2' = r2 except in large row 1, where mini rows 1 and 2 swap.
+    Each box's rows take q distinct high digits, so each box is latin."""
+    swap = {1: 2, 2: 1}
+    return [q * (swap.get(r2, r2) if r1 == 1 else r2) + r1 for r1 in range(q) for r2 in range(q)]
+
+
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_a_row_shifted_grid_needs_an_additive_kappa(q):
     """Row 0 shifted by a bijective kappa that is not additive passes the
     row-shift test, and is latin in rows and columns, but it is no coset
-    partition: coset_kernel gives None and certify_grid gives
-    verify_sudoku's report, which the per-cell flags confirm.  Each kappa
-    breaks additivity at another generator; a random one breaks it
-    anywhere."""
+    partition: coset_kernel and certify_grid give None, also for the grid
+    of kappa_keeping_boxes, which verify_sudoku and the per-cell flags
+    pass.  Each kappa_broken_at breaks additivity at another generator; a
+    random one breaks it anywhere."""
     n = q * q
     row0 = build_from_canonical(family_matrices(q)[0]).rows[0]
     rng = random.Random(q)
     kappas = [kappa_broken_at(q, g) for g in range(2 * get_field(q).k)]
-    kappas.append([0] + rng.sample(range(1, n), n - 1))
+    kappas += [[0] + rng.sample(range(1, n), n - 1), kappa_keeping_boxes(q)]
     for kappa in kappas:
         assert sorted(kappa) == list(range(n)) and kappa[0] == 0
         assert not is_additive(q, kappa)
         grid = SudokuGrid(q, shifted_rows(q, row0, kappa))
-        assert coset_kernel(grid) is None
+        assert coset_kernel(grid) is None and certify_grid(grid) is None
         report = verify_sudoku(grid)
         assert report.latin_rows and report.latin_cols
-        assert certify_grid(grid) == (report, None)
         assert (report.latin_rows, report.latin_cols, report.subsquares) == sudoku_flags_per_cell(grid)
+    assert report.ok
     assert is_additive(q, coset_kernel(build_from_canonical(family_matrices(q)[0])))
 
 
@@ -671,14 +692,16 @@ def test_coset_kernel_range_checks_the_rows_past_row_0():
 
 
 def _assert_kernel_verdict(grid):
-    """certify_grid's verdict agrees with both sudoku checks on a grid with a
-    kernel, and certify_grid gives verify_sudoku's report and the kernel on
-    any grid; returns the verdict, or None for a grid without a kernel."""
+    """certify_grid gives verify_sudoku's report and the kernel on a grid
+    with a kernel, and its verdict agrees with the per-cell flags; on a
+    grid without one it gives None, and verify_sudoku fails the grid.
+    Returns the verdict, or None for a grid without a kernel."""
     kernel = coset_kernel(grid)
     certified = certify_grid(grid)
-    assert certified == (verify_sudoku(grid), kernel)
     if kernel is None:
+        assert certified is None and not verify_sudoku(grid).ok
         return None
+    assert certified == (verify_sudoku(grid), kernel)
     verdict = certified[0].ok
     assert verdict == verify_sudoku(grid).ok == all(sudoku_flags_per_cell(grid))
     return verdict
@@ -723,10 +746,12 @@ def coset_grids(draw, q):
 def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
     """On every grid with a coset kernel, certify_grid's verdict (no kernel
     cell in column 0 or box 0) agrees with verify_sudoku and with the per-cell
-    flags, and certify_grid's report is verify_sudoku's.  Fixed planes come first: the span of [I; C] for a singular C
-    with b != 0 meets only the column plane, and for an invertible lower-
-    triangular C only the subsquare plane, so each of the two tests has a
-    grid that only it rejects; the column plane's kernel is column 0."""
+    flags, and certify_grid's report is verify_sudoku's; a plane grid
+    without one gives None and fails verify_sudoku.  Fixed planes come
+    first: the span of [I; C] for a singular C with b != 0 meets only the
+    column plane, and for an invertible lower-triangular C only the
+    subsquare plane, so each of the two tests has a grid that only it
+    rejects; the column plane's kernel is column 0."""
     field = get_field(q)
     fixed = [(Mat2(field, 1, 1, 1, 1), False), (Mat2(field, 1, 0, 0, 1), False),
              (family_matrices(q)[0], True)]
@@ -749,23 +774,24 @@ def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
 def test_kernel_report_on_every_plane(q, planes, kernels, monkeypatch):
     """certify_grid reads a kernel grid's whole report off its kernel: on the
     coset labeling of every plane of F^4 it equals verify_sudoku's report,
-    with verify_sudoku barred from every grid that has a kernel, and the
-    kernel grids take all four column and subsquare outcomes."""
+    with verify_sudoku barred from certify_grid, and the kernel grids take
+    all four column and subsquare outcomes.  certify_grid is None exactly
+    when coset_kernel is, and verify_sudoku then fails the grid."""
     original = moss.sudoku.verify_sudoku
 
-    def no_kernel_only(grid):
-        if coset_kernel(grid) is not None:
-            raise AssertionError("verify_sudoku ran on a grid with a kernel")
-        return original(grid)
+    def barred(grid):
+        raise AssertionError("certify_grid ran verify_sudoku")
 
-    monkeypatch.setattr(moss.sudoku, "verify_sudoku", no_kernel_only)
+    monkeypatch.setattr(moss.sudoku, "verify_sudoku", barred)
     grids = [grid_from_cosets(plane) for plane in all_planes(get_field(q))]
     outcomes = Counter()
     for grid in grids:
         kernel = coset_kernel(grid)
         report = original(grid)
-        assert certify_grid(grid) == (report, kernel)
-        if kernel is not None:
+        if kernel is None:
+            assert certify_grid(grid) is None and not report.ok
+        else:
+            assert certify_grid(grid) == (report, kernel)
             outcomes[report.latin_cols, report.subsquares] += 1
     assert len(grids) == planes and sum(outcomes.values()) == kernels
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
