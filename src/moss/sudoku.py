@@ -35,13 +35,12 @@ coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
 K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
 cell (R, C) added (+) and subtracted (-) digit-wise in base p, as GF(q)
 adds element indices.  K has one cell (R, kappa(R)) in each row, and the
-grid is the coset partition of K iff (1) row 0 holds n distinct symbols,
-(2) every row is row 0 shifted, grid[R][C] = grid[0][C - kappa(R)], and
-(3) kappa(R + g) = kappa(R) + kappa(g) for every R and each of the 2k
-generators g = p^i, q*p^i.  Proof: by (2), (R, C) and (R', C') share a
-symbol iff C - kappa(R) = C' - kappa(R'); by (3), iff (R' - R, C' - C) is
-in K.  So coset_kernel returns kappa, a row map of n ints, after one pass
-per row; the pass also range-checks the grid.  Two such grids are
+grid is the coset partition of K iff (1) row 0 holds n distinct symbols
+and (2) every row R != 0 is its parent row R - g shifted by kappa(g),
+where g = p^j for the lowest nonzero base-p digit j of R is one of the 2k
+generators p^i, q*p^i (proof at coset_kernel).  So coset_kernel returns
+kappa, a row map of n ints, after one pass per row with one shift map per
+generator; the pass also range-checks the grid.  Two such grids are
 orthogonal iff their kernels meet only at 0, that is iff their row maps
 differ in every row R != 0, so the pairs of N squares cost one scan of N
 row maps instead of n^2 cells a pair.  Rows, columns and subsquares are
@@ -199,12 +198,13 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
 def _check_rows(rows: list[list[int]], n: int) -> None:
     """Raise MalformedGrid unless rows is n x n with int symbols in [0, n).
 
-    Rows, or a row, without a length are the wrong shape.  A row of plain
-    ints in range passes on C-level passes (type set, min, max); any other
-    row is walked cell by cell to name its first bad symbol.
+    Rows without a length, or a row that is no Sequence, are the wrong
+    shape.  A row of plain ints in range passes on C-level passes (type
+    set, min, max); any other row is walked cell by cell to name its first
+    bad symbol.
     """
     try:
-        shaped = len(rows) == n and all(len(row) == n for row in rows)
+        shaped = len(rows) == n and all(isinstance(row, Sequence) and len(row) == n for row in rows)
     except TypeError:
         shaped = False
     if not shaped:
@@ -237,31 +237,20 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _digit_sums(q: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The place values p^i (i < k) and the table of digit-wise base-p sums
-    on [0, q), q = p^k: the additive group of GF(q) on element indices,
-    computed from q alone.  Raises ValueError when q is not a prime power."""
+def _digit_sums(q: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """p and k of q = p^k, and the table of digit-wise base-p sums on
+    [0, q): the additive group of GF(q) on element indices, computed from q
+    alone.  Raises ValueError when q is not a prime power."""
     p, k = factor_prime_power(q)
     places = tuple(p ** i for i in range(k))
-    return places, tuple(tuple(sum((u // w + v // w) % p * w for w in places) for v in range(q))
-                         for u in range(q))
+    return p, k, tuple(tuple(sum((u // w + v // w) % p * w for w in places) for v in range(q))
+                       for u in range(q))
 
 
 def _shift(sums: tuple[tuple[int, ...], ...], q: int, by: int) -> list[int]:
     """The map i -> i + by on [0, q^2), adding i = q*hi + lo digit by digit."""
     high, low = sums[by // q], sums[by % q]
     return [q * h + l for h in high for l in low]
-
-
-@lru_cache(maxsize=1)
-def _row_shifts(q: int) -> tuple[itemgetter, ...]:
-    """getter[u] = itemgetter(C + u for C in [0, q^2)), digit-wise: it reads
-    a row shifted by u.  The q^2 getters share one int object per index, so
-    they hold about one grid's worth of pointers.  Built on first use, for
-    the last q only; raises ValueError when q is not a prime power."""
-    _, sums = _digit_sums(q)
-    index = list(range(q * q)).__getitem__
-    return tuple(itemgetter(*map(index, _shift(sums, q, u))) for u in range(q * q))
 
 
 def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
@@ -271,13 +260,16 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
     K = {(R, kappa(R))} has one cell in each row: kappa(R) is the column of
     row R that holds the symbol of cell (0, 0), and kappa(0) = 0.  With +
     and - digit-wise in base p, q = p^k, the grid is the coset partition of
-    K iff (1) row 0 holds n distinct symbols, (2) every row is row 0
-    shifted, grid[R][C] = grid[0][C - kappa(R)], and (3) kappa is additive,
-    kappa(R + g) = kappa(R) + kappa(g) for every R and each of the 2k
-    generators g = p^i, q*p^i of the row coordinates.  By (2), cells (R, C)
-    and (R', C') share a symbol iff C - kappa(R) = C' - kappa(R'), and by
-    (3) iff (R' - R, C' - C) lies in K.  Each row costs one index, one
-    itemgetter and one tuple compare; (3) costs O(k n).
+    K iff (1) row 0 holds n distinct symbols and (2) every row R != 0 is
+    its parent row R - g shifted by kappa(g), grid[R][C] =
+    grid[R - g][C - kappa(g)], where g = p^j for the lowest nonzero base-p
+    digit j of R is one of the 2k generators p^i, q*p^i.  Proof: by
+    induction on R, (2) makes row R row 0 shifted by kappa(R) =
+    kappa(R - g) + kappa(g), so kappa, built digit by digit from its
+    generator values, is additive, and cells (R, C) and (R', C') share a
+    symbol iff C - kappa(R) = C' - kappa(R'), iff (R' - R, C' - C) lies in
+    K.  Conversely the coset partition of an additive K passes (2).  Each
+    row costs one index, one itemgetter call and one tuple compare.
 
     The range check is folded in: an exact int type set over all cells and
     row 0 in [0, n) put every row that passes (2) in range.  Any grid that
@@ -292,44 +284,40 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
 
 
 def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
-    """coset_kernel's kappa, or None for a grid that fails its shape, type,
-    row-0 range or one of its three conditions (or whose q is not a prime
-    power)."""
+    """coset_kernel's kappa, or None for a grid that fails its shape (a row
+    that is not a Sequence included), type, row-0 range or one of its two
+    conditions (or whose q is not a prime power)."""
     try:
         if len(rows) != n or set(map(len, rows)) != {n}:
             return None
     except TypeError:
         return None
     row0 = rows[0]
-    if (set(map(type, chain.from_iterable(rows))) != {int} or min(row0) < 0
+    if (not all(issubclass(kind, Sequence) for kind in set(map(type, rows)))
+            or set(map(type, chain.from_iterable(rows))) != {int} or min(row0) < 0
             or max(row0) >= n or len(set(row0)) != n):
         return None
     try:
-        getters = _row_shifts(q)
+        p, k, sums = _digit_sums(q)
         kappa = tuple(map(methodcaller("index", row0[0]), rows))
     except ValueError:  # q is not a prime power, or a row lacks the symbol
         return None
-    first = tuple(row0)
-    if not all(getters[u](row) == first for u, row in zip(kappa, rows)):
-        return None
-    places, sums = _digit_sums(q)
-    for g in places + tuple(q * w for w in places):
-        shifted = _shift(sums, q, kappa[g])
-        if getters[g](kappa) != tuple(map(shifted.__getitem__, kappa)):
+    for g in [p ** i for i in range(2 * k)]:  # p^i, then q*p^i = p^(k+i)
+        shifted = itemgetter(*_shift(sums, q, kappa[g]))
+        if not all(shifted(rows[r]) == tuple(rows[r - g]) for r in range(g, n, g) if r // g % p):
             return None
     return kappa
 
 
 def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, tuple[int, ...]] | None:
     """The grid's sudoku report and its coset kernel's row map kappa, or
-    None if coset_kernel finds no kappa.  A kappa meets coset_kernel's
-    three conditions (row 0 distinct, row R is row 0 shifted by kappa(R),
-    kappa additive on the 2k generators), so the symbol classes are the
-    cosets of K = {(R, kappa(R))}: they are latin in rows, as K has one
-    cell per row, in columns iff kappa(R) != 0 for every R != 0 (K meets
-    column 0 only at 0), and in subsquares iff kappa(R) >= q for 0 < R < q
-    (K meets box 0 only at 0).  Raises MalformedGrid as coset_kernel
-    does."""
+    None if coset_kernel finds no kappa.  A kappa meets coset_kernel's two
+    conditions (row 0 distinct, each row its parent row shifted), so it is
+    additive and the symbol classes are the cosets of K = {(R, kappa(R))}:
+    they are latin in rows, as K has one cell per row, in columns iff
+    kappa(R) != 0 for every R != 0 (K meets column 0 only at 0), and in
+    subsquares iff kappa(R) >= q for 0 < R < q (K meets box 0 only at 0).
+    Raises MalformedGrid as coset_kernel does."""
     kappa = coset_kernel(grid)
     if kappa is None:
         return None

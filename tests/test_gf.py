@@ -249,7 +249,7 @@ def test_oracles_never_read_the_field_tables():
 def test_coset_kernels_never_read_the_field_tables():
     """coset_kernel adds cells from q alone: grids built before their
     field's tables are replaced by objects that fail on any read give the
-    same kernels after, with the digit-sum table and row shifts rebuilt."""
+    same kernels after, with the digit-sum table rebuilt."""
     field = Field(3, 2)  # its own instance, so cached fields keep their tables
     grids = [build_from_canonical(m) for m in build_family(field).matrices[:4]]
     expected = [coset_kernel(SudokuGrid(9, grid.rows)) for grid in grids]
@@ -257,7 +257,6 @@ def test_coset_kernels_never_read_the_field_tables():
     for name in ("add_table", "sub_table", "mul_table", "neg_table", "inv_table", "_coeffs"):
         setattr(field, name, _Untouchable())
     moss.sudoku._digit_sums.cache_clear()
-    moss.sudoku._row_shifts.cache_clear()
     assert [coset_kernel(grid) for grid in grids] == expected
 
 

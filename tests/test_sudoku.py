@@ -1,9 +1,13 @@
 """Grid construction, the three exactly-once checks, and rendering."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -182,13 +186,19 @@ def test_verify_malformed():
     bad[4][4] = True
     with pytest.raises(MalformedGrid):
         verify_sudoku(SudokuGrid(3, bad))
-    # rows, or a row, with no length are the wrong shape, not a TypeError
-    for rows in ([0] * 9, None, [None] * 9):
-        for check in (verify_sudoku, coset_kernel, lambda g: verify_orthogonal_bruteforce(g, g)):
+    # rows, or a row, with no length, and rows that are sets or dicts (no
+    # Sequence) are the wrong shape, not a TypeError, an AttributeError or
+    # a verdict read off their iteration order
+    for rows in ([0] * 9, None, [None] * 9, [set(row) for row in GOLDEN_GRID_Q3],
+                 [{s: s for s in row} for row in GOLDEN_GRID_Q3]):
+        for check in (verify_sudoku, coset_kernel, certify_grid,
+                      lambda g: verify_orthogonal_bruteforce(g, g),
+                      lambda g: verify_orthogonal_bruteforce(g, SudokuGrid(3, GOLDEN_GRID_Q3))):
             with pytest.raises(MalformedGrid, match=r"^grid must be 9x9$"):
                 check(SudokuGrid(3, rows))
     tuples = SudokuGrid(3, tuple(map(tuple, GOLDEN_GRID_Q3)))
     assert verify_sudoku(tuples).ok and coset_kernel(tuples) is not None
+    assert certify_grid(tuples)[0].ok
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
@@ -593,30 +603,90 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
 
 
 def test_coset_kernel_basis_stays_within_2k_cells(monkeypatch):
-    """coset_kernel checks that kappa is additive on the 2k generators p^i
-    and q*p^i of the row coordinates only, one shift map per generator, and
-    builds none for a grid that fails the row-shift test.  A grid whose
+    """coset_kernel builds one shift map per generator p^i, q*p^i of the row
+    coordinates, in that order, and no per-q table: exactly 2k on a family
+    member, also on the first call after the digit sums are dropped, and 1
+    on a random grid, which fails at the first generator.  A grid whose
     rows are row 0 shifted by a kappa that is additive on the generators
-    before number g only is rejected at g."""
+    before number g only is rejected at g, after g + 1 maps."""
     maps = []
     shift = moss.sudoku._shift
     monkeypatch.setattr(moss.sudoku, "_shift", lambda *args: maps.append(args) or shift(*args))
     for q, k in ((3, 1), (9, 2)):
         n = q * q
-        moss.sudoku._row_shifts(q)  # the cached getters, built outside the count
+        rows = build_from_canonical(family_matrices(q)[0]).rows
+        moss.sudoku._digit_sums.cache_clear()
+        maps.clear()
+        assert coset_kernel(SudokuGrid(q, rows)) is not None
+        assert len(maps) == 2 * k
         for seed in range(20):
             rng = random.Random(seed)
             maps.clear()
             assert coset_kernel(SudokuGrid(q, [rng.sample(range(n), n) for _ in range(n)])) is None
-            assert maps == []
-        maps.clear()
-        rows = build_from_canonical(family_matrices(q)[0]).rows
-        assert coset_kernel(SudokuGrid(q, rows)) is not None
-        assert len(maps) == 2 * k
+            assert len(maps) == 1
         for g in range(2 * k):
             maps.clear()
             assert coset_kernel(SudokuGrid(q, shifted_rows(q, rows[0], kappa_broken_at(q, g)))) is None
             assert len(maps) == g + 1
+
+
+def descends(p, s, r):
+    """Whether the parent steps S -> S - p^j, j the lowest nonzero base-p
+    digit of S, lead from row s to row r."""
+    while s > r:
+        g = 1
+        while s // g % p == 0:
+            g *= p
+        s -= g
+    return s == r
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_coset_kernel_checks_every_row(q):
+    """Every row R != 0 is checked against its parent row: family member 1
+    with two cells of row R swapped, or with row R replaced by row 0
+    shifted by some u != kappa(R), has no kernel and no certificate, for
+    each R.  So has the member with symbols rows[0][1] and rows[0][2]
+    swapped in row R and in every row below it in the parent tree, which
+    only R's own check can see: kappa stays, and each row below R still
+    matches its shifted parent."""
+    n, p = q * q, get_field(q).p
+    rows = build_from_canonical(family_matrices(q)[1]).rows
+    kappa = coset_kernel(SudokuGrid(q, rows))
+    assert kappa is not None
+    swap = {rows[0][1]: rows[0][2], rows[0][2]: rows[0][1]}
+    for r in range(1, n):
+        swapped = rows[r][:]
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        moved = shifted_rows(q, rows[0], [(kappa[r] + r) % n])[0]
+        variants = [rows[:r] + [row] + rows[r + 1:] for row in (swapped, moved)]
+        variants.append([[swap.get(symbol, symbol) for symbol in row] if descends(p, s, r) else row
+                         for s, row in enumerate(rows)])
+        for variant in variants:
+            grid = SudokuGrid(q, variant)
+            assert coset_kernel(grid) is None and certify_grid(grid) is None, r
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_coset_kernel_holds_no_per_q_table():
+    """A fresh process's peak memory rises by less than 1 MB over the first
+    coset_kernel of a GF(25) grid: the kernel builds its 2k shift maps per
+    grid, not a table of n getters per q (about 3 MB at q = 25)."""
+    code = (
+        "from moss import GF, build_family\n"
+        "from moss.sudoku import build_from_canonical, coset_kernel\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "grid = build_from_canonical(build_family(GF(25)).matrices[1])\n"
+        "before = peak_kb()\n"
+        "assert coset_kernel(grid) is not None\n"
+        "print(peak_kb() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(moss.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1024
 
 
 def test_coset_kernel_of_the_golden_grid_and_of_order_36():
