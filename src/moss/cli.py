@@ -9,8 +9,8 @@ from its generator matrix, never from an int grid.  Exit codes: 0 success,
 ValueError, and main alone maps a ValueError or OSError to exit 2; verify
 reports a document that breaks the schema as a FAIL line instead.
 
-verify certifies each document's grid by its coset kernel
-(sudoku.certify_grid), fails a grid that has none, keeps the kernel's row
+verify certifies each document's grid with the one grid certifier,
+sudoku.coset_kernel, fails a grid that it gives no row map, keeps the row
 map, not the cells, and finds the pairs that are not orthogonal as
 verify_family's bruteforce mode does (sudoku.non_orthogonal_pairs).
 """
@@ -27,7 +27,7 @@ from .family import alpha_census, build_family, derive_lambda, find_alpha, verif
 from .gf import GF
 from .planes import parse_mat2
 from .serialize import SchemaViolation, SquareDocument
-from .sudoku import certify_grid, non_orthogonal_pairs, render_grid
+from .sudoku import coset_kernel, non_orthogonal_pairs, render_grid
 # Not called here: bench/tests/test_bench.py checks that the tracer rebinds this name.
 from .sudoku import verify_orthogonal_bruteforce  # noqa: F401
 
@@ -124,14 +124,14 @@ def _cmd_verify(args) -> int:
             continue
         if q is not None and doc.q != q:
             raise ValueError(f"files mix different orders: {q}, {doc.q}")
-        certified = certify_grid(doc.to_grid())
-        if certified is None or not certified[0].ok:
-            print(f"FAIL {path}: {'no coset kernel' if certified is None else repr(certified[0])}")
+        kernel = coset_kernel(doc.to_grid())
+        if kernel is None:
+            print(f"FAIL {path}: no coset kernel")
             failures += 1
             continue
         print(f"OK {path}")
         q = doc.q
-        squares.append((path, certified[1]))
+        squares.append((path, kernel))
     for i, j in non_orthogonal_pairs([kernel for _, kernel in squares]):
         print(f"FAIL {squares[i][0]} vs {squares[j][0]}: not orthogonal")
         failures += 1

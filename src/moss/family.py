@@ -29,8 +29,9 @@ singular iff C1 x = C2 x for some nonzero x, and x can be scaled to one of
 the q + 1 directions (0, 1) and (1, s) of GF(q)^2.  So each direction maps
 every matrix to its image C x, and two matrices whose images coincide form
 a violating pair: O((q + 1) n) table lookups instead of O(n^2)
-determinants.  Bruteforce mode checks the grids themselves, with moss
-verify's certifier, which shares nothing with this.
+determinants.  Bruteforce mode checks the grids themselves, with the one
+grid certifier of moss verify, sudoku.coset_kernel, which shares nothing
+with this.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import combinations
 
 from .gf import Field, FieldElement, FieldMismatch
 from .planes import Mat2, is_valid_generator
-from .sudoku import build_from_canonical, certify_grid, non_orthogonal_pairs
+from .sudoku import build_from_canonical, coset_kernel, non_orthogonal_pairs
 
 DEFAULT_BRUTEFORCE_CAP = 9
 
@@ -202,9 +203,10 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     visiting pairs: by the plane certificate in O(q + n) when the members
     lie in one plane whose nonzero matrices are all invertible (as every
     build_family output does), else by the direction scan in O((q + 1) n).
-    Bruteforce mode also certifies each valid member's grid by its coset
-    kernel and every pair of the certified ones, as moss verify does
-    (sudoku.certify_grid, sudoku.non_orthogonal_pairs); it is capped at q <=
+    Bruteforce mode also certifies each valid member's grid with the grid
+    certifier of moss verify, sudoku.coset_kernel, which gives a sudoku
+    square's row map or None (not_sudoku), and every pair of the certified
+    ones by their row maps (sudoku.non_orthogonal_pairs); it is capped at q <=
     DEFAULT_BRUTEFORCE_CAP, as each grid has q^4 cells.  The mode, the cap
     and the members' fields (FieldMismatch unless each equals family.field)
     are checked before any work is done.
@@ -236,11 +238,11 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     if mode == "bruteforce":
         certified = []
         for i, m in valid:
-            found = certify_grid(build_from_canonical(m))
-            if found is None or not found[0].ok:
+            kernel = coset_kernel(build_from_canonical(m))
+            if kernel is None:
                 violations.append(("not_sudoku", (i,)))
             else:
-                certified.append((i, found[1]))
+                certified.append((i, kernel))
         violations.extend(("not_orthogonal_bruteforce", (certified[a][0], certified[b][0]))
                           for a, b in non_orthogonal_pairs([kernel for _, kernel in certified]))
 

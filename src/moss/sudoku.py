@@ -14,13 +14,13 @@ of symbols is a relabeling of the same square.
 
 build_from_canonical computes that label in closed form for g = [I; C],
 by blocks: the q symbols of a row inside one subsquare are one of q^2
-fixed blocks (block_symbols, built once per field).  block_plan gives one
-itemgetter per large row, which picks each of its rows' q blocks out of
-one of q strips of blocks per field (_strips, as ints or as text), so a
-grid, or its text in any format (render_grid), takes one pick per row.
-The oracles that check both, a brute-force coset labeling of any plane
-and a per-cell renderer, are in tests/oracles.py, next to the
-canonicalization that takes a plane to its C.
+fixed blocks.  block_plan gives one itemgetter per large row, which picks
+each of its rows' q blocks out of one of q strips of blocks per field
+(_strips, as ints or as text, built once per field and form), so a grid,
+or its text in any format (render_grid), takes one pick per row.  The
+oracles that check both, a brute-force coset labeling of any plane and a
+per-cell renderer, are in tests/oracles.py, next to the canonicalization
+that takes a plane to its C.
 
 The checks read the grid itself and share nothing with the builder.
 verify_sudoku compares each row, column (a zip of the rows) and subsquare
@@ -31,23 +31,25 @@ in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
 check, coset_kernel too, range-checks the rows it reads, every time it
 reads them.
 
-coset_kernel reads a grid as the paper builds it: the cosets of a subgroup
-K of (Z_p^k)^4, q = p^k, one symbol per coset, with the coordinates of
-cell (R, C) added (+) and subtracted (-) digit-wise in base p, as GF(q)
-adds element indices.  K has one cell (R, kappa(R)) in each row, and the
-grid is the coset partition of K iff (1) row 0 holds n distinct symbols
-and (2) every row R != 0 is its parent row R - g shifted by kappa(g),
-where g = p^j for the lowest nonzero base-p digit j of R is one of the 2k
+coset_kernel is the one grid certifier, of moss verify and of
+verify_family's bruteforce mode.  It reads a grid as the paper builds it:
+the cosets of a subgroup K of (Z_p^k)^4, q = p^k, one symbol per coset,
+with the coordinates of cell (R, C) added (+) and subtracted (-)
+digit-wise in base p, as GF(q) adds element indices; the grid is a sudoku
+square iff K meets row 0, column 0 and box 0 only at 0.  K has one cell
+(R, kappa(R)) in each row, and it meets column 0 and box 0 only at 0 iff
+kappa(R) != 0 for R != 0 and kappa(R) >= q for 0 < R < q.  The grid is
+the coset partition of K iff (1) row 0 holds n distinct symbols and (2)
+every row R != 0 is its parent row R - g shifted by kappa(g), where g =
+p^j for the lowest nonzero base-p digit j of R is one of the 2k
 generators p^i, q*p^i (proof at coset_kernel).  So coset_kernel returns
-kappa, a row map of n ints, after one pass per row with one shift map per
-generator; the pass also range-checks the grid.  Two such grids are
-orthogonal iff their kernels meet only at 0, that is iff their row maps
-differ in every row R != 0, so the pairs of N squares cost one scan of N
-row maps instead of n^2 cells a pair.  Rows, columns and subsquares are
-the cosets of row 0, column 0 and box 0, so kappa also gives the grid's
-whole sudoku report.  certify_grid and non_orthogonal_pairs, the
-certifier of moss verify and of verify_family's bruteforce mode, read
-row maps alone: a grid without kappa is no square of the paper, and fails.
+kappa, a row map of n ints, for a sudoku square of the paper and None for
+any other grid: it tests kappa against column 0 and box 0, then makes one
+pass per row with one shift map per generator, which also range-checks
+the grid.  Two such squares are orthogonal iff their kernels meet only at
+0, that is iff their row maps differ in every row R != 0, so
+non_orthogonal_pairs decides the pairs of N squares by one scan of N row
+maps instead of n^2 cells a pair.
 """
 
 from __future__ import annotations
@@ -136,25 +138,19 @@ def block_plan(c: Mat2) -> list[itemgetter]:
 
 
 @lru_cache(maxsize=16)
-def block_symbols(field: Field) -> tuple[tuple[int, ...], ...]:
-    """The q^2 blocks of a field's grids: entry q*u + shift holds the symbols
-    q*u + (x4 - shift), x4 = 0..q-1.  Built on first use, once per field."""
-    q, sub = field.q, field.sub_table
-    return tuple(tuple(q * u + sub[x4][shift] for x4 in range(q))
-                 for u in range(q) for shift in range(q))
-
-
-@lru_cache(maxsize=16)
 def _strips(field: Field, form: str) -> tuple[tuple, ...]:
-    """The q strips of a field's blocks: strip x2 holds, at key q*h + shift,
-    block q*(x2 + h) + shift of block_symbols(field), as a tuple of ints
-    ("ints"), space-joined and right-aligned to the widest symbol ("text")
-    or comma-joined ("csv").  Built on first use, once per field and form."""
-    q, add = field.q, field.add_table
-    blocks = block_symbols(field)
+    """The q strips of a field's grid blocks.  The q^2 blocks are the rows
+    of a subsquare: block q*u + shift holds the symbols q*u + (x4 - shift),
+    x4 = 0..q-1.  Strip x2 holds, at key q*h + shift, block q*(x2 + h) +
+    shift, as a tuple of ints ("ints"), space-joined and right-aligned to
+    the widest symbol ("text") or comma-joined ("csv").  Built on first use,
+    once per field and form."""
+    q, add, sub = field.q, field.add_table, field.sub_table
+    blocks = [tuple(q * u + sub[x4][shift] for x4 in range(q))
+              for u in range(q) for shift in range(q)]
     if form != "ints":
         width, sep = (len(str(q * q - 1)), " ") if form == "text" else (0, ",")
-        blocks = tuple(sep.join(f"{s:>{width}}" for s in block) for block in blocks)
+        blocks = [sep.join(f"{s:>{width}}" for s in block) for block in blocks]
     return tuple(tuple(blocks[q * add[x2][h] + shift] for h in range(q) for shift in range(q))
                  for x2 in range(q))
 
@@ -255,7 +251,8 @@ def _shift(sums: tuple[tuple[int, ...], ...], q: int, by: int) -> list[int]:
 
 def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
     """The row map kappa of the subgroup K whose cosets are the grid's
-    symbol classes, or None if the grid is not such a partition.
+    symbol classes, or None if the grid is no such partition or no sudoku
+    square.
 
     K = {(R, kappa(R))} has one cell in each row: kappa(R) is the column of
     row R that holds the symbol of cell (0, 0), and kappa(0) = 0.  With +
@@ -271,6 +268,12 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
     K.  Conversely the coset partition of an additive K passes (2).  Each
     row costs one index, one itemgetter call and one tuple compare.
 
+    The cosets of such a K are latin in rows, as K has one cell per row, in
+    columns iff kappa(R) != 0 for every R != 0 (K meets column 0 only at
+    0), and in subsquares iff kappa(R) >= q for 0 < R < q (K meets box 0
+    only at 0).  These two tests run on kappa before (2), so a grid that
+    fails them costs no shift map.
+
     The range check is folded in: an exact int type set over all cells and
     row 0 in [0, n) put every row that passes (2) in range.  Any grid that
     fails goes through _check_rows, so it raises MalformedGrid as
@@ -285,8 +288,8 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
 
 def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
     """coset_kernel's kappa, or None for a grid that fails its shape (a row
-    that is not a Sequence included), type, row-0 range or one of its two
-    conditions (or whose q is not a prime power)."""
+    that is not a Sequence included), type, row-0 range, column and box
+    tests or parent-row condition (or whose q is not a prime power)."""
     try:
         if len(rows) != n or set(map(len, rows)) != {n}:
             return None
@@ -302,6 +305,8 @@ def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
         kappa = tuple(map(methodcaller("index", row0[0]), rows))
     except ValueError:  # q is not a prime power, or a row lacks the symbol
         return None
+    if 0 in kappa[1:] or min(kappa[1:q], default=q) < q:  # K meets column 0 or box 0
+        return None
     for g in [p ** i for i in range(2 * k)]:  # p^i, then q*p^i = p^(k+i)
         shifted = itemgetter(*_shift(sums, q, kappa[g]))
         if not all(shifted(rows[r]) == tuple(rows[r - g]) for r in range(g, n, g) if r // g % p):
@@ -309,25 +314,9 @@ def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
     return kappa
 
 
-def certify_grid(grid: SudokuGrid) -> tuple[SudokuReport, tuple[int, ...]] | None:
-    """The grid's sudoku report and its coset kernel's row map kappa, or
-    None if coset_kernel finds no kappa.  A kappa meets coset_kernel's two
-    conditions (row 0 distinct, each row its parent row shifted), so it is
-    additive and the symbol classes are the cosets of K = {(R, kappa(R))}:
-    they are latin in rows, as K has one cell per row, in columns iff
-    kappa(R) != 0 for every R != 0 (K meets column 0 only at 0), and in
-    subsquares iff kappa(R) >= q for 0 < R < q (K meets box 0 only at 0).
-    Raises MalformedGrid as coset_kernel does."""
-    kappa = coset_kernel(grid)
-    if kappa is None:
-        return None
-    q = grid.q
-    return SudokuReport(True, 0 not in kappa[1:], min(kappa[1:q], default=q) >= q), kappa
-
-
 def non_orthogonal_pairs(kernels: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     """The pairs i < j, sorted, of squares that are not orthogonal, from
-    their row maps (certify_grid's).  Two squares are not orthogonal iff
+    their row maps (coset_kernel's).  Two squares are not orthogonal iff
     their kernels share a cell (R, C) with R != 0, that is iff kappa_i(R)
     == kappa_j(R): one scan of the rows R != 0 groups the squares by
     kappa_i(R).  Raises OrderMismatch for row maps of different lengths."""

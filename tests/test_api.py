@@ -1,7 +1,7 @@
 """The package's surface: the README's example, the names the benchmark
-reads, the plane specification that lives in oracles.py instead, the
-record semantics of Mat2, Family, SquareDocument and SudokuGrid, and the
-one error base, ValueError."""
+reads, the plane specification that lives in oracles.py instead, the one
+grid certifier, the record semantics of Mat2, Family, SquareDocument and
+SudokuGrid, and the one error base, ValueError."""
 
 import contextlib
 import dataclasses
@@ -22,7 +22,6 @@ from moss.sudoku import (
     MalformedGrid,
     SudokuGrid,
     build_from_canonical,
-    certify_grid,
     coset_kernel,
     verify_orthogonal_bruteforce,
     verify_sudoku,
@@ -77,6 +76,14 @@ def test_plane_specification_is_not_in_the_package():
     assert not hasattr(FieldElement, "coeffs")
 
 
+def test_coset_kernel_is_the_one_grid_certifier():
+    """certify_grid, which wrapped coset_kernel's row map in a sudoku
+    report, is gone: no moss module defines or imports it."""
+    for name in ("moss", "moss.gf", "moss.planes", "moss.sudoku", "moss.family",
+                 "moss.serialize", "moss.cli"):
+        assert not hasattr(importlib.import_module(name), "certify_grid"), name
+
+
 def test_square_document_is_its_generator_matrix():
     assert not [name for name in ("to_matrix", "to_field", "grid")
                 if hasattr(SquareDocument, name)]
@@ -116,7 +123,7 @@ def test_sudoku_grid_record():
     assert not any(isinstance(v, functools.cached_property) for v in vars(SudokuGrid).values())
     assert repr(plain) == "SudokuGrid(q=9)"
     assert plain == built and built == plain
-    for check, grids in [(verify_sudoku, [built]), (coset_kernel, [built]), (certify_grid, [plain]),
+    for check, grids in [(verify_sudoku, [built]), (coset_kernel, [built]), (coset_kernel, [plain]),
                          (verify_orthogonal_bruteforce, [built, plain]),
                          (verify_orthogonal_bruteforce, [plain, built])]:
         check(*grids)

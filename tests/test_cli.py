@@ -503,7 +503,7 @@ def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, 
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out == "".join(f"OK {path}\n" for path in files) + \
         "6 squares ok, 15 pairs checked, 0 failures\n"
-    monkeypatch.setattr(moss.sudoku, "coset_kernel", lambda grid: None)
+    monkeypatch.setattr(moss.cli, "coset_kernel", lambda grid: None)
     assert main(["verify", "--files", *files]) == 1
     assert capsys.readouterr().out == "".join(f"FAIL {path}: no coset kernel\n" for path in files) + \
         "0 squares ok, 0 pairs checked, 6 failures\n"
@@ -654,14 +654,14 @@ def test_verify_fails_the_squares_without_a_kernel(tmp_path, monkeypatch, capsys
     two schema breaks stay FAIL lines of their own."""
     builds = _count_builds(monkeypatch)
     kernels, builds_at_kernel = [], []
-    original_kernel = moss.sudoku.coset_kernel
+    original_kernel = moss.cli.coset_kernel
 
     def every_other(grid):
         kernels.append(original_kernel(grid))
         builds_at_kernel.append(len(builds))
         return kernels[-1] if len(kernels) % 2 else None
 
-    monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
+    monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
     code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
     files = sorted(f"fam/{path.name}" for path in Path("fam").iterdir())
     loaded = files[:36] + ["twin.json"] + files[36:]
@@ -701,13 +701,13 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
     assert len(expected) == {None: 4, 0: 8, 1: 6}[withheld]
     if withheld is not None:
         calls = []
-        original = moss.sudoku.coset_kernel
+        original = moss.cli.coset_kernel
 
         def every_other(grid):
             calls.append(grid)
             return None if len(calls) % 2 != withheld else original(grid)
 
-        monkeypatch.setattr(moss.sudoku, "coset_kernel", every_other)
+        monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 1
     out = capsys.readouterr().out.splitlines()
@@ -721,14 +721,14 @@ def test_verify_fails_one_square_without_a_kernel(tmp_path, monkeypatch, capsys)
     "FAIL <path>: no coset kernel", never OK, exit 1, and the summary counts
     the other 19 squares and their 171 pairs."""
     files = _write_family(tmp_path, q=5)
-    original = moss.sudoku.coset_kernel
+    original = moss.cli.coset_kernel
     calls = []
 
     def withhold_the_eighth(grid):
         calls.append(grid)
         return None if len(calls) == 8 else original(grid)
 
-    monkeypatch.setattr(moss.sudoku, "coset_kernel", withhold_the_eighth)
+    monkeypatch.setattr(moss.cli, "coset_kernel", withhold_the_eighth)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 1
     out = capsys.readouterr().out.splitlines()

@@ -22,7 +22,6 @@ from moss.sudoku import (
     OrderMismatch,
     SudokuGrid,
     build_from_canonical,
-    certify_grid,
     coset_kernel,
     render_grid,
     verify_orthogonal_bruteforce,
@@ -191,27 +190,26 @@ def test_verify_malformed():
     # a verdict read off their iteration order
     for rows in ([0] * 9, None, [None] * 9, [set(row) for row in GOLDEN_GRID_Q3],
                  [{s: s for s in row} for row in GOLDEN_GRID_Q3]):
-        for check in (verify_sudoku, coset_kernel, certify_grid,
+        for check in (verify_sudoku, coset_kernel,
                       lambda g: verify_orthogonal_bruteforce(g, g),
                       lambda g: verify_orthogonal_bruteforce(g, SudokuGrid(3, GOLDEN_GRID_Q3))):
             with pytest.raises(MalformedGrid, match=r"^grid must be 9x9$"):
                 check(SudokuGrid(3, rows))
     tuples = SudokuGrid(3, tuple(map(tuple, GOLDEN_GRID_Q3)))
     assert verify_sudoku(tuples).ok and coset_kernel(tuples) is not None
-    assert certify_grid(tuples)[0].ok
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
 def test_checks_build_only_the_caches_they_read():
-    """verify_sudoku, coset_kernel, certify_grid and the census leave only q
-    and rows on every grid, so cells changed after a passing check, in a
+    """verify_sudoku, coset_kernel (on a and on b) and the census leave only
+    q and rows on every grid, so cells changed after a passing check, in a
     row other than 0, are caught on the next call, the first grid read
     first: a's 1 becomes True, 1.0 (both equal to 1) or 100, b's 1 becomes
     -1.  Changed back, the grids pass again."""
     a, b = (build_from_canonical(mat(get_field(3), c)) for c in (((0, 2), (2, 1)), ((0, 1), (1, 1))))
     for check, first in [(lambda: verify_sudoku(a).ok, a),
                          (lambda: coset_kernel(a) is not None, a),
-                         (lambda: certify_grid(b)[0].ok, b),
+                         (lambda: coset_kernel(b) is not None, b),
                          (lambda: verify_orthogonal_bruteforce(a, b), a),
                          (lambda: verify_orthogonal_bruteforce(b, a), b)]:
         assert check()
@@ -605,28 +603,38 @@ def test_coset_kernels_decide_orthogonality_exactly(q, examples):
 def test_coset_kernel_basis_stays_within_2k_cells(monkeypatch):
     """coset_kernel builds one shift map per generator p^i, q*p^i of the row
     coordinates, in that order, and no per-q table: exactly 2k on a family
-    member, also on the first call after the digit sums are dropped, and 1
-    on a random grid, which fails at the first generator.  A grid whose
-    rows are row 0 shifted by a kappa that is additive on the generators
-    before number g only is rejected at g, after g + 1 maps."""
+    member, also on the first call after the digit sums are dropped.  A
+    random grid builds none when its kappa fails the column or box test,
+    else 1, as it fails at the first generator; the 20 seeds give both.  A
+    grid whose rows are row 0 shifted by a kernel's kappa after a kappa
+    that is additive on the generators before number g only passes both
+    tests and is rejected at g, after g + 1 maps."""
     maps = []
     shift = moss.sudoku._shift
     monkeypatch.setattr(moss.sudoku, "_shift", lambda *args: maps.append(args) or shift(*args))
     for q, k in ((3, 1), (9, 2)):
         n = q * q
-        rows = build_from_canonical(family_matrices(q)[0]).rows
+        rows = build_from_canonical(family_matrices(q)[q - 1]).rows
         moss.sudoku._digit_sums.cache_clear()
         maps.clear()
-        assert coset_kernel(SudokuGrid(q, rows)) is not None
+        kappa = coset_kernel(SudokuGrid(q, rows))
+        assert kappa is not None
         assert len(maps) == 2 * k
+        counts = set()
         for seed in range(20):
             rng = random.Random(seed)
+            shuffled = [rng.sample(range(n), n) for _ in range(n)]
+            column = [row.index(shuffled[0][0]) for row in shuffled]
             maps.clear()
-            assert coset_kernel(SudokuGrid(q, [rng.sample(range(n), n) for _ in range(n)])) is None
-            assert len(maps) == 1
+            assert coset_kernel(SudokuGrid(q, shuffled)) is None
+            assert len(maps) == (0 not in column[1:] and min(column[1:q]) >= q)
+            counts.add(len(maps))
+        assert counts == {0, 1}
         for g in range(2 * k):
+            broken = [kappa[x] for x in kappa_broken_at(q, g)]
+            assert 0 not in broken[1:] and min(broken[1:q]) >= q
             maps.clear()
-            assert coset_kernel(SudokuGrid(q, shifted_rows(q, rows[0], kappa_broken_at(q, g)))) is None
+            assert coset_kernel(SudokuGrid(q, shifted_rows(q, rows[0], broken))) is None
             assert len(maps) == g + 1
 
 
@@ -645,11 +653,11 @@ def descends(p, s, r):
 def test_coset_kernel_checks_every_row(q):
     """Every row R != 0 is checked against its parent row: family member 1
     with two cells of row R swapped, or with row R replaced by row 0
-    shifted by some u != kappa(R), has no kernel and no certificate, for
-    each R.  So has the member with symbols rows[0][1] and rows[0][2]
-    swapped in row R and in every row below it in the parent tree, which
-    only R's own check can see: kappa stays, and each row below R still
-    matches its shifted parent."""
+    shifted by some u != kappa(R), has no kernel, for each R.  So has the
+    member with symbols rows[0][1] and rows[0][2] swapped in row R and in
+    every row below it in the parent tree, which only R's own check can
+    see: kappa stays, and each row below R still matches its shifted
+    parent."""
     n, p = q * q, get_field(q).p
     rows = build_from_canonical(family_matrices(q)[1]).rows
     kappa = coset_kernel(SudokuGrid(q, rows))
@@ -664,7 +672,7 @@ def test_coset_kernel_checks_every_row(q):
                          for s, row in enumerate(rows)])
         for variant in variants:
             grid = SudokuGrid(q, variant)
-            assert coset_kernel(grid) is None and certify_grid(grid) is None, r
+            assert coset_kernel(grid) is None, r
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
@@ -713,7 +721,7 @@ def kappa_keeping_boxes(q):
 def test_a_row_shifted_grid_needs_an_additive_kappa(q):
     """Row 0 shifted by a bijective kappa that is not additive passes the
     row-shift test, and is latin in rows and columns, but it is no coset
-    partition: coset_kernel and certify_grid give None, also for the grid
+    partition: coset_kernel gives None, also for the grid
     of kappa_keeping_boxes, which verify_sudoku and the per-cell flags
     pass.  Each kappa_broken_at breaks additivity at another generator; a
     random one breaks it anywhere."""
@@ -726,7 +734,7 @@ def test_a_row_shifted_grid_needs_an_additive_kappa(q):
         assert sorted(kappa) == list(range(n)) and kappa[0] == 0
         assert not is_additive(q, kappa)
         grid = SudokuGrid(q, shifted_rows(q, row0, kappa))
-        assert coset_kernel(grid) is None and certify_grid(grid) is None
+        assert coset_kernel(grid) is None
         report = verify_sudoku(grid)
         assert report.latin_rows and report.latin_cols
         assert (report.latin_rows, report.latin_cols, report.subsquares) == sudoku_flags_per_cell(grid)
@@ -739,7 +747,7 @@ def test_coset_kernel_range_checks_the_rows_past_row_0():
     every other row in row 0's symbols, but True and 1.0 equal 1, so the
     exact int type set over all cells must catch them.  Every failure goes
     through _check_rows: True, -1 or 1.0 in row 40 raises its message in
-    coset_kernel and certify_grid, and so does a 100 in row 50 of a grid
+    coset_kernel, and so does a 100 in row 50 of a grid
     whose row 3 is not a shift of row 0, though the kernel fails at row 3
     first."""
     rows = build_from_canonical(family_matrices(9)[0]).rows
@@ -753,26 +761,17 @@ def test_coset_kernel_range_checks_the_rows_past_row_0():
     changed[50][7] = 100
     cases.append((changed, "symbol 100 out of range [0, 81)"))
     for changed, message in cases:
-        for check in (coset_kernel, certify_grid):
-            with pytest.raises(MalformedGrid) as exc_info:
-                check(SudokuGrid(9, changed))
-            assert str(exc_info.value) == message
+        with pytest.raises(MalformedGrid) as exc_info:
+            coset_kernel(SudokuGrid(9, changed))
+        assert str(exc_info.value) == message
     changed[50][7] = rows[50][7]
     assert coset_kernel(SudokuGrid(9, changed)) is None
 
 
 def _assert_kernel_verdict(grid):
-    """certify_grid gives verify_sudoku's report and the kernel on a grid
-    with a kernel, and its verdict agrees with the per-cell flags; on a
-    grid without one it gives None, and verify_sudoku fails the grid.
-    Returns the verdict, or None for a grid without a kernel."""
-    kernel = coset_kernel(grid)
-    certified = certify_grid(grid)
-    if kernel is None:
-        assert certified is None and not verify_sudoku(grid).ok
-        return None
-    assert certified == (verify_sudoku(grid), kernel)
-    verdict = certified[0].ok
+    """coset_kernel's verdict, whether it finds a kernel, agrees with
+    verify_sudoku and with the per-cell flags.  Returns the verdict."""
+    verdict = coset_kernel(grid) is not None
     assert verdict == verify_sudoku(grid).ok == all(sudoku_flags_per_cell(grid))
     return verdict
 
@@ -781,10 +780,10 @@ def _assert_kernel_verdict(grid):
 def coset_grids(draw, q):
     """(grid, verdict): the coset labeling (grid_from_cosets) of the span of
     [I; C] for a valid, rank-1, zero or lower-triangular C or of a random
-    plane, or a family member's grid with its symbols relabelled.  The verdict is whether the grid must have a kernel that
-    makes it a sudoku square (True), a kernel that does not (False), or may
-    have none (None): every span of [I; C] meets the row plane only at 0,
-    so its grid has a kernel."""
+    plane, or a family member's grid with its symbols relabelled.  The
+    verdict is whether coset_kernel must find a kernel (True), must not
+    (False), or may do either (None): the span of [I; C] gives a sudoku
+    square iff C is a valid generator."""
     field, n = get_field(q), q * q
     element, nonzero = st.integers(0, q - 1), st.integers(1, q - 1)
     kind = draw(st.sampled_from(("valid", "rank-1", "zero", "lower", "random", "relabelled")))
@@ -814,19 +813,21 @@ def coset_grids(draw, q):
 
 @pytest.mark.parametrize("q, examples", [(3, 60), (5, 40), (9, 25), (25, 2), (27, 2)])
 def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
-    """On every grid with a coset kernel, certify_grid's verdict (no kernel
-    cell in column 0 or box 0) agrees with verify_sudoku and with the per-cell
-    flags, and certify_grid's report is verify_sudoku's; a plane grid
-    without one gives None and fails verify_sudoku.  Fixed planes come
-    first: the span of [I; C] for a singular C with b != 0 meets only the
-    column plane, and for an invertible lower-triangular C only the
-    subsquare plane, so each of the two tests has a grid that only it
-    rejects; the column plane's kernel is column 0."""
+    """On every grid, coset_kernel's verdict (a kernel that meets column 0
+    and box 0 only at 0) agrees with verify_sudoku and with the per-cell
+    flags.  Fixed planes come first: the span of [I; C] for a singular C
+    with b != 0 meets only the column plane, and for an invertible
+    lower-triangular C only the subsquare plane, so each of the two kernel
+    tests has a grid that only it rejects; the column plane's kernel is
+    column 0, which fails both."""
     field = get_field(q)
-    fixed = [(Mat2(field, 1, 1, 1, 1), False), (Mat2(field, 1, 0, 0, 1), False),
-             (family_matrices(q)[0], True)]
-    for c, verdict in fixed:
-        assert _assert_kernel_verdict(grid_from_cosets(Plane.from_generator(c))) is verdict
+    fixed = [(Mat2(field, 1, 1, 1, 1), (True, False, True)),
+             (Mat2(field, 1, 0, 0, 1), (True, True, False)),
+             (family_matrices(q)[0], (True, True, True))]
+    for c, flags in fixed:
+        grid = grid_from_cosets(Plane.from_generator(c))
+        assert sudoku_flags_per_cell(grid) == flags
+        assert _assert_kernel_verdict(grid) is all(flags)
     assert _assert_kernel_verdict(grid_from_cosets(column_plane(field))) is False
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
@@ -840,30 +841,29 @@ def test_kernel_verdict_matches_the_sudoku_checks(q, examples):
     check()
 
 
-@pytest.mark.parametrize("q, planes, kernels", [(3, 130, 81), (5, 806, 625)])
-def test_kernel_report_on_every_plane(q, planes, kernels, monkeypatch):
-    """certify_grid reads a kernel grid's whole report off its kernel: on the
-    coset labeling of every plane of F^4 it equals verify_sudoku's report,
-    with verify_sudoku barred from certify_grid, and the kernel grids take
-    all four column and subsquare outcomes.  certify_grid is None exactly
-    when coset_kernel is, and verify_sudoku then fails the grid."""
+@pytest.mark.parametrize("q, planes, latin", [(3, 130, 81), (5, 806, 625)])
+def test_kernel_report_on_every_plane(q, planes, latin, monkeypatch):
+    """coset_kernel reads a grid's whole sudoku report off its kernel: on
+    the coset labeling of every plane of F^4 it finds a kernel exactly when
+    verify_sudoku, barred from coset_kernel, passes the grid, on 36 grids
+    at q = 3 and 400 at q = 5.  The grids latin in rows, whose planes meet
+    the row plane only at 0, take all four column and subsquare outcomes,
+    so each kernel test rejects some."""
     original = moss.sudoku.verify_sudoku
 
     def barred(grid):
-        raise AssertionError("certify_grid ran verify_sudoku")
+        raise AssertionError("coset_kernel ran verify_sudoku")
 
     monkeypatch.setattr(moss.sudoku, "verify_sudoku", barred)
     grids = [grid_from_cosets(plane) for plane in all_planes(get_field(q))]
     outcomes = Counter()
     for grid in grids:
-        kernel = coset_kernel(grid)
         report = original(grid)
-        if kernel is None:
-            assert certify_grid(grid) is None and not report.ok
-        else:
-            assert certify_grid(grid) == (report, kernel)
+        assert (coset_kernel(grid) is not None) is report.ok
+        if report.latin_rows:
             outcomes[report.latin_cols, report.subsquares] += 1
-    assert len(grids) == planes and sum(outcomes.values()) == kernels
+    assert len(grids) == planes and sum(outcomes.values()) == latin
+    assert outcomes[True, True] == {3: 36, 5: 400}[q]
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
 
 
