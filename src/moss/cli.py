@@ -5,9 +5,10 @@ and census), family (emit and verify a complete family), generate (one
 square from a generator matrix), verify (check documents), render (text
 grid).  Every grid is printed by render_grid or SquareDocument.to_json
 from its generator matrix, never from an int grid.  Exit codes: 0 success,
-1 verification failure, 2 usage, parse or I/O error.  Every moss error is a
-ValueError, and main alone maps a ValueError or OSError to exit 2; verify
-reports a document that breaks the schema as a FAIL line instead.
+1 verification failure, 2 usage, parse, I/O or out-of-memory error.  Every
+moss error is a ValueError, and main alone maps a ValueError, OSError or
+MemoryError to exit 2; verify reports a document that breaks the schema as
+a FAIL line instead.
 
 verify certifies each document's grid with the one grid certifier,
 sudoku.coset_kernel, fails a grid that it gives no row map, keeps the row
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

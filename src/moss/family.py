@@ -23,12 +23,13 @@ n(n-1)/2 pairs.  It runs the paper's own argument first: the members
 vI + wJ, J = [[0, 1], [1, lambda]], lie in the plane V = span(I, J), and
 det(vI + wJ) = v^2 + lambda*v*w - w^2 has the non-square discriminant
 lambda^2 + 4 = 4(alpha + 1), so C1 - C2, in V, is singular iff C1 = C2.
-The plane certificate finds and tests such a plane for any list.  A list
-that leaves every anisotropic plane goes to the direction scan: C1 - C2 is
-singular iff C1 x = C2 x for some nonzero x, and x can be scaled to one of
-the q + 1 directions (0, 1) and (1, s) of GF(q)^2.  So each direction maps
-every matrix to its image C x, and two matrices whose images coincide form
-a violating pair: O((q + 1) n) table lookups instead of O(n^2)
+The lambda certificate reads lambda off the list itself, never off
+Family.lam, and tests the discriminant and every member's shape.  Any
+other list goes to the direction scan: C1 - C2 is singular iff
+C1 x = C2 x for some nonzero x, and x can be scaled to one of the q + 1
+directions (0, 1) and (1, s) of GF(q)^2.  So each direction maps every
+matrix to its image C x, and two matrices whose images coincide form a
+violating pair: O((q + 1) n) table lookups instead of O(n^2)
 determinants.  Bruteforce mode checks the grids themselves, with the one
 grid certifier of moss verify, sudoku.coset_kernel, which shares nothing
 with this.
@@ -44,7 +45,7 @@ from .gf import Field, FieldElement, FieldMismatch
 from .planes import Mat2, is_valid_generator
 from .sudoku import build_from_canonical, coset_kernel, non_orthogonal_pairs
 
-DEFAULT_BRUTEFORCE_CAP = 9
+DEFAULT_BRUTEFORCE_CAP = 27
 
 
 def alpha_census(field: Field) -> list[FieldElement]:
@@ -146,36 +147,24 @@ def _equal_key_pairs(keys: list[int]) -> list[tuple[int, int]]:
 
 
 def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
-    """Pairs i < j with C_i - C_j singular, sorted.  If all members lie in a
-    plane V whose nonzero matrices are all invertible, C_i - C_j lies in V,
-    so it is singular iff it is 0: the pairs are those of equal members.
-    Any other list goes to the direction scan.
+    """Pairs i < j with C_i - C_j singular, sorted.
 
-    V = span(B1, B2): B1 is the first nonzero member, B2 the first one
-    independent of it, with a nonzero minor at entries (i, j).  As det(tM)
-    = t^2 det M, V is anisotropic iff det B1 and det(x B1 + B2), x in F,
-    are nonzero.  A member's coordinates (X, Y) come from entries i and j by
-    Cramer's rule; it lies in V iff X B1 + Y B2 matches its other entries.
+    The paper's certificate reads lambda = (d - a)/b off the first member
+    with b != 0.  If lambda^2 + 4 is a non-square and every member is
+    [[a, b], [b, lambda*b + a]], each difference has that shape too, with
+    determinant da^2 + lambda*da*db - db^2, which vanishes only at 0: the
+    pairs are those of equal (a, b).  Any other list goes to the direction
+    scan.
     """
-    q, add, mul = field.q, field.add_table, field.mul_table
-    vectors = [(m.a, m.b, m.c, m.d) for m in matrices]
-    b1 = next((v for v in vectors if any(v)), (0, 0, 0, 0))  # zero: no B2 below
-    pivots = ((b2, i, j) for b2 in vectors for i, j in combinations(range(4), 2)
-              if mul[b1[i]][b2[j]] != mul[b1[j]][b2[i]])
-    b2, i, j = next(pivots, (None, 0, 0))
-    if b2 is None or any(mul[a][d] == mul[b][c] for a, b, c, d in [b1] + [
-            [add[mul[x][s]][t] for s, t in zip(b1, b2)] for x in range(q)]):
-        return _direction_scan(field, matrices)
-    sub = field.sub_table
-    inv = field.inv_table[sub[mul[b1[i]][b2[j]]][mul[b1[j]][b2[i]]]]
-    xi, xj, yi, yj = (mul[mul[inv][e]] for e in (b2[j], b2[i], b1[j], b1[i]))
-    cols = [list(col) for col in zip(*vectors)]
-    xs = [sub[xi[ci]][xj[cj]] for ci, cj in zip(cols[i], cols[j])]
-    ys = [sub[yj[cj]][yi[ci]] for ci, cj in zip(cols[i], cols[j])]
-    if any([add[mul[b1[k]][x]][mul[b2[k]][y]] for x, y in zip(xs, ys)] != cols[k]
-           for k in {0, 1, 2, 3} - {i, j}):
-        return _direction_scan(field, matrices)
-    return sorted(_equal_key_pairs([q * x + y for x, y in zip(xs, ys)]))
+    q, add, mul, sub = field.q, field.add_table, field.mul_table, field.sub_table
+    first = next((m for m in matrices if m.b), None)
+    if first is not None:
+        lam = mul[sub[first.d][first.a]][field.inv_table[first.b]]
+        lam_times = mul[lam]
+        if (not field.is_square(add[lam_times[lam]][4 % field.p])
+                and all(m.c == m.b and m.d == add[lam_times[m.b]][m.a] for m in matrices)):
+            return sorted(_equal_key_pairs([q * m.a + m.b for m in matrices]))
+    return _direction_scan(field, matrices)
 
 
 def _direction_scan(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
@@ -200,9 +189,10 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
 
     Fast mode runs the determinant criteria only: each member must be a
     valid generator, and the pairs with det(C_i - C_j) = 0 are found without
-    visiting pairs: by the plane certificate in O(q + n) when the members
-    lie in one plane whose nonzero matrices are all invertible (as every
-    build_family output does), else by the direction scan in O((q + 1) n).
+    visiting pairs: by the lambda certificate in O(n) when the members are
+    [[a, b], [b, lambda*b + a]] for one lambda with lambda^2 + 4 a
+    non-square, read off the list (as every build_family output is), else
+    by the direction scan in O((q + 1) n).
     Bruteforce mode also certifies each valid member's grid with the grid
     certifier of moss verify, sudoku.coset_kernel, which gives a sudoku
     square's row map or None (not_sudoku), and every pair of the certified

@@ -242,11 +242,33 @@ def test_family_verify_report(capsys):
     assert out.splitlines()[-1] == "20 squares, 190 orthogonal pairs"
 
 
+@pytest.mark.skipif(not hasattr(__import__("resource"), "RLIMIT_AS"),
+                    reason="needs resource.RLIMIT_AS")
+def test_out_of_memory_is_exit_2(tmp_path):
+    """A child that caps its own address space at 300 MB cannot render the
+    q = 81 grid: main reports it on one line, exits 2, and leaves no file.
+    Unmapped, the MemoryError escaped as a traceback with exit 1."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "import moss.cli\n"
+        "sys.exit(moss.cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    run = subprocess.run([sys.executable, "-c", code, "generate", "--q", "81",
+                          "--c", "0,1;1,2", "--out", str(out / "square.json")],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: out of memory\n")
+    assert not any(out.iterdir())
+
+
 def test_family_bruteforce_capped(tmp_path, capsys):
-    assert main(["family", "--q", "11", "--verify", "bruteforce"]) == 2
+    assert main(["family", "--q", "29", "--verify", "bruteforce"]) == 2
     assert "capped" in capsys.readouterr().err
     outdir = tmp_path / "fam"
-    assert main(["family", "--q", "11", "--out", str(outdir), "--verify", "bruteforce"]) == 2
+    assert main(["family", "--q", "29", "--out", str(outdir), "--verify", "bruteforce"]) == 2
     captured = capsys.readouterr()
     assert "capped" in captured.err
     assert captured.out == ""
@@ -852,9 +874,9 @@ CLI_ERROR_GOLDEN = {
         2, "",
         "error: [Errno 21] Is a directory: '<tmp>'\n"),
     "family-bruteforce-capped": (
-        ["family", "--q", "11", "--verify", "bruteforce"],
+        ["family", "--q", "29", "--verify", "bruteforce"],
         2, "",
-        "error: bruteforce verification capped at q <= 9, got q = 11\n"),
+        "error: bruteforce verification capped at q <= 27, got q = 29\n"),
     "family-out-below-file": (
         ["family", "--q", "3", "--out", "{tmp}/file/fam"],
         2, "",

@@ -27,8 +27,6 @@ from oracles import (
     all_valid_generators,
     count_alphas,
     get_field,
-    index_rank,
-    lsf,
     mat_combination,
     mat_det,
     mat_inverse,
@@ -312,9 +310,9 @@ def test_bruteforce_mode_fails_a_member_without_a_kernel(monkeypatch):
 
 
 def test_verify_family_guards():
-    fam = build_family(get_field(11))
+    fam = build_family(get_field(29))
     with pytest.raises(ValueError):
-        verify_family(fam, "bruteforce")  # default cap is q <= 9
+        verify_family(fam, "bruteforce")  # default cap is q <= 27
     with pytest.raises(ValueError):
         verify_family(fam, "thorough")
 
@@ -332,7 +330,7 @@ def test_mode_and_cap_are_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(moss.family, "_orthogonality_violations", no_work)
     monkeypatch.setattr(moss.family, "is_valid_generator", no_work)
-    fam = build_family(get_field(11))
+    fam = build_family(get_field(29))
     with pytest.raises(ValueError, match="capped"):
         verify_family(fam, "bruteforce")
     with pytest.raises(ValueError, match="unknown mode"):
@@ -379,15 +377,26 @@ def _count_scans(monkeypatch):
 
 
 def _planes(fam):
-    """Name -> (basis M1, M2, anisotropic) of four planes of 2x2 matrices:
-    the family's span(I, J), its conjugate by P = [[1, 1], [1, 2]], the
-    diagonal matrices and span(I, N) with N nilpotent."""
+    """Name -> (basis M1, M2, certified) of six planes of 2x2 matrices:
+    the family's span(I, J), J = [[0, 1], [1, lambda]], span(I, J_mu) for
+    the largest-index mu != lambda with mu^2 + 4 a non-square, the family's
+    plane conjugated by P = [[1, 1], [1, 2]], span(I, J_0) with 0^2 + 4 =
+    2^2 a square, the diagonal matrices and span(I, N) with N nilpotent.
+    certified says whether a list of the plane with a non-scalar member
+    takes the lambda certificate (True) or the direction scan (False); the
+    conjugate has the family's shape in some characteristics only (None)."""
     field = fam.field
+    el, squares = poly_elements(field), squares_by_squaring(field)
+    four = el[1] + el[1] + el[1] + el[1]
+    mu = max(m for m in range(field.q)
+             if m != fam.lam.index and (el[m] * el[m] + four).index not in squares)
     identity, j = Mat2(field, 1, 0, 0, 1), Mat2(field, 0, 1, 1, fam.lam.index)
     p = Mat2(field, 1, 1, 1, 2)
     return {
         "family": (identity, j, True),
-        "conjugate": (identity, mat_mul(mat_mul(p, j), mat_inverse(p)), True),
+        "other": (identity, Mat2(field, 0, 1, 1, mu), True),
+        "conjugate": (identity, mat_mul(mat_mul(p, j), mat_inverse(p)), None),
+        "isotropic": (identity, Mat2(field, 0, 1, 1, 0), False),
         "diagonal": (identity, Mat2(field, 1, 0, 0, 0), False),
         "nilpotent": (identity, Mat2(field, 0, 1, 0, 0), False),
     }
@@ -397,8 +406,10 @@ def _planes(fam):
 def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
     """Lists drawn from one plane, with scalar multiples, duplicates and the
     zero matrix, shuffled: the fast violations are exactly the pairs that
-    meets_trivially rejects, and the direction scan runs iff the plane is
-    isotropic or the list spans less than the plane."""
+    meets_trivially rejects on every plane.  A list with a non-scalar member
+    never scans on a plane of the paper's shape with lambda^2 + 4 a
+    non-square, whatever the family's lambda, and always scans on the
+    isotropic, diagonal and nilpotent planes."""
     field = get_field(q)
     fam = build_family(field)
     planes = _planes(fam)
@@ -409,7 +420,7 @@ def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
     @given(st.sampled_from(sorted(planes)), st.lists(st.tuples(element, element), min_size=1,
                                                      max_size=20), st.data())
     def check(name, coords, data):
-        m1, m2, anisotropic = planes[name]
+        m1, m2, certified = planes[name]
         matrices = [mat_combination(v, m1, w, m2) for v, w in coords]
         member = st.integers(0, len(matrices) - 1)
         for i, t in data.draw(st.lists(st.tuples(member, element), max_size=4), label="multiples"):
@@ -424,9 +435,8 @@ def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
         expected = [(i, j) for i in range(n) for j in range(i + 1, n)
                     if not meets_trivially(matrices[i], matrices[j])]
         assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
-        rank = index_rank(field.p, tuple(lsf(field.modulus)), [
-            (m.a, m.b, m.c, m.d) for m in matrices])
-        assert scans == ([] if anisotropic and rank == 2 else [n])
+        if certified is not None and any(m.b or m.c or m.a != m.d for m in matrices):
+            assert scans == ([] if certified else [n])
 
     check()
 
@@ -489,8 +499,8 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
 
 
 def test_fast_scan_agrees_with_meets_trivially_q3():
-    """A family with a copy lies in the family's plane, so verify_family
-    takes the plane certificate; the scan is run directly as well."""
+    """A family with a copy keeps the family's shape, so verify_family
+    takes the lambda certificate; the scan is run directly as well."""
     field = get_field(3)
     fam = build_family(field)
     spiked = Family(field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[3]])
