@@ -38,12 +38,10 @@ with this.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 
-from .gf import Field, FieldElement, FieldMismatch
+from .gf import Field, FieldElement, FieldMismatch, _Record
 from .planes import Mat2, is_valid_generator
-from .sudoku import build_from_canonical, coset_kernel, non_orthogonal_pairs
 
 DEFAULT_BRUTEFORCE_CAP = 27
 
@@ -77,14 +75,17 @@ def derive_lambda(field: Field, alpha: FieldElement) -> FieldElement:
     return FieldElement(field, field.sqrt(field.mul_table[four][a]))
 
 
-@dataclass(slots=True, eq=False)
 class Family:
-    """An ordered family of generator matrices [[v, w], [w, lambda*w + v]]."""
+    """An ordered family of generator matrices [[v, w], [w, lambda*w + v]].
 
-    field: Field
-    alpha: FieldElement
-    lam: FieldElement
-    matrices: list[Mat2]
+    Families compare by identity.
+    """
+
+    __slots__ = ("field", "alpha", "lam", "matrices")
+
+    def __init__(self, field: Field, alpha: FieldElement, lam: FieldElement,
+                 matrices: list[Mat2]):
+        self.field, self.alpha, self.lam, self.matrices = field, alpha, lam, matrices
 
     @property
     def size(self) -> int:
@@ -118,14 +119,18 @@ def build_family(field: Field) -> Family:
     return Family(field, alpha, lam, matrices)
 
 
-@dataclass(slots=True)
-class FamilyReport:
-    """Verification outcome: empty violations means the family checks out."""
+class FamilyReport(_Record):
+    """Verification outcome: empty violations means the family checks out.
 
-    mode: str
-    size: int
-    pairs: int
-    violations: list[tuple[str, tuple[int, ...]]]
+    Reports compare by their fields and are unhashable.
+    """
+
+    __slots__ = _fields = ("mode", "size", "pairs", "violations")
+    __hash__ = None
+
+    def __init__(self, mode: str, size: int, pairs: int,
+                 violations: list[tuple[str, tuple[int, ...]]]):
+        self.mode, self.size, self.pairs, self.violations = mode, size, pairs, violations
 
     @property
     def ok(self) -> bool:
@@ -226,6 +231,9 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
     )
 
     if mode == "bruteforce":
+        # imported on first use, so that fast mode never loads the grid module
+        from .sudoku import build_from_canonical, coset_kernel, non_orthogonal_pairs
+
         certified = []
         for i, m in valid:
             kernel = coset_kernel(build_from_canonical(m))

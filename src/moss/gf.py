@@ -18,14 +18,16 @@ products and inverses come from the powers of the first element of order
 q - 1, so a field costs O(q) polynomial products, not q^2.  The coefficient
 vector of index i is _coeffs[i].  FieldElement is only the read-only
 (field, index) record that the residue search returns.
+
+_Record is the base of the package's record classes, in place of
+dataclasses, whose import pulls in inspect, ast and dis at every start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import product
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
 
 DEFAULT_MAX_ORDER = 128
 
@@ -135,31 +137,60 @@ def _index(field: Field, i: int) -> int:
     return i
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElement:
+class _Record:
+    """A record equals a record of its own class with equal _fields, hashes
+    by them unless its class sets __hash__ = None, and shows them by name."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+def _frozen(record, name, value=None):
+    """__setattr__ and __delattr__ of a read-only record."""
+    raise AttributeError(f"{type(record).__name__} is read-only: cannot change {name!r}")
+
+
+class FieldElement(_Record):
     """A read-only (field, index) record, returned by the residue search.
 
     It has no arithmetic: compute on the field's tables with its index.
     """
 
-    field: Field
-    index: int
+    __slots__ = _fields = ("field", "index")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, field: Field, index: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "index", index)
+
+    def __reduce__(self):  # copy and pickle through __init__, as assignment raises
+        return FieldElement, (self.field, self.index)
 
     def __repr__(self):
         return f"{self.field!r}({self.index})"
 
 
-@dataclass(init=False, repr=False, unsafe_hash=True)
-class Field:
+class Field(_Record):
     """GF(p^k) for an odd prime p, with precomputed arithmetic tables.
 
     Two fields are equal, and hash alike, when p, k and modulus agree; the
     tables are functions of those three.
     """
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    _fields = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
         # The cap is checked before any work that grows with p or k: p is

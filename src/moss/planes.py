@@ -13,25 +13,23 @@ reference planes, det(C1 - C2)) is the specification in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Sequence
 
-from .gf import Field, _index
+from .gf import Field, _index, _Record
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Mat2:
+class Mat2(_Record):
     """2x2 matrix over a field, row-major entries a, b, c, d as element indices.
 
-    The constructor trusts its indices; from_indices checks them.
+    The constructor trusts its indices; from_indices checks them.  Matrices
+    compare and hash by field and entries.
     """
 
-    field: Field
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("field", "a", "b", "c", "d")
+
+    def __init__(self, field: Field, a: int, b: int, c: int, d: int):
+        self.field, self.a, self.b, self.c, self.d = field, a, b, c, d
 
     @classmethod
     def from_indices(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Mat2":

@@ -18,10 +18,9 @@ Emitting a document builds no second field; parsed fields are cached by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import Field, NotOddPrime, OrderTooLarge
+from .gf import Field, NotOddPrime, OrderTooLarge, _frozen, _Record
 from .planes import Mat2, is_valid_generator
 from .sudoku import NotAGenerator, SudokuGrid, build_from_canonical, render_grid
 
@@ -69,17 +68,21 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
     return value
 
 
-@dataclass(frozen=True)
-class SquareDocument:
+class SquareDocument(_Record):
     """One generated square: its generator matrix c, over its field.
 
     q, p, k, modulus and c are read from the matrix.  The grid is not
     stored: to_grid() builds it from c and to_json renders it from c, so a
     document cannot hold a grid that disagrees with its c.  The constructor
-    trusts its matrix; from_matrix and from_json check it.
+    trusts its matrix; from_matrix and from_json check it.  Documents are
+    read-only, and compare and hash by their matrix.
     """
 
-    matrix: Mat2
+    _fields = ("matrix",)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, matrix: Mat2):
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def q(self) -> int:

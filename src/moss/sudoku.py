@@ -56,12 +56,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from operator import add, itemgetter, methodcaller
 
-from .gf import Field, factor_prime_power
+from .gf import Field, _Record, factor_prime_power
 from .planes import Mat2, is_valid_generator
 
 
@@ -77,8 +76,7 @@ class OrderMismatch(ValueError):
     """The two grids have different orders."""
 
 
-@dataclass
-class SudokuGrid:
+class SudokuGrid(_Record):
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
     Construction raises MalformedGrid unless q is a positive int; the rows
@@ -86,25 +84,31 @@ class SudokuGrid:
     compare by q and rows and are unhashable.
     """
 
-    q: int
-    rows: list[list[int]] = dataclass_field(repr=False)
+    _fields = ("q", "rows")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
-            raise MalformedGrid(f"q must be a positive int, got {self.q!r}")
+    def __init__(self, q: int, rows: list[list[int]]):
+        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+            raise MalformedGrid(f"q must be a positive int, got {q!r}")
+        self.q, self.rows = q, rows
+
+    def __repr__(self):
+        return f"SudokuGrid(q={self.q!r})"
 
     @property
     def order(self) -> int:
         return self.q * self.q
 
 
-@dataclass(slots=True)
-class SudokuReport:
-    """Outcome of the three exactly-once checks on a grid."""
+class SudokuReport(_Record):
+    """Outcome of the three exactly-once checks on a grid; reports compare
+    by their flags and are unhashable."""
 
-    latin_rows: bool
-    latin_cols: bool
-    subsquares: bool
+    __slots__ = _fields = ("latin_rows", "latin_cols", "subsquares")
+    __hash__ = None
+
+    def __init__(self, latin_rows: bool, latin_cols: bool, subsquares: bool):
+        self.latin_rows, self.latin_cols, self.subsquares = latin_rows, latin_cols, subsquares
 
     @property
     def ok(self) -> bool:

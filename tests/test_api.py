@@ -1,26 +1,30 @@
 """The package's surface: the README's example, the names the benchmark
 reads, the plane specification that lives in oracles.py instead, the one
-grid certifier, the record semantics of Mat2, Family, SquareDocument and
-SudokuGrid, and the one error base, ValueError."""
+grid certifier, the semantics of the eight record classes, and the one
+error base, ValueError."""
 
 import contextlib
-import dataclasses
+import copy
 import functools
 import importlib
 import inspect
 import io
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 
+import moss
+import moss.gf
 from moss.gf import GF, Field, FieldElement
-from moss.family import build_family, derive_lambda, find_alpha
+from moss.family import Family, FamilyReport, build_family, derive_lambda, find_alpha
 from moss.planes import Mat2
 from moss.serialize import SquareDocument
 from moss.sudoku import (
     MalformedGrid,
     SudokuGrid,
+    SudokuReport,
     build_from_canonical,
     coset_kernel,
     verify_orthogonal_bruteforce,
@@ -45,15 +49,19 @@ def test_readme_library_example_runs():
 
 def test_benchmark_contract_with_the_package(monkeypatch, capsys):
     """bench/spans.py can trace every function it names, and bench/child.py's
-    setup run prints alpha and lambda through FieldElement.index."""
+    setup run prints alpha and lambda through FieldElement.index.  The
+    package namespace reads each name from its module, so moss.GF is the
+    traced wrapper while the tracer is installed and the original after."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     child, spans = importlib.import_module("child"), importlib.import_module("spans")
     tracer = spans.Tracer("t", "0")
     try:
         tracer.install()
+        assert moss.GF is moss.gf.GF is not GF
         assert child.main(["setup", "9"]) == 0
     finally:
         tracer.uninstall()
+    assert moss.GF is moss.gf.GF is GF
     assert capsys.readouterr().out == "alpha 3 lambda 5\n"
     assert {"gf.GF", "family.find_alpha"} <= {span[0] for span in tracer.spans}
     field = GF(9)
@@ -119,7 +127,7 @@ def test_sudoku_grid_record():
     c = build_family(GF(9)).matrices[5]
     built = build_from_canonical(c)
     plain = SudokuGrid(9, [list(row) for row in built.rows])
-    assert [f.name for f in dataclasses.fields(SudokuGrid)] == ["q", "rows"]
+    assert vars(SudokuGrid(9, built.rows)) == {"q": 9, "rows": built.rows}
     assert not any(isinstance(v, functools.cached_property) for v in vars(SudokuGrid).values())
     assert repr(plain) == "SudokuGrid(q=9)"
     assert plain == built and built == plain
@@ -140,6 +148,84 @@ def test_sudoku_grid_record():
     assert SudokuGrid(3, built.rows) != built
     with pytest.raises(TypeError):
         hash(built)
+
+
+def _records():
+    """One instance of each record class, with the tuple of its fields."""
+    field = GF(9)
+    m = Mat2(field, 0, 6, 6, 4)
+    alpha, lam = FieldElement(field, 3), FieldElement(field, 5)
+    rows = build_from_canonical(m).rows
+    return [
+        (alpha, (field, 3)),
+        (field, (3, 2, field.modulus)),
+        (m, (field, 0, 6, 6, 4)),
+        (Family(field, alpha, lam, [m]), (field, alpha, lam, [m])),
+        (FamilyReport("fast", 1, 0, []), ("fast", 1, 0, [])),
+        (SquareDocument(m), (m,)),
+        (SudokuGrid(9, rows), (9, rows)),
+        (SudokuReport(True, False, True), (True, False, True)),
+    ]
+
+
+def test_record_reprs():
+    assert [repr(record) for record, _ in _records()] == [
+        "GF(9)(3)",
+        "GF(9)",
+        "Mat2(GF(9), [[0,6],[6,4]])",
+        "Family(GF(9), alpha=3, lambda=5, size=1)",
+        "FamilyReport(mode='fast', size=1, pairs=0, ok)",
+        "SquareDocument(matrix=Mat2(GF(9), [[0,6],[6,4]]))",
+        "SudokuGrid(q=9)",
+        "SudokuReport(latin_rows=True, latin_cols=False, subsquares=True)",
+    ]
+    assert repr(SudokuReport(latin_rows=False, latin_cols=True, subsquares=False)) == (
+        "SudokuReport(latin_rows=False, latin_cols=True, subsquares=False)")
+
+
+def test_frozen_records_reject_assignment():
+    """FieldElement and SquareDocument are read-only; the other records keep
+    slots, except the two whose instance dict a test reads."""
+    element, doc = FieldElement(GF(9), 3), SquareDocument(Mat2(GF(9), 0, 6, 6, 4))
+    for record, name, value in [(element, "index", 4), (element, "field", GF(3)),
+                                (doc, "matrix", Mat2(GF(9), 0, 1, 1, 0))]:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) is before
+    slotted = [record for record, _ in _records() if not hasattr(record, "__dict__")]
+    assert [type(record).__name__ for record in slotted] == [
+        "FieldElement", "Mat2", "Family", "FamilyReport", "SudokuReport"]
+
+
+def test_record_equality_and_hashing():
+    """Records compare by class and fields, except Family, which compares by
+    identity; the field-wise records that are not frozen are unhashable, and
+    no record equals the tuple of its fields."""
+    records, again = _records(), _records()
+    for (record, fields), (twin, _) in zip(records, again):
+        assert record != fields and fields != record, record
+        if isinstance(record, Family):
+            assert twin != record and len({record, twin}) == 2
+        else:
+            assert twin is not record and twin == record, record
+    for record, _ in records:
+        if isinstance(record, (FamilyReport, SudokuGrid, SudokuReport)):
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(record)
+    for (record, _), (twin, _) in zip(records, again):
+        if isinstance(record, (FieldElement, Field, Mat2, SquareDocument)):
+            assert hash(twin) == hash(record), record
+    for record, _ in records:
+        for copied in (copy.copy(record), copy.deepcopy(record),
+                       pickle.loads(pickle.dumps(record))):
+            assert type(copied) is type(record) and copied is not record
+            assert isinstance(record, Family) or copied == record, record
+    assert FamilyReport("fast", 1, 0, []) != FamilyReport("bruteforce", 1, 0, [])
+    assert SudokuReport(True, True, True) != SudokuReport(True, True, False)
+    assert FieldElement(GF(9), 3) != FieldElement(GF(9), 4) != FieldElement(GF(3), 4)
 
 
 def test_every_moss_error_is_a_value_error():
