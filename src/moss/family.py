@@ -19,20 +19,11 @@ every qualifying alpha, roughly (q - 1)/4 of them; tests/oracles.py counts
 them again by exhaustive squaring.
 
 verify_family certifies any list of matrices without visiting its
-n(n-1)/2 pairs.  It runs the paper's own argument first: the members
-vI + wJ, J = [[0, 1], [1, lambda]], lie in the plane V = span(I, J), and
-det(vI + wJ) = v^2 + lambda*v*w - w^2 has the non-square discriminant
-lambda^2 + 4 = 4(alpha + 1), so C1 - C2, in V, is singular iff C1 = C2.
-The lambda certificate reads lambda off the list itself, never off
-Family.lam, and tests the discriminant and every member's shape.  Any
-other list goes to the direction scan: C1 - C2 is singular iff
-C1 x = C2 x for some nonzero x, and x can be scaled to one of the q + 1
-directions (0, 1) and (1, s) of GF(q)^2.  So each direction maps every
-matrix to its image C x, and two matrices whose images coincide form a
-violating pair: O((q + 1) n) table lookups instead of O(n^2)
-determinants.  Bruteforce mode checks the grids themselves, with the one
-grid certifier of moss verify, sudoku.coset_kernel, which shares nothing
-with this.
+n(n-1)/2 pairs: by the paper's own argument, the lambda certificate of
+_orthogonality_violations, when the list has the family's shape, else by
+_direction_scan.  Bruteforce mode also checks the grids themselves, with
+the one grid certifier of moss verify, sudoku.coset_kernel, which shares
+nothing with either.  Each proof is at its function.
 """
 
 from __future__ import annotations
@@ -56,12 +47,11 @@ def alpha_census(field: Field) -> list[FieldElement]:
 def find_alpha(field: Field) -> FieldElement:
     """Smallest-index square whose successor is a non-square.
 
-    Existence is guaranteed for every odd prime power order.
+    One exists for every odd q = p^k: the squares, 0 included, number
+    (q + 1)/2, which p does not divide, so they are no union of cosets
+    a + GF(p), and some square a has a non-square a + 1.
     """
-    census = alpha_census(field)
-    if not census:
-        raise AssertionError(f"{field} has no square with non-square successor")
-    return census[0]
+    return alpha_census(field)[0]
 
 
 def derive_lambda(field: Field, alpha: FieldElement) -> FieldElement:
@@ -93,9 +83,6 @@ class Family:
 
     def __iter__(self):
         return iter(self.matrices)
-
-    def __len__(self):
-        return len(self.matrices)
 
     def __repr__(self):
         return (f"Family({self.field!r}, alpha={self.alpha.index}, "
@@ -155,11 +142,11 @@ def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[
     """Pairs i < j with C_i - C_j singular, sorted.
 
     The paper's certificate reads lambda = (d - a)/b off the first member
-    with b != 0.  If lambda^2 + 4 is a non-square and every member is
-    [[a, b], [b, lambda*b + a]], each difference has that shape too, with
-    determinant da^2 + lambda*da*db - db^2, which vanishes only at 0: the
-    pairs are those of equal (a, b).  Any other list goes to the direction
-    scan.
+    with b != 0, never off Family.lam.  If lambda^2 + 4 is a non-square
+    and every member is [[a, b], [b, lambda*b + a]], each difference has
+    that shape too, with determinant da^2 + lambda*da*db - db^2, a form of
+    discriminant lambda^2 + 4, which vanishes only at 0: the pairs are
+    those of equal (a, b).  Any other list goes to the direction scan.
     """
     q, add, mul, sub = field.q, field.add_table, field.mul_table, field.sub_table
     first = next((m for m in matrices if m.b), None)
@@ -175,8 +162,12 @@ def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[
 def _direction_scan(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
     """Pairs i < j with C_i - C_j singular, found direction by direction.
 
-    Images C x are keyed q * first + second.  A nonzero singular difference
-    has a one-dimensional kernel, so its pair collides in one direction only;
+    C_i - C_j is singular iff C_i x = C_j x for some nonzero x, which scales
+    to one of the q + 1 directions (0, 1) and (1, s) of GF(q)^2: so the
+    pairs are those whose images C x coincide in some direction, found in
+    O((q + 1) n) table lookups instead of O(n^2) determinants.  Images are
+    keyed q * first + second.  A nonzero singular difference has a
+    one-dimensional kernel, so its pair collides in one direction only;
     identical matrices collide in all of them, hence the set.
     """
     q = field.q

@@ -53,26 +53,22 @@ def _require_int_matrix(value, path: str, nrows: int, ncols: int,
                         upper: int) -> list[list[int]]:
     if not isinstance(value, list) or len(value) != nrows:
         raise SchemaViolation(path, f"expected {nrows} rows")
-    ints = {int}
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise SchemaViolation(f"{path}[{r}]", f"expected {ncols} entries")
-        # A row of plain ints in range passes on C-level passes; any other
-        # row is walked cell by cell to name its first bad entry.
-        if set(map(type, row)) != ints or min(row) < 0 or max(row) >= upper:
-            for c, cell in enumerate(row):
-                v = _require_int(cell, f"{path}[{r}][{c}]")
-                if not 0 <= v < upper:
-                    raise SchemaViolation(f"{path}[{r}][{c}]",
-                                          f"value {v} out of range [0, {upper})")
+        for c, cell in enumerate(row):
+            v = _require_int(cell, f"{path}[{r}][{c}]")
+            if not 0 <= v < upper:
+                raise SchemaViolation(f"{path}[{r}][{c}]", f"value {v} out of range [0, {upper})")
     return value
 
 
 class SquareDocument(_Record):
     """One generated square: its generator matrix c, over its field.
 
-    q, p, k, modulus and c are read from the matrix.  The grid is not
-    stored: to_grid() builds it from c and to_json renders it from c, so a
+    q is read from the matrix's field, and to_json reads the rest of the
+    header from the matrix and its field.  The grid is not stored:
+    to_grid() builds it from c and to_json renders it from c, so a
     document cannot hold a grid that disagrees with its c.  The constructor
     trusts its matrix; from_matrix and from_json check it.  Documents are
     read-only, and compare and hash by their matrix.
@@ -88,22 +84,6 @@ class SquareDocument(_Record):
     def q(self) -> int:
         return self.matrix.field.q
 
-    @property
-    def p(self) -> int:
-        return self.matrix.field.p
-
-    @property
-    def k(self) -> int:
-        return self.matrix.field.k
-
-    @property
-    def modulus(self) -> tuple[int, ...]:
-        return self.matrix.field.modulus
-
-    @property
-    def c(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return self.matrix.indices()
-
     @classmethod
     def from_matrix(cls, c: Mat2) -> "SquareDocument":
         """The document of c; raises NotAGenerator for an invalid c."""
@@ -117,11 +97,13 @@ class SquareDocument(_Record):
 
     def to_json(self) -> str:
         """The canonical text: json.dumps writes the header (the keys of
-        KEY_ORDER before the grid), and render_grid(c, "json") the grid, so
-        no cell goes through the json encoder."""
-        header = json.dumps({key: getattr(self, key) for key in KEY_ORDER[:-1]},
+        KEY_ORDER before the grid, read from the matrix and its field), and
+        render_grid(c, "json") the grid, so no cell goes through the json
+        encoder."""
+        m, f = self.matrix, self.matrix.field
+        header = json.dumps(dict(zip(KEY_ORDER, (f.q, f.p, f.k, f.modulus, m.indices()))),
                             separators=(",", ":"))
-        return f'{header[:-1]},"grid":{render_grid(self.matrix, "json")}}}\n'
+        return f'{header[:-1]},"grid":{render_grid(m, "json")}}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "SquareDocument":

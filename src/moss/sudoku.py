@@ -32,24 +32,12 @@ check, coset_kernel too, range-checks the rows it reads, every time it
 reads them.
 
 coset_kernel is the one grid certifier, of moss verify and of
-verify_family's bruteforce mode.  It reads a grid as the paper builds it:
-the cosets of a subgroup K of (Z_p^k)^4, q = p^k, one symbol per coset,
-with the coordinates of cell (R, C) added (+) and subtracted (-)
-digit-wise in base p, as GF(q) adds element indices; the grid is a sudoku
-square iff K meets row 0, column 0 and box 0 only at 0.  K has one cell
-(R, kappa(R)) in each row, and it meets column 0 and box 0 only at 0 iff
-kappa(R) != 0 for R != 0 and kappa(R) >= q for 0 < R < q.  The grid is
-the coset partition of K iff (1) row 0 holds n distinct symbols and (2)
-every row R != 0 is its parent row R - g shifted by kappa(g), where g =
-p^j for the lowest nonzero base-p digit j of R is one of the 2k
-generators p^i, q*p^i (proof at coset_kernel).  So coset_kernel returns
-kappa, a row map of n ints, for a sudoku square of the paper and None for
-any other grid: it tests kappa against column 0 and box 0, then makes one
-pass per row with one shift map per generator, which also range-checks
-the grid.  Two such squares are orthogonal iff their kernels meet only at
-0, that is iff their row maps differ in every row R != 0, so
-non_orthogonal_pairs decides the pairs of N squares by one scan of N row
-maps instead of n^2 cells a pair.
+verify_family's bruteforce mode: it reads a grid as the paper builds it,
+the cosets of a subgroup K of (Z_p^k)^4, and returns K's row map kappa for
+a sudoku square of that kind and None for any other grid.
+non_orthogonal_pairs decides the pairs of N such squares by one scan of
+their N row maps instead of n^2 cells a pair.  Each proof is at its
+function.
 """
 
 from __future__ import annotations
@@ -199,9 +187,7 @@ def _check_rows(rows: list[list[int]], n: int) -> None:
     """Raise MalformedGrid unless rows is n x n with int symbols in [0, n).
 
     Rows without a length, or a row that is no Sequence, are the wrong
-    shape.  A row of plain ints in range passes on C-level passes (type
-    set, min, max); any other row is walked cell by cell to name its first
-    bad symbol.
+    shape; otherwise the first bad symbol, row by row, is named.
     """
     try:
         shaped = len(rows) == n and all(isinstance(row, Sequence) and len(row) == n for row in rows)
@@ -209,10 +195,7 @@ def _check_rows(rows: list[list[int]], n: int) -> None:
         shaped = False
     if not shaped:
         raise MalformedGrid(f"grid must be {n}x{n}")
-    ints = {int}
     for row in rows:
-        if set(map(type, row)) == ints and min(row) >= 0 and max(row) < n:
-            continue
         for s in row:
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")

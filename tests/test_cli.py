@@ -213,7 +213,7 @@ def test_family_emits_documents(tmp_path, capsys):
     assert [f.name for f in files] == [f"square_{i:02d}.json" for i in range(6)]
     docs = [SquareDocument.from_json(f.read_text()) for f in files]
     expected = [m.indices() for m in build_family(get_field(3)).matrices]
-    assert [doc.c for doc in docs] == expected
+    assert [doc.matrix.indices() for doc in docs] == expected
 
 
 def test_family_emission_is_deterministic(tmp_path, capsys):
@@ -401,8 +401,10 @@ def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
 
 
 def _bar_cell_checks(monkeypatch):
-    """Make verify_sudoku and the cell census raise wherever moss binds them:
-    the certifier must decide every grid and pair by coset kernels."""
+    """Make verify_sudoku, the cell census and the per-cell walks raise
+    wherever moss binds them: the certifier must decide every grid and pair
+    by coset kernels, and a canonical document is accepted by comparing its
+    text, so no walk reads a grid's cells (the 2x2 c is still walked)."""
     for name in ("verify_sudoku", "verify_orthogonal_bruteforce"):
         original = getattr(moss.sudoku, name)
 
@@ -412,6 +414,19 @@ def _bar_cell_checks(monkeypatch):
         for module in (moss, moss.sudoku, moss.cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, barred)
+
+    def barred_rows(rows, n):
+        raise AssertionError("_check_rows was called")
+
+    require_int_matrix = moss.serialize._require_int_matrix
+
+    def barred_grid(value, path, *bounds):
+        if path == "grid":
+            raise AssertionError("_require_int_matrix walked a grid")
+        return require_int_matrix(value, path, *bounds)
+
+    monkeypatch.setattr(moss.sudoku, "_check_rows", barred_rows)
+    monkeypatch.setattr(moss.serialize, "_require_int_matrix", barred_grid)
 
 
 def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
@@ -512,6 +527,18 @@ def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
     _bar_cell_checks(monkeypatch)
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
+
+
+def test_q9_verify_and_bruteforce_mode_walk_no_grid(tmp_path, monkeypatch, capsys):
+    """verify on the 72 documents of GF(9) and family --q 9 --verify
+    bruteforce read no grid cell by cell."""
+    files = _write_family(tmp_path, q=9)
+    _bar_cell_checks(monkeypatch)
+    capsys.readouterr()
+    assert main(["verify", "--files", *files]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "72 squares ok, 2556 pairs checked, 0 failures"
+    assert main(["family", "--q", "9", "--verify", "bruteforce", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "72 squares, 2556 orthogonal pairs"
 
 
 def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, capsys):
@@ -631,7 +658,7 @@ def test_generate_out_is_written_atomically(tmp_path, monkeypatch, capsys):
     monkeypatch.delattr(moss.cli, "open")
     assert main(["generate", "--q", "3", "--c", "0,2;2,1", "--out", str(path)]) == 0
     assert [f.name for f in tmp_path.iterdir()] == ["square.json"]
-    assert SquareDocument.from_json(path.read_text()).c == ((0, 2), (2, 1))
+    assert SquareDocument.from_json(path.read_text()).matrix.indices() == ((0, 2), (2, 1))
 
 
 MIXED_Q9_LIST = (1, "70aac611c6a724fe0926216470acd77e8775329a144a0c02d841f74b76b8f003")

@@ -537,19 +537,57 @@ def test_difference_case_split(q):
             assert mat_det(d)
 
 
-def test_family_is_maximal_at_q3():
-    field = get_field(3)
+# -- completeness: no valid generator is orthogonal to every member -----------
+
+def test_the_odd_orders_to_127_are_37_prime_powers():
+    def prime_factors(q):
+        return {p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))}
+
+    orders = tuple(q for q in range(3, 128, 2) if len(prime_factors(q)) == 1)
+    assert ODD_PRIME_POWERS_127 == orders and len(orders) == 37
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
+def test_members_map_0_1_onto_every_vector_with_b_nonzero(q):
+    """The members' images C (0, 1)^T = (b, d) are the q(q-1) vectors of
+    F* x F, each once.  A valid generator has b != 0, so its image is some
+    member's, and its difference with that member is singular: the family
+    is complete."""
+    members = build_family(get_field(q)).matrices
+    images = [(m.b, m.d) for m in members]
+    assert len(images) == q * (q - 1)
+    assert set(images) == {(b, d) for b in range(1, q) for d in range(q)}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_members_row_maps_cover_every_column_past_box_0_at_row_1(q):
+    """The grid side of the same count: a square's kappa(1) lies in [q, n)
+    (K meets box 0 only at 0), and orthogonal squares have distinct
+    kappa(1), so the q(q-1) members take each of the n - q columns once."""
+    kappas = [moss.sudoku.coset_kernel(build_from_canonical(m))
+              for m in build_family(get_field(q)).matrices]
+    assert all(kappa is not None for kappa in kappas)
+    assert sorted(kappa[1] for kappa in kappas) == list(range(q, q * q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_no_generator_extends_the_family(q):
+    """By exhaustion over every valid generator (oracles.py): none is
+    orthogonal to all members, and with member 0 dropped only member 0 is."""
+    field = get_field(q)
     members = build_family(field).matrices
-    extensions = [
-        c for c in all_valid_generators(field)
-        if all(meets_trivially(c, m) for m in members)
-    ]
-    assert extensions == []
+
+    def extensions(family):
+        return [c for c in all_valid_generators(field)
+                if all(meets_trivially(c, m) for m in family)]
+
+    assert extensions(members) == []
+    assert extensions(members[1:]) == [members[0]]
 
 
 def test_family_repr_mentions_parameters():
     fam = build_family(get_field(3))
     assert "alpha=1" in repr(fam)
     assert "size=6" in repr(fam)
-    assert len(fam) == 6
+    assert fam.size == 6
     assert list(fam)[0].indices() == ((0, 1), (1, 1))

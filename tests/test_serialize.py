@@ -23,9 +23,10 @@ def golden_document():
 
 def test_golden_document_contents():
     doc = golden_document()
-    assert (doc.q, doc.p, doc.k) == (3, 3, 1)
-    assert doc.modulus == (1, 0)
-    assert doc.c == GOLDEN_C_Q3
+    field = doc.matrix.field
+    assert (doc.q, field.p, field.k) == (3, 3, 1)
+    assert field.modulus == (1, 0)
+    assert doc.matrix.indices() == GOLDEN_C_Q3
     assert doc.to_grid().rows == GOLDEN_GRID_Q3
 
 
@@ -53,7 +54,7 @@ def test_documents_are_integer_only():
 def test_round_trip_extension_fields(q):
     field = get_field(q)
     doc = SquareDocument.from_matrix(Mat2.from_indices(field, ((0, 1), (1, 1))))
-    assert doc.modulus == field.modulus
+    assert doc.matrix.field.modulus == field.modulus
     text = doc.to_json()
     parsed = SquareDocument.from_json(text)
     assert parsed == doc
@@ -136,7 +137,7 @@ def test_a_repeated_key_is_a_violation_not_its_last_value():
     duplicate-c text is a valid document of another square."""
     text = corrupt_cases()["duplicate-c"][0]
     assert text.count('"c":') == 2
-    assert SquareDocument._validate(json.loads(text)).c == OTHER_C_Q3 != GOLDEN_C_Q3
+    assert SquareDocument._validate(json.loads(text)).matrix.indices() == OTHER_C_Q3 != GOLDEN_C_Q3
     with pytest.raises(SchemaViolation, match=r"^c: duplicate key$"):
         SquareDocument.from_json(text)
 
@@ -183,6 +184,37 @@ def test_schema_violation_deep_in_the_grid(cell, message, later):
         SquareDocument.from_json(json.dumps(data))
     assert exc_info.value.path == "grid[40][17]"
     assert str(exc_info.value) == f"grid[40][17]: {message}"
+
+
+@pytest.mark.parametrize("cell, message", [
+    (81, "value 81 out of range [0, 81)"),
+    (-1, "value -1 out of range [0, 81)"),
+    (True, "expected an integer, got True"),
+    ({"x": 1}, "expected an integer, got {'x': 1}"),
+])
+def test_schema_violation_in_the_last_row(cell, message):
+    """A respelled document (json.dumps spacing) takes the full path, which
+    names a bad cell of row 80 at its own path."""
+    data = json.loads(SquareDocument.from_matrix(
+        Mat2.from_indices(get_field(9), ((0, 1), (1, 1)))).to_json())
+    data["grid"][80][63] = cell
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert str(exc_info.value) == f"grid[80][63]: {message}"
+
+
+@pytest.mark.parametrize("bad_row, short_row, expected", [
+    (3, 5, "grid[3][8]: value -1 out of range [0, 81)"),
+    (5, 3, "grid[3]: expected 81 entries"),
+])
+def test_the_earlier_of_a_bad_cell_and_a_short_row_is_named(bad_row, short_row, expected):
+    data = json.loads(SquareDocument.from_matrix(
+        Mat2.from_indices(get_field(9), ((0, 1), (1, 1)))).to_json())
+    data["grid"][bad_row][8] = -1
+    del data["grid"][short_row][-1]
+    with pytest.raises(SchemaViolation) as exc_info:
+        SquareDocument.from_json(json.dumps(data))
+    assert str(exc_info.value) == expected
 
 
 def test_generator_is_tested_once_per_document(monkeypatch):

@@ -200,6 +200,29 @@ def test_verify_malformed():
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
+@pytest.mark.parametrize("cell", [81, -1, True, 1.0])
+@pytest.mark.parametrize("later", [None, -5])
+def test_a_bad_symbol_in_the_last_row_is_named(cell, later):
+    """At q = 9, a bad cell in row 80, and with it a later bad cell in that
+    row: verify_sudoku, coset_kernel and the census name the first, the
+    census a's before b's, though b's bad cell is in row 0."""
+    good = build_from_canonical(build_family(get_field(9)).matrices[0]).rows
+    rows = [row[:] for row in good]
+    rows[80][20] = cell
+    if later is not None:
+        rows[80][60] = later
+    bad_b = [row[:] for row in good]
+    bad_b[0][0] = 100
+    grid, clean = SudokuGrid(9, rows), SudokuGrid(9, good)
+    for check in (verify_sudoku, coset_kernel,
+                  lambda g: verify_orthogonal_bruteforce(g, clean),
+                  lambda g: verify_orthogonal_bruteforce(clean, g),
+                  lambda g: verify_orthogonal_bruteforce(g, SudokuGrid(9, bad_b))):
+        with pytest.raises(MalformedGrid) as exc_info:
+            check(grid)
+        assert str(exc_info.value) == f"symbol {cell!r} out of range [0, 81)"
+
+
 def test_checks_build_only_the_caches_they_read():
     """verify_sudoku, coset_kernel (on a and on b) and the census leave only
     q and rows on every grid, so cells changed after a passing check, in a
