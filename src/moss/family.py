@@ -19,11 +19,11 @@ every qualifying alpha, roughly (q - 1)/4 of them; tests/oracles.py counts
 them again by exhaustive squaring.
 
 verify_family certifies any list of matrices without visiting its
-n(n-1)/2 pairs: by the paper's own argument, the lambda certificate of
-_orthogonality_violations, when the list has the family's shape, else by
-_direction_scan.  Bruteforce mode also checks the grids themselves, with
-the one grid certifier of moss verify, sudoku.coset_kernel, which shares
-nothing with either.  Each proof is at its function.
+n(n-1)/2 pairs, by one scan of the members' images in q + 1 directions,
+which the paper's lambda certificate (_scan_directions) cuts to (0, 1)
+when the list has the family's shape.  Bruteforce mode also checks the
+grids with the one grid certifier of moss verify, sudoku.coset_kernel,
+which shares nothing with the scan.  Each proof is at its function.
 """
 
 from __future__ import annotations
@@ -128,55 +128,48 @@ class FamilyReport(_Record):
         return f"FamilyReport(mode={self.mode!r}, size={self.size}, pairs={self.pairs}, {state})"
 
 
-def _equal_key_pairs(keys: list[int]) -> list[tuple[int, int]]:
-    """The pairs i < j with keys[i] == keys[j], grouped by key."""
-    if len(set(keys)) == len(keys):
-        return []
-    groups = defaultdict(list)
-    for i, key in enumerate(keys):
-        groups[key].append(i)
-    return [pair for members in groups.values() for pair in combinations(members, 2)]
+def _scan_directions(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
+    """The directions x whose images C x the pair scan compares.
 
-
-def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
-    """Pairs i < j with C_i - C_j singular, sorted.
-
-    The paper's certificate reads lambda = (d - a)/b off the first member
-    with b != 0, never off Family.lam.  If lambda^2 + 4 is a non-square
-    and every member is [[a, b], [b, lambda*b + a]], each difference has
-    that shape too, with determinant da^2 + lambda*da*db - db^2, a form of
-    discriminant lambda^2 + 4, which vanishes only at 0: the pairs are
-    those of equal (a, b).  Any other list goes to the direction scan.
+    All q + 1 directions (0, 1) and (1, s), unless the paper's certificate
+    holds.  It reads lambda = (d - a)/b off the first member with b != 0,
+    never off Family.lam.  If lambda^2 + 4 is a non-square and every member
+    is [[a, b], [b, lambda*b + a]], each difference has that shape too, with
+    determinant da^2 + lambda*da*db - db^2, a form of discriminant
+    lambda^2 + 4, which vanishes only at 0: only equal members collide, and
+    the image (b, lambda*b + a) of (0, 1) alone fixes (a, b).
     """
-    q, add, mul, sub = field.q, field.add_table, field.mul_table, field.sub_table
+    add, mul, sub = field.add_table, field.mul_table, field.sub_table
     first = next((m for m in matrices if m.b), None)
     if first is not None:
         lam = mul[sub[first.d][first.a]][field.inv_table[first.b]]
         lam_times = mul[lam]
         if (not field.is_square(add[lam_times[lam]][4 % field.p])
                 and all(m.c == m.b and m.d == add[lam_times[m.b]][m.a] for m in matrices)):
-            return sorted(_equal_key_pairs([q * m.a + m.b for m in matrices]))
-    return _direction_scan(field, matrices)
+            return [(0, 1)]
+    return [(0, 1)] + [(1, s) for s in range(field.q)]
 
 
-def _direction_scan(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
-    """Pairs i < j with C_i - C_j singular, found direction by direction.
+def _orthogonality_violations(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]]:
+    """Pairs i < j with C_i - C_j singular, sorted, found direction by direction.
 
     C_i - C_j is singular iff C_i x = C_j x for some nonzero x, which scales
-    to one of the q + 1 directions (0, 1) and (1, s) of GF(q)^2: so the
-    pairs are those whose images C x coincide in some direction, found in
-    O((q + 1) n) table lookups instead of O(n^2) determinants.  Images are
-    keyed q * first + second.  A nonzero singular difference has a
-    one-dimensional kernel, so its pair collides in one direction only;
-    identical matrices collide in all of them, hence the set.
+    to one of the directions (0, 1), (1, s) of GF(q)^2: the pairs are those
+    whose images C x (keyed q * first + second) coincide in a direction of
+    _scan_directions, in O(n) lookups per direction, not O(n^2) determinants.
+    A nonzero singular difference has a one-dimensional kernel, so its pair
+    collides in one direction only; identical matrices in all, hence the set.
     """
-    q = field.q
-    add, mul = field.add_table, field.mul_table
+    q, add, mul = field.q, field.add_table, field.mul_table
     bad = set()
-    for x1, x2 in [(0, 1)] + [(1, s) for s in range(q)]:
+    for x1, x2 in _scan_directions(field, matrices):
         m1, m2 = mul[x1], mul[x2]
-        bad.update(_equal_key_pairs(
-            [q * add[m1[m.a]][m2[m.b]] + add[m1[m.c]][m2[m.d]] for m in matrices]))
+        keys = [q * add[m1[m.a]][m2[m.b]] + add[m1[m.c]][m2[m.d]] for m in matrices]
+        if len(set(keys)) < len(keys):
+            groups = defaultdict(list)
+            for i, key in enumerate(keys):
+                groups[key].append(i)
+            bad.update(pair for members in groups.values() for pair in combinations(members, 2))
     return sorted(bad)
 
 
@@ -185,10 +178,11 @@ def verify_family(family: Family, mode: str = "fast") -> FamilyReport:
 
     Fast mode runs the determinant criteria only: each member must be a
     valid generator, and the pairs with det(C_i - C_j) = 0 are found without
-    visiting pairs: by the lambda certificate in O(n) when the members are
-    [[a, b], [b, lambda*b + a]] for one lambda with lambda^2 + 4 a
-    non-square, read off the list (as every build_family output is), else
-    by the direction scan in O((q + 1) n).
+    visiting pairs, by one scan of the members' images C x: in the one
+    direction (0, 1), in O(n), when the lambda certificate holds (the
+    members are [[a, b], [b, lambda*b + a]] for one lambda with
+    lambda^2 + 4 a non-square, read off the list, as every build_family
+    output is), else in all q + 1 directions, in O((q + 1) n).
     Bruteforce mode also certifies each valid member's grid with the grid
     certifier of moss verify, sudoku.coset_kernel, which gives a sudoku
     square's row map or None (not_sudoku), and every pair of the certified

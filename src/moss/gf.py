@@ -114,8 +114,6 @@ def _monic_polys(p: int, degree: int) -> Iterable[tuple[int, ...]]:
 
 def _is_irreducible(p: int, poly: Sequence[int]) -> bool:
     degree = len(poly) - 1
-    if degree < 1:
-        return False
     for d in range(1, degree // 2 + 1):
         for divisor in _monic_polys(p, d):
             if not any(_poly_mod(p, poly, divisor)):
@@ -124,10 +122,9 @@ def _is_irreducible(p: int, poly: Sequence[int]) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    for poly in _monic_polys(p, k):
-        if _is_irreducible(p, poly):
-            return poly
-    raise AssertionError(f"no monic irreducible of degree {k} over Z_{p}")
+    """The lexicographically first monic irreducible of degree k over Z_p; one exists
+    for every k >= 1, as Gauss's count (1/k) sum_{d|k} mu(d) p^(k/d) of them is positive."""
+    return next(poly for poly in _monic_polys(p, k) if _is_irreducible(p, poly))
 
 
 def _index(field: Field, i: int) -> int:

@@ -33,7 +33,7 @@ matrices), build_from_plane (the library grid of a plane's C), symbol_at
 reads) and count_alphas (the alpha census by exhaustive squaring and
 polynomial + 1).
 The matrix arithmetic runs on _poly_tables too, so meets_trivially shares
-no table with verify_family's lambda certificate or direction scan, and
+no table with verify_family's direction scan or its lambda certificate, and
 count_alphas == len(alpha_census) checks the library's root-table search.
 
 reference_document_json is the document text by the encoder: json.dumps of

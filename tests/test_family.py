@@ -363,17 +363,11 @@ def test_members_of_an_equal_field_instance_are_accepted():
     assert verify_family(Family(fam.field, fam.alpha, fam.lam, twin.matrices), "fast").ok
 
 
-def _count_scans(monkeypatch):
-    """Count the direction scans that verify_family runs."""
-    calls = []
-
-    def counted(field, matrices):
-        calls.append(len(matrices))
-        return original(field, matrices)
-
-    original = moss.family._direction_scan
-    monkeypatch.setattr(moss.family, "_direction_scan", counted)
-    return calls
+def _every_direction(field, matrices):
+    """The q + 1 directions that _scan_directions gives a list without the
+    lambda certificate; patched in for it, _orthogonality_violations scans
+    all of them."""
+    return [(0, 1)] + [(1, s) for s in range(field.q)]
 
 
 def _planes(fam):
@@ -383,8 +377,9 @@ def _planes(fam):
     plane conjugated by P = [[1, 1], [1, 2]], span(I, J_0) with 0^2 + 4 =
     2^2 a square, the diagonal matrices and span(I, N) with N nilpotent.
     certified says whether a list of the plane with a non-scalar member
-    takes the lambda certificate (True) or the direction scan (False); the
-    conjugate has the family's shape in some characteristics only (None)."""
+    takes the lambda certificate (True, one direction) or not (False, all
+    q + 1); the conjugate has the family's shape in some characteristics
+    only (None)."""
     field = fam.field
     el, squares = poly_elements(field), squares_by_squaring(field)
     four = el[1] + el[1] + el[1] + el[1]
@@ -403,18 +398,17 @@ def _planes(fam):
 
 
 @pytest.mark.parametrize("q, examples", [(3, 40), (5, 40), (7, 30), (9, 30), (25, 20), (27, 20)])
-def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
+def test_plane_certificate_matches_pairwise_oracle(q, examples):
     """Lists drawn from one plane, with scalar multiples, duplicates and the
     zero matrix, shuffled: the fast violations are exactly the pairs that
     meets_trivially rejects on every plane.  A list with a non-scalar member
-    never scans on a plane of the paper's shape with lambda^2 + 4 a
-    non-square, whatever the family's lambda, and always scans on the
-    isotropic, diagonal and nilpotent planes."""
+    scans the one direction (0, 1) on a plane of the paper's shape with
+    lambda^2 + 4 a non-square, whatever the family's lambda, and all q + 1
+    on the isotropic, diagonal and nilpotent planes."""
     field = get_field(q)
     fam = build_family(field)
     planes = _planes(fam)
     element = st.integers(0, q - 1)
-    scans = _count_scans(monkeypatch)
 
     @settings(max_examples=examples, deadline=None)
     @given(st.sampled_from(sorted(planes)), st.lists(st.tuples(element, element), min_size=1,
@@ -430,31 +424,29 @@ def test_plane_certificate_matches_pairwise_oracle(q, examples, monkeypatch):
         matrices += [Mat2(field, 0, 0, 0, 0)] * data.draw(st.integers(0, 2), label="zeros")
         matrices = data.draw(st.permutations(matrices), label="order")
         n = len(matrices)
-        del scans[:]
         report = verify_family(Family(field, fam.alpha, fam.lam, matrices), "fast")
         expected = [(i, j) for i in range(n) for j in range(i + 1, n)
                     if not meets_trivially(matrices[i], matrices[j])]
         assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
         if certified is not None and any(m.b or m.c or m.a != m.d for m in matrices):
-            assert scans == ([] if certified else [n])
+            assert moss.family._scan_directions(field, matrices) == (
+                [(0, 1)] if certified else _every_direction(field, matrices))
 
     check()
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
-def test_every_family_takes_the_plane_certificate(q, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("the direction scan ran")
-
-    monkeypatch.setattr(moss.family, "_direction_scan", no_scan)
-    report = verify_family(build_family(get_field(q)), "fast")
+def test_every_family_takes_the_plane_certificate(q):
+    fam = build_family(get_field(q))
+    assert moss.family._scan_directions(fam.field, fam.matrices) == [(0, 1)]
+    report = verify_family(fam, "fast")
     assert report.ok and report.size == q * (q - 1)
 
 
 @pytest.mark.parametrize("q, examples", [(3, 60), (5, 60), (7, 40), (9, 40), (25, 20)])
-def test_direction_scan_matches_pairwise_oracle(q, examples):
-    """The fast violations, and the direction scan's pairs, are exactly the
-    pairs meets_trivially rejects.
+def test_direction_scan_matches_pairwise_oracle(q, examples, monkeypatch):
+    """The fast violations, and the pairs of a scan in all q + 1 directions,
+    are exactly the pairs meets_trivially rejects.
 
     Random matrices rarely collide, so duplicates and members that differ
     from another by a rank-1 matrix (a singular nonzero difference) are
@@ -492,18 +484,22 @@ def test_direction_scan_matches_pairwise_oracle(q, examples):
             if not meets_trivially(matrices[i], matrices[j])
         ]
         assert [pair for kind, pair in report.violations if kind == "not_orthogonal"] == expected
-        assert moss.family._direction_scan(field, matrices) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(moss.family, "_scan_directions", _every_direction)
+            assert moss.family._orthogonality_violations(field, matrices) == expected
         assert report.pairs == n * (n - 1) // 2
 
     check()
 
 
-def test_fast_scan_agrees_with_meets_trivially_q3():
+def test_fast_scan_agrees_with_meets_trivially_q3(monkeypatch):
     """A family with a copy keeps the family's shape, so verify_family
-    takes the lambda certificate; the scan is run directly as well."""
+    takes the lambda certificate and scans (0, 1) alone; the scan in all
+    q + 1 directions is run as well."""
     field = get_field(3)
     fam = build_family(field)
     spiked = Family(field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[3]])
+    assert moss.family._scan_directions(field, spiked.matrices) == [(0, 1)]
     report = verify_family(spiked, "fast")
     expected = {
         (i, j)
@@ -512,7 +508,23 @@ def test_fast_scan_agrees_with_meets_trivially_q3():
         if not meets_trivially(spiked.matrices[i], spiked.matrices[j])
     }
     assert {v for kind, v in report.violations if kind == "not_orthogonal"} == expected
-    assert moss.family._direction_scan(field, spiked.matrices) == sorted(expected)
+    monkeypatch.setattr(moss.family, "_scan_directions", _every_direction)
+    assert moss.family._orthogonality_violations(field, spiked.matrices) == sorted(expected)
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
+def test_a_copied_member_is_the_one_failing_pair(q, monkeypatch):
+    """A copy of member i = 7 % n appended to the family collides with
+    member i alone, at every order; up to q = 49 the scan in all q + 1
+    directions finds the same pair."""
+    fam = build_family(get_field(q))
+    n, i = fam.size, 7 % fam.size
+    copied = Family(fam.field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[i]])
+    violations = verify_family(copied, "fast").violations
+    assert violations == [("not_orthogonal", (i, n))]
+    if q <= 49:
+        monkeypatch.setattr(moss.family, "_scan_directions", _every_direction)
+        assert verify_family(copied, "fast").violations == violations
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
