@@ -294,6 +294,8 @@ def GF(q: int) -> Field:
     An order above the cap is rejected before q is factored, since trial
     division costs O(sqrt(q)).
     """
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise NotOddPrime(f"{q!r} is not an odd prime power")
     if q > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"order {q} exceeds cap {DEFAULT_MAX_ORDER}")
     try:

@@ -234,12 +234,12 @@ def test_family_stdout_jsonl(capsys):
 
 
 def test_family_verify_report(capsys):
-    assert main(["family", "--q", "3", "--verify", "bruteforce"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "6 squares, 15 orthogonal pairs"
-    assert main(["family", "--q", "5", "--verify", "fast"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "20 squares, 190 orthogonal pairs"
+    for q, mode, last in [(3, "bruteforce", "6 squares, 15 orthogonal pairs"),
+                          (5, "fast", "20 squares, 190 orthogonal pairs"),
+                          (7, "bruteforce", "42 squares, 861 orthogonal pairs"),
+                          (13, "bruteforce", "156 squares, 12090 orthogonal pairs")]:
+        assert main(["family", "--q", str(q), "--verify", mode]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 @pytest.mark.skipif(not hasattr(__import__("resource"), "RLIMIT_AS"),
@@ -341,10 +341,16 @@ def test_family_grid_and_csv_formats(tmp_path, capsys):
     first_rows = csvs[0].read_text().splitlines()
     assert len(first_rows) == 9
     assert all(len(row.split(",")) == 9 for row in first_rows)
+    # render prints a JSON document's grid as the grid format writes it
+    json_dir = tmp_path / "json"
+    assert main(["family", "--q", "3", "--out", str(json_dir)]) == 0
+    capsys.readouterr()
+    assert main(["render", "--file", str(json_dir / "square_00.json")]) == 0
+    assert capsys.readouterr().out == txts[0].read_text()
 
 
 def _child_peak_mb(argv, cwd):
-    """Run main(argv) in a fresh process; return its VmHWM in MB.
+    """Run main(argv) in a fresh process; return its VmHWM in MB and its stdout.
 
     VmHWM is the peak of the child's own address space: ru_maxrss would
     carry over the RSS of this test process across fork and exec.
@@ -361,7 +367,7 @@ def _child_peak_mb(argv, cwd):
     run = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, env=env, cwd=cwd)
     assert run.returncode == 0, run.stderr
-    return int(run.stderr.split()[-1]) / 1024  # VmHWM is in kB
+    return int(run.stderr.split()[-1]) / 1024, run.stdout  # VmHWM is in kB
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
@@ -370,7 +376,7 @@ def test_family_emission_memory_does_not_hold_the_family(tmp_path):
 
     Rendering every document before the first write peaked near 69 MB.
     """
-    peak_mb = _child_peak_mb(["family", "--q", "13", "--out", str(tmp_path / "fam")], tmp_path)
+    peak_mb, _ = _child_peak_mb(["family", "--q", "13", "--out", str(tmp_path / "fam")], tmp_path)
     assert len(list((tmp_path / "fam").iterdir())) == 156
     assert peak_mb < 40
 
@@ -386,7 +392,7 @@ def test_verify_memory_holds_no_key_tuples(tmp_path, capsys):
     files = _write_family(tmp_path, q=11)
     capsys.readouterr()
     assert len(files) == 110
-    assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 36
+    assert _child_peak_mb(["verify", "--files", *files], tmp_path)[0] < 36
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
@@ -397,7 +403,9 @@ def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
     files = _write_family(tmp_path, q=13)
     capsys.readouterr()
     assert len(files) == 156
-    assert _child_peak_mb(["verify", "--files", *files], tmp_path) < 30
+    peak_mb, out = _child_peak_mb(["verify", "--files", *files], tmp_path)
+    assert peak_mb < 30
+    assert out.splitlines()[-1] == "156 squares ok, 12090 pairs checked, 0 failures"
 
 
 def _bar_cell_checks(monkeypatch):
@@ -429,11 +437,13 @@ def _bar_cell_checks(monkeypatch):
     monkeypatch.setattr(moss.serialize, "_require_int_matrix", barred_grid)
 
 
-def test_verify_q25_takes_the_kernel_path(tmp_path, monkeypatch, capsys):
-    """Documents of order 625 are decided by their coset kernels: the cell
-    census, about 0.1 s a pair there, and verify_sudoku are never called."""
+@pytest.mark.parametrize("field", [Field(5, 2), Field(3, 3)], ids=["q25", "q27"])
+def test_verify_q25_takes_the_kernel_path(field, tmp_path, monkeypatch, capsys):
+    """Documents of order 625 and 729 are decided by their coset kernels:
+    the cell census, about 0.1 s a pair there, and verify_sudoku are never
+    called.  At k = 3 each row map is checked at 6 generators."""
     paths = []
-    for i, m in enumerate(build_family(Field(5, 2)).matrices[:8]):
+    for i, m in enumerate(build_family(field).matrices[:8]):
         paths.append(tmp_path / f"square_{i}.json")
         paths[-1].write_text(SquareDocument.from_matrix(m).to_json())
     _bar_cell_checks(monkeypatch)
@@ -453,10 +463,18 @@ def _write_family(tmp_path, q=3):
 
 
 def test_verify_accepts_clean_family(tmp_path, capsys):
-    files = _write_family(tmp_path)
-    assert main(["verify", "--files", *files]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
+    """A family verifies, also with one document respelled by json.dumps
+    (spaces, no final newline): from_json reads that text by its full path."""
+    for q, last in [(3, "6 squares ok, 15 pairs checked, 0 failures"),
+                    (5, "20 squares ok, 190 pairs checked, 0 failures")]:
+        files = _write_family(tmp_path, q)
+        assert main(["verify", "--files", *files]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last
+        text = Path(files[0]).read_text()
+        Path(files[0]).write_text(json.dumps(json.loads(text)))
+        assert Path(files[0]).read_text() != text
+        assert main(["verify", "--files", *files]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
@@ -933,6 +951,9 @@ CLI_ERROR_GOLDEN = {
             "OK <tmp>/fam/square_03.json\n",
             "4 squares ok, 6 pairs checked, 2 failures\n",
         ]), ""),
+    "verify-duplicate-c": (
+        ["verify", "--files", "{tmp}/duplicate.json"],
+        1, "FAIL <tmp>/duplicate.json: c: duplicate key\n0 squares ok, 0 pairs checked, 1 failures\n", ""),
     "render-not-json": (
         ["render", "--file", "{tmp}/bad.json"],
         2, "",
@@ -964,6 +985,10 @@ def _write_error_fixtures(tmp):
     (tmp / "singular.json").write_text(json.dumps(dict(doc, c=[[1, 2], [2, 1]])))
     doc["grid"][0][0] = 9
     (tmp / "range.json").write_text(json.dumps(doc))
+    # square_00's text with a second "c", square_01's, before its grid
+    text, other = ((tmp / "fam" / f"square_0{i}.json").read_text() for i in (0, 1))
+    (tmp / "duplicate.json").write_text(text.replace(
+        ',"grid":', ',"c":' + json.dumps(json.loads(other)["c"], separators=(",", ":")) + ',"grid":'))
     (tmp / "bad.json").write_text("{not json")
     (tmp / "latin1.json").write_bytes(b'{"q": "\xe9"}')
     (tmp / "file").write_text("")
@@ -995,3 +1020,4 @@ def test_module_entrypoint_runs_in_subprocess(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert bad.returncode == 2
+    assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr

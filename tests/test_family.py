@@ -289,14 +289,17 @@ def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
            if not orthogonal_by_pair_census(a, b)])
 
 
-def test_bruteforce_mode_fails_a_member_without_a_kernel(monkeypatch):
-    """The q = 3 family with a copy of member 2: with member 2's kernel
-    withheld, bruteforce mode reports it not_sudoku and no pair with it,
-    so only the determinant check names the pair (2, 6)."""
-    fam = build_family(get_field(3))
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_bruteforce_mode_fails_a_member_without_a_kernel(q, monkeypatch):
+    """The family with a copy of member 2 appended as member n = q(q - 1):
+    both proofs name the pair (2, n).  With member 2's kernel withheld,
+    bruteforce mode reports it not_sudoku and no pair with it, so only the
+    determinant check names the pair."""
+    fam = build_family(get_field(q))
     family = Family(fam.field, fam.alpha, fam.lam, fam.matrices + [fam.matrices[2]])
+    n = q * (q - 1)
     assert verify_family(family, "bruteforce").violations == [
-        ("not_orthogonal", (2, 6)), ("not_orthogonal_bruteforce", (2, 6))]
+        ("not_orthogonal", (2, n)), ("not_orthogonal_bruteforce", (2, n))]
     calls = []
 
     def withhold_the_third(grid):
@@ -305,8 +308,9 @@ def test_bruteforce_mode_fails_a_member_without_a_kernel(monkeypatch):
 
     original = _rebind(monkeypatch, "coset_kernel", withhold_the_third)
     report = verify_family(family, "bruteforce")
-    assert report.violations == [("not_orthogonal", (2, 6)), ("not_sudoku", (2,))]
-    assert repr(report) == "FamilyReport(mode='bruteforce', size=7, pairs=21, 2 violations)"
+    assert report.violations == [("not_orthogonal", (2, n)), ("not_sudoku", (2,))]
+    assert repr(report) == \
+        f"FamilyReport(mode='bruteforce', size={n + 1}, pairs={n * (n + 1) // 2}, 2 violations)"
 
 
 def test_verify_family_guards():

@@ -114,10 +114,14 @@ def test_explicit_modulus():
     (lambda: Field(3, 2, modulus=(True, 0, 1)), ValueError),
     (lambda: Field(3.0, 2), NotOddPrime),
     (lambda: Field("3", 1), NotOddPrime),
-], ids=["float-modulus", "str-modulus", "bool-modulus", "float-p", "str-p"])
+    (lambda: GF(9.0), NotOddPrime),
+    (lambda: GF("9"), NotOddPrime),
+    (lambda: GF(None), NotOddPrime),
+], ids=["float-modulus", "str-modulus", "bool-modulus", "float-p", "str-p",
+        "float-q", "str-q", "none-q"])
 def test_field_rejects_non_int_input(build, error):
-    """Neither p nor a modulus entry is coerced: a float, a string or a bool
-    is a ValueError, never a TypeError or a silent GF(9)."""
+    """Neither p, q nor a modulus entry is coerced: a float, a string, None
+    or a bool is a ValueError, never a TypeError or a silent GF(9)."""
     with pytest.raises(error):
         build()
 

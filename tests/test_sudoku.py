@@ -30,6 +30,7 @@ from moss.sudoku import (
 from oracles import (
     GOLDEN_GRID_Q3,
     GOLDEN_PLANE_Q3,
+    ODD_PRIME_POWERS_49,
     all_planes,
     all_valid_generators,
     build_from_plane,
@@ -696,6 +697,14 @@ def test_coset_kernel_checks_every_row(q):
         for variant in variants:
             grid = SudokuGrid(q, variant)
             assert coset_kernel(grid) is None, r
+
+
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_49)
+def test_coset_kernel_certifies_member_1_of_every_family(q):
+    """Member 1 of each of the 18 families with q <= 49 has a row map of n
+    entries: k = 2 at q = 9, 25 and 49, and k = 3 at q = 27."""
+    kappa = coset_kernel(build_from_canonical(family_matrices(q)[1]))
+    assert kappa is not None and len(kappa) == q * q
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
