@@ -19,7 +19,6 @@ verify_family's bruteforce mode does (sudoku.non_orthogonal_pairs).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -100,7 +99,7 @@ def _load_document(path: Path) -> SquareDocument:
         return SquareDocument.from_json(path.read_text(encoding="utf-8"))
     except SchemaViolation as exc:
         raise BadDocument(f"{path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 

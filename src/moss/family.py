@@ -139,10 +139,10 @@ def _scan_directions(field: Field, matrices: list[Mat2]) -> list[tuple[int, int]
     lambda^2 + 4, which vanishes only at 0: only equal members collide, and
     the image (b, lambda*b + a) of (0, 1) alone fixes (a, b).
     """
-    add, mul, sub = field.add_table, field.mul_table, field.sub_table
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     first = next((m for m in matrices if m.b), None)
     if first is not None:
-        lam = mul[sub[first.d][first.a]][field.inv_table[first.b]]
+        lam = mul[add[first.d][neg[first.a]]][field.inv_table[first.b]]
         lam_times = mul[lam]
         if (not field.is_square(add[lam_times[lam]][4 % field.p])
                 and all(m.c == m.b and m.d == add[lam_times[m.b]][m.a] for m in matrices)):

@@ -9,7 +9,7 @@ n times 1 has index n mod p.
 
 A field is constructed from (p, k) and reduces modulo the lexicographically
 smallest monic irreducible polynomial of degree k, so two fields built from
-the same parameters are always identical.  The add, sub, mul, neg and inv
+the same parameters are always identical.  The add, mul, neg and inv
 tables, and the root table from each square (0 included) to its square
 root of smallest index, are precomputed at construction (the order cap
 keeps them small), so element arithmetic is a pair of list lookups and
@@ -104,7 +104,7 @@ def _poly_mod(p: int, f: Sequence[int], modulus: Sequence[int]) -> list[int]:
         if c:
             for j, mj in enumerate(modulus):
                 work[i + j] = (work[i + j] - c * mj) % p
-    return work[-k:] if k else []
+    return work[-k:]
 
 
 def _monic_polys(p: int, degree: int) -> Iterable[tuple[int, ...]]:
@@ -257,9 +257,7 @@ class Field(_Record):
         self.add_table = add
         self.mul_table = [[0] * q] + [[0, *by_log(twice[log[a]:log[a] + q - 1])]
                                       for a in range(1, q)]
-        self.neg_table = [row.index(0) for row in add]
-        by_neg = itemgetter(*self.neg_table)
-        self.sub_table = [list(by_neg(row)) for row in add]
+        self.neg_table = self.mul_table[p - 1]  # -a = (p - 1) * a
         self.inv_table: list[int | None] = [None] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
         # Roots are written largest first, so each square keeps its smallest.
         self.root_table = {self.mul_table[i][i]: i for i in reversed(range(q))}

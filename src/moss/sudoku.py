@@ -118,13 +118,13 @@ def block_plan(c: Mat2) -> list[itemgetter]:
         raise NotAGenerator(f"{c!r} is singular or lower triangular")
     field = c.field
     q = field.q
-    add, sub, mul, neg = field.add_table, field.sub_table, field.mul_table, field.neg_table
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     a, cc, d = c.a, c.c, c.d
     inv_b = field.inv_table[c.b]
     pickers = []
     for x1 in range(q):
-        ax1, cx1 = mul[a][x1], mul[cc][x1]
-        ts = [mul[sub[x3][ax1]][inv_b] for x3 in range(q)]
+        cx1 = mul[cc][x1]
+        ts = [mul[s][inv_b] for s in add[neg[mul[a][x1]]]]  # s = x3 - a*x1
         pickers.append(itemgetter(*[q * neg[t] + add[cx1][mul[d][t]] for t in ts]))
     return pickers
 
@@ -137,8 +137,8 @@ def _strips(field: Field, form: str) -> tuple[tuple, ...]:
     shift, as a tuple of ints ("ints"), space-joined and right-aligned to
     the widest symbol ("text") or comma-joined ("csv").  Built on first use,
     once per field and form."""
-    q, add, sub = field.q, field.add_table, field.sub_table
-    blocks = [tuple(q * u + sub[x4][shift] for x4 in range(q))
+    q, add, neg = field.q, field.add_table, field.neg_table
+    blocks = [tuple(q * u + s for s in add[neg[shift]])
               for u in range(q) for shift in range(q)]
     if form != "ints":
         width, sep = (len(str(q * q - 1)), " ") if form == "text" else (0, ",")
@@ -292,7 +292,7 @@ def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
         kappa = tuple(map(methodcaller("index", row0[0]), rows))
     except ValueError:  # q is not a prime power, or a row lacks the symbol
         return None
-    if 0 in kappa[1:] or min(kappa[1:q], default=q) < q:  # K meets column 0 or box 0
+    if 0 in kappa[1:] or min(kappa[1:q]) < q:  # K meets column 0 or box 0
         return None
     for g in [p ** i for i in range(2 * k)]:  # p^i, then q*p^i = p^(k+i)
         shifted = itemgetter(*_shift(sums, q, kappa[g]))

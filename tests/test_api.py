@@ -82,6 +82,7 @@ def test_plane_specification_is_not_in_the_package():
     assert [attr for attr in ("__mul__", "__sub__", "inverse", "det") if hasattr(Mat2, attr)] == []
     assert not hasattr(SudokuGrid, "symbol_at")
     assert not hasattr(FieldElement, "coeffs")
+    assert not hasattr(GF(9), "sub_table")
 
 
 def test_coset_kernel_is_the_one_grid_certifier():

@@ -242,6 +242,36 @@ def test_family_verify_report(capsys):
         assert capsys.readouterr().out.splitlines()[-1] == last
 
 
+@pytest.mark.parametrize("mode, violations", [
+    ("fast", ["violation: not_orthogonal 7,20"]),
+    ("bruteforce", ["violation: not_orthogonal 7,20", "violation: not_orthogonal_bruteforce 7,20"]),
+])
+@pytest.mark.parametrize("out", [False, True])
+def test_family_verify_failure_still_writes_every_square(mode, violations, out, tmp_path,
+                                                         monkeypatch, capsys):
+    """A family that fails --verify is still written whole, then gets one
+    violation line per violation and no summary line, and exits 1: here the
+    q = 5 family with member 7 appended again, 21 squares."""
+    def with_member_7_again(field):
+        family = build_family(field)
+        family.matrices.append(family.matrices[7])
+        return family
+
+    monkeypatch.setattr(moss.cli, "build_family", with_member_7_again)
+    outdir = tmp_path / "fam"
+    assert main(["family", "--q", "5", "--verify", mode, *(["--out", str(outdir)] if out else [])]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    texts = [SquareDocument.from_matrix(m).to_json() for m in with_member_7_again(get_field(5))]
+    assert len(texts) == 21
+    if out:
+        assert lines == [f"wrote 21 squares to {outdir}", *violations]
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            f"square_{i:02d}.json" for i in range(21)]
+        assert [(outdir / f"square_{i:02d}.json").read_text() for i in range(21)] == texts
+    else:
+        assert lines == [text.rstrip("\n") for text in texts] + violations
+
+
 @pytest.mark.skipif(not hasattr(__import__("resource"), "RLIMIT_AS"),
                     reason="needs resource.RLIMIT_AS")
 def test_out_of_memory_is_exit_2(tmp_path):

@@ -469,8 +469,8 @@ def _full_path(text):
 def test_canonical_fast_path_matches_the_full_path(case):
     """from_json gives what parsing and validating the whole text gives: an
     equal matrix, the same violation (path and message) or the same error
-    type.  It renders a grid to compare only for text whose part from
-    ',"grid":' on has the canonical length for q."""
+    type.  It renders a grid to compare only for text that has a ',"grid":'
+    part and at least q^4 characters, the floor of one per cell."""
     q, text = case
     renders = []
     render_grid = moss.serialize.render_grid
@@ -483,6 +483,4 @@ def test_canonical_fast_path_matches_the_full_path(case):
         fast = _outcome(SquareDocument.from_json, text)
     assert fast == _outcome(_full_path, text)
     if renders:
-        canonical = _family_texts(q)[0]
-        head, sep, _ = text.partition(',"grid":')
-        assert sep and len(text) - len(head) == len(canonical) - canonical.index(',"grid":')
+        assert ',"grid":' in text and len(text) >= q ** 4

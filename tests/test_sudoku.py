@@ -186,10 +186,12 @@ def test_verify_malformed():
     bad[4][4] = True
     with pytest.raises(MalformedGrid):
         verify_sudoku(SudokuGrid(3, bad))
-    # rows, or a row, with no length, and rows that are sets or dicts (no
-    # Sequence) are the wrong shape, not a TypeError, an AttributeError or
-    # a verdict read off their iteration order
-    for rows in ([0] * 9, None, [None] * 9, [set(row) for row in GOLDEN_GRID_Q3],
+    # too few or too many rows, a short row, rows, or a row, with no length,
+    # and rows that are sets or dicts (no Sequence) are the wrong shape, not
+    # a TypeError, an AttributeError or a verdict read off their iteration order
+    for rows in ([list(range(9))] * 8, [list(range(9))] * 10,
+                 [list(range(8))] + [list(range(9))] * 8, [0] * 9, None, [None] * 9,
+                 [set(row) for row in GOLDEN_GRID_Q3],
                  [{s: s for s in row} for row in GOLDEN_GRID_Q3]):
         for check in (verify_sudoku, coset_kernel,
                       lambda g: verify_orthogonal_bruteforce(g, g),
