@@ -17,7 +17,9 @@ squareness or a square root one dict lookup.  Addition is digit-wise mod p;
 products and inverses come from the powers of the first element of order
 q - 1, so a field costs O(q) polynomial products, not q^2.  The coefficient
 vector of index i is _coeffs[i].  FieldElement is only the read-only
-(field, index) record that the residue search returns.
+(field, index) record that the residue search returns.  Every integer the
+package validates, here and in the grids and documents, must be an exact
+int (type(x) is int), so a bool or another int subclass is rejected.
 
 _Record is the base of the package's record classes, in place of
 dataclasses, whose import pulls in inspect, ast and dis at every start-up.
@@ -50,17 +52,6 @@ class NoSquareRoot(ArithmeticError, ValueError):
 
 class FieldMismatch(ValueError):
     """Operands belong to different fields."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -129,7 +120,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 def _index(field: Field, i: int) -> int:
     """i itself, after checking that it is an element index of the field."""
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < field.q:
+    if type(i) is not int or not 0 <= i < field.q:
         raise IndexError(f"element index must lie in [0, {field.q}), got {i!r}")
     return i
 
@@ -193,13 +184,14 @@ class Field(_Record):
         # The cap is checked before any work that grows with p or k: p is
         # tested for primality only below the cap, and p ** k is taken only
         # for k below the cap's bit length (p >= 3, so p ** k > 2 ** k).
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise NotOddPrime(f"characteristic must be an odd prime, got {p!r}")
-        if p > DEFAULT_MAX_ORDER:
+        if type(p) is int and p > DEFAULT_MAX_ORDER:
             raise OrderTooLarge(f"characteristic {p} exceeds cap {DEFAULT_MAX_ORDER}")
-        if not is_prime(p) or p == 2:
-            raise NotOddPrime(f"characteristic must be an odd prime, got {p}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        try:  # factor_prime_power raises for a p that is no prime power
+            if type(p) is not int or p < 3 or factor_prime_power(p) != (p, 1):
+                raise ValueError(p)
+        except ValueError:
+            raise NotOddPrime(f"characteristic must be an odd prime, got {p!r}") from None
+        if type(k) is not int or k < 1:
             raise DegreeTooSmall(f"extension degree must be >= 1, got {k}")
         if k >= DEFAULT_MAX_ORDER.bit_length() or p ** k > DEFAULT_MAX_ORDER:
             raise OrderTooLarge(f"order {p}^{k} exceeds cap {DEFAULT_MAX_ORDER}")
@@ -220,7 +212,7 @@ class Field(_Record):
 
     def _check_modulus(self):
         m = self.modulus
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in m):
+        if not all(type(c) is int for c in m):
             raise ValueError(f"modulus coefficients must be ints, got {m!r}")
         if len(m) != self.k + 1:
             raise ValueError(f"modulus must have degree {self.k}")
@@ -292,7 +284,7 @@ def GF(q: int) -> Field:
     An order above the cap is rejected before q is factored, since trial
     division costs O(sqrt(q)).
     """
-    if not isinstance(q, int) or isinstance(q, bool):
+    if type(q) is not int:
         raise NotOddPrime(f"{q!r} is not an odd prime power")
     if q > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"order {q} exceeds cap {DEFAULT_MAX_ORDER}")

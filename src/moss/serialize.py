@@ -44,7 +44,7 @@ class SchemaViolation(ValueError):
 def _require_int(value, path: str) -> int:
     if isinstance(value, _Repeated):
         raise SchemaViolation(path, f"duplicate key {value.key!r}")
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise SchemaViolation(path, f"expected an integer, got {value!r}")
     return value
 

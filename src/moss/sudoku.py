@@ -28,8 +28,8 @@ verify_sudoku compares each row, column (a zip of the rows) and subsquare
 superimposes two grids, all n^2 cells of them: a cell holding s in A and t
 in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
 [0, n), so the grids are orthogonal iff the n^2 keys are distinct.  Each
-check, coset_kernel too, range-checks the rows it reads, every time it
-reads them.
+check, coset_kernel too, range-checks the rows it reads (symbols are
+exact ints, type(s) is int, in [0, n)), every time it reads them.
 
 coset_kernel is the one grid certifier, of moss verify and of
 verify_family's bruteforce mode: it reads a grid as the paper builds it,
@@ -67,16 +67,16 @@ class OrderMismatch(ValueError):
 class SudokuGrid(_Record):
     """A q^2 x q^2 array of symbols 0..q^2-1 with q x q subsquare structure.
 
-    Construction raises MalformedGrid unless q is a positive int; the rows
-    are plain data, range-checked by each check that reads them.  Grids
-    compare by q and rows and are unhashable.
+    Construction raises MalformedGrid unless q is a positive exact int; the
+    rows are plain data, range-checked by each check that reads them.
+    Grids compare by q and rows and are unhashable.
     """
 
     _fields = ("q", "rows")
     __hash__ = None
 
     def __init__(self, q: int, rows: list[list[int]]):
-        if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+        if type(q) is not int or q < 1:
             raise MalformedGrid(f"q must be a positive int, got {q!r}")
         self.q, self.rows = q, rows
 
@@ -184,7 +184,7 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
 
 
 def _check_rows(rows: list[list[int]], n: int) -> None:
-    """Raise MalformedGrid unless rows is n x n with int symbols in [0, n).
+    """Raise MalformedGrid unless rows is n x n with exact int symbols in [0, n).
 
     Rows without a length, or a row that is no Sequence, are the wrong
     shape; otherwise the first bad symbol, row by row, is named.
@@ -197,7 +197,7 @@ def _check_rows(rows: list[list[int]], n: int) -> None:
         raise MalformedGrid(f"grid must be {n}x{n}")
     for row in rows:
         for s in row:
-            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
+            if type(s) is not int or not 0 <= s < n:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
 
 
@@ -207,7 +207,7 @@ def verify_orthogonal_bruteforce(a: SudokuGrid, b: SudokuGrid) -> bool:
     Reads all n^2 cells and counts the distinct keys n*s + t, s from a and t
     from b.  Raises OrderMismatch for grids of different orders and
     MalformedGrid, as verify_sudoku does, for a grid of the wrong shape or
-    with a symbol that is not an int in [0, n); a is checked before b.
+    with a symbol that is not an exact int in [0, n); a is checked before b.
     """
     n = a.order
     if n != b.order:
@@ -263,8 +263,9 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
 
     The range check is folded in: an exact int type set over all cells and
     row 0 in [0, n) put every row that passes (2) in range.  Any grid that
-    fails goes through _check_rows, so it raises MalformedGrid as
-    verify_sudoku does, on every call, before None is returned.
+    fails goes through _check_rows, whose rule is the same type(s) is int,
+    so it raises MalformedGrid as verify_sudoku does, on every call, before
+    None is returned.
     """
     q, n, rows = grid.q, grid.order, grid.rows
     kappa = _row_map(q, n, rows)

@@ -1036,6 +1036,24 @@ def test_cli_error_golden_bytes(name, tmp_path):
         == (code, stdout, stderr)
 
 
+def test_family_and_verify_are_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
+    """Under -X dev -W error, a DeprecationWarning or ResourceWarning from
+    moss is an error: family --verify bruteforce and verify of its 72
+    documents exit 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    moss_cmd = [sys.executable, "-X", "dev", "-W", "error", "-m", "moss"]
+    out = tmp_path / "D"
+    family = subprocess.run(moss_cmd + ["family", "--q", "9", "--out", str(out),
+                                        "--verify", "bruteforce"],
+                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (family.returncode, family.stderr) == (0, "")
+    files = sorted(map(str, out.glob("*.json")))
+    assert len(files) == 72
+    verify = subprocess.run(moss_cmd + ["verify", "--files", *files],
+                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (verify.returncode, verify.stderr) == (0, "")
+
+
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     cmd = [sys.executable, "-m", "moss", "generate", "--q", "3", "--c", "0,2;2,1"]

@@ -7,6 +7,7 @@ import pytest
 
 from moss.family import build_family, derive_lambda
 from moss.gf import (
+    DEFAULT_MAX_ORDER,
     GF,
     DegreeTooSmall,
     Field,
@@ -16,7 +17,6 @@ from moss.gf import (
     NotOddPrime,
     OrderTooLarge,
     factor_prime_power,
-    is_prime,
 )
 from moss.planes import Mat2, Plane
 import moss.gf
@@ -43,7 +43,22 @@ from oracles import (
 
 
 def test_prime_helpers():
-    assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    """Field(p) accepts exactly the odd primes: every other p in [-2, 129),
+    1, 2 and the prime powers 4, 9, 25, 27 and 121 included, raises
+    NotOddPrime with one message, and 129, above the cap, OrderTooLarge."""
+    odd_primes = {n for n in range(3, 130) if all(n % d for d in range(2, n))}
+    assert len(odd_primes) == 30 and odd_primes.isdisjoint({1, 2, 4, 9, 25, 27, 121})
+    for p in range(-2, 130):
+        if p in odd_primes:
+            field = Field(p)
+            assert (field.p, field.k, field.q) == (p, 1, p)
+        elif p > DEFAULT_MAX_ORDER:
+            with pytest.raises(OrderTooLarge):
+                Field(p)
+        else:
+            with pytest.raises(NotOddPrime) as exc_info:
+                Field(p)
+            assert str(exc_info.value) == f"characteristic must be an odd prime, got {p}"
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(49) == (7, 2)
     assert factor_prime_power(5) == (5, 1)

@@ -1,6 +1,7 @@
 """Grid construction, the three exactly-once checks, and rendering."""
 
 import copy
+import json
 import os
 import random
 import subprocess
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import moss.sudoku
 from moss.family import build_family
+from moss.gf import GF, DegreeTooSmall, Field, NotOddPrime
 from moss.planes import Mat2, Plane, is_valid_generator
+from moss.serialize import SchemaViolation, SquareDocument
 from moss.sudoku import (
     MalformedGrid,
     NotAGenerator,
@@ -902,7 +905,8 @@ def test_kernel_report_on_every_plane(q, planes, latin, monkeypatch):
 
 
 class Symbol(int):
-    """An int subclass: accepted as a symbol, but not on the C-level pass."""
+    """An int subclass: rejected, as a bool is, by every integer check, all of
+    which take type(x) is int."""
 
 
 def _outcome(check, *grids):
@@ -941,6 +945,60 @@ def test_checks_match_per_cell_oracle_on_malformed_rows(q):
         assert census == expected
 
     check()
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_int_subclass_symbols_are_one_malformed_grid_to_every_check(q):
+    """Members 0 and 1 of the family, relabelled with Symbol values, raise
+    one MalformedGrid, word for word, from coset_kernel, verify_sudoku and
+    the census, whichever side of the census the relabelled grid is on."""
+    members = [build_from_canonical(c) for c in list(build_family(get_field(q)))[:2]]
+    for i, member in enumerate(members):
+        grid = SudokuGrid(q, [[Symbol(s) for s in row] for row in member.rows])
+        other = members[1 - i]
+        outcomes = [_outcome(coset_kernel, grid), _outcome(verify_sudoku, grid),
+                    _outcome(verify_orthogonal_bruteforce, grid, other),
+                    _outcome(verify_orthogonal_bruteforce, other, grid)]
+        expected = ("malformed", f"symbol {member.rows[0][0]} out of range [0, {q * q})")
+        assert outcomes == [expected] * 4
+
+
+def _document_with_q(value):
+    data = json.loads(SquareDocument.from_matrix(mat(get_field(3), ((0, 1), (1, 1)))).to_json())
+    data["q"] = value
+    return SquareDocument._validate(data)
+
+
+def _grid_with_cell(value):
+    grid = build_from_canonical(mat(get_field(3), ((0, 1), (1, 1))))
+    grid.rows[4][4] = value
+    return verify_sudoku(grid)
+
+
+@pytest.mark.parametrize("kind", ["bool", "subclass"])
+@pytest.mark.parametrize("entry, plain, error, message", [
+    (GF, 9, NotOddPrime, "{} is not an odd prime power"),
+    (Field, 3, NotOddPrime, "characteristic must be an odd prime, got {}"),
+    (lambda k: Field(3, k), 2, DegreeTooSmall, "extension degree must be >= 1, got {}"),
+    (lambda m: Field(3, 2, modulus=(m, 0, 1)), 1, ValueError,
+     "modulus coefficients must be ints, got ({}, 0, 1)"),
+    (lambda i: Mat2.from_indices(get_field(3), ((0, i), (1, 1))), 1, IndexError,
+     "element index must lie in [0, 3), got {}"),
+    (lambda i: get_field(3).is_square(i), 1, IndexError,
+     "element index must lie in [0, 3), got {}"),
+    (lambda q: SudokuGrid(q, []), 3, MalformedGrid, "q must be a positive int, got {}"),
+    (_grid_with_cell, 0, MalformedGrid, "symbol {} out of range [0, 9)"),
+    (_document_with_q, 3, SchemaViolation, "q: expected an integer, got {}"),
+], ids=["GF", "Field-p", "Field-k", "Field-modulus", "Mat2.from_indices", "Field.is_square",
+        "SudokuGrid", "verify_sudoku-cell", "SquareDocument-header"])
+def test_integer_entry_points_take_exact_ints(entry, plain, error, message, kind):
+    """Every integer entry point takes type(x) is int: True and a Symbol
+    are rejected with the message any bad value gets, the plain int passes."""
+    entry(plain)
+    value = True if kind == "bool" else Symbol(plain)
+    with pytest.raises(error) as exc_info:
+        entry(value)
+    assert type(exc_info.value) is error and str(exc_info.value) == message.format(repr(value))
 
 
 def test_orthogonality_census_without_generator_precondition():
