@@ -41,8 +41,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
     The temp file, .<name>.<random hex>.tmp, is moved onto path with
     os.replace, so path holds either its old bytes or all of text, never a
-    part.  On any exception the temp file is removed, and an OSError names
-    path, as a direct write to it would.
+    part.  If the write or the replace fails, the temp file is removed,
+    and an OSError names path, as a direct write to it would.
     """
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
@@ -50,8 +50,9 @@ def _write_atomic(path: Path, text: str) -> None:
             with open(tmp, "x") as out:
                 out.write(text)
             os.replace(tmp, path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 

@@ -120,7 +120,9 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 def _index(field: Field, i: int) -> int:
     """i itself, after checking that it is an element index of the field."""
-    if type(i) is not int or not 0 <= i < field.q:
+    if type(i) is not int:
+        raise IndexError(f"element index {i!r} is a {type(i).__name__}, not an int")
+    if not 0 <= i < field.q:
         raise IndexError(f"element index must lie in [0, {field.q}), got {i!r}")
     return i
 

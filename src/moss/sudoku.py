@@ -28,13 +28,17 @@ verify_sudoku compares each row, column (a zip of the rows) and subsquare
 superimposes two grids, all n^2 cells of them: a cell holding s in A and t
 in B gets the integer key n*s + t, which is one-to-one on symbol pairs in
 [0, n), so the grids are orthogonal iff the n^2 keys are distinct.  Each
-check, coset_kernel too, range-checks the rows it reads (symbols are
-exact ints, type(s) is int, in [0, n)), every time it reads them.
+check, coset_kernel too, range-checks the rows it reads (one predicate,
+_shaped, is the shape rule of all three: n rows, each a Sequence of length
+n; symbols are exact ints, type(s) is int, in [0, n)), every time it reads
+them.
 
 coset_kernel is the one grid certifier, of moss verify and of
 verify_family's bruteforce mode: it reads a grid as the paper builds it,
 the cosets of a subgroup K of (Z_p^k)^4, and returns K's row map kappa for
-a sudoku square of that kind and None for any other grid.
+a sudoku square of that kind.  A grid of the wrong shape raises at once;
+every other rejection returns through _check_rows, which raises for a
+malformed grid and otherwise returns None.
 non_orthogonal_pairs decides the pairs of N such squares by one scan of
 their N row maps instead of n^2 cells a pair.  Each proof is at its
 function.
@@ -183,21 +187,26 @@ def verify_sudoku(grid: SudokuGrid) -> SudokuReport:
     return SudokuReport(latin_rows, latin_cols, subsquares)
 
 
-def _check_rows(rows: list[list[int]], n: int) -> None:
-    """Raise MalformedGrid unless rows is n x n with exact int symbols in [0, n).
-
-    Rows without a length, or a row that is no Sequence, are the wrong
-    shape; otherwise the first bad symbol, row by row, is named.
-    """
+def _shaped(rows: list[list[int]], n: int) -> bool:
+    """True iff rows is n rows, each a Sequence (not a set or a dict) of
+    length n: the shape rule of coset_kernel, verify_sudoku and the census."""
     try:
-        shaped = len(rows) == n and all(isinstance(row, Sequence) and len(row) == n for row in rows)
+        return (len(rows) == n and set(map(len, rows)) == {n}
+                and all(issubclass(kind, Sequence) for kind in set(map(type, rows))))
     except TypeError:
-        shaped = False
-    if not shaped:
+        return False
+
+
+def _check_rows(rows: list[list[int]], n: int) -> None:
+    """Raise MalformedGrid unless rows is _shaped with exact int symbols in
+    [0, n); the first bad symbol, row by row, is named by its type or range."""
+    if not _shaped(rows, n):
         raise MalformedGrid(f"grid must be {n}x{n}")
     for row in rows:
         for s in row:
-            if type(s) is not int or not 0 <= s < n:
+            if type(s) is not int:
+                raise MalformedGrid(f"symbol {s!r} is a {type(s).__name__}, not an int")
+            if not 0 <= s < n:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
 
 
@@ -261,44 +270,30 @@ def coset_kernel(grid: SudokuGrid) -> tuple[int, ...] | None:
     only at 0).  These two tests run on kappa before (2), so a grid that
     fails them costs no shift map.
 
-    The range check is folded in: an exact int type set over all cells and
-    row 0 in [0, n) put every row that passes (2) in range.  Any grid that
-    fails goes through _check_rows, whose rule is the same type(s) is int,
-    so it raises MalformedGrid as verify_sudoku does, on every call, before
-    None is returned.
+    The range check is folded in: a grid that fails _shaped, the shape rule
+    of every check, raises MalformedGrid at once, and an exact int type set
+    over all cells and row 0 in [0, n) put every row that passes (2) in
+    range.  Every other rejection returns through _check_rows, which raises
+    verify_sudoku's MalformedGrid for a malformed grid and otherwise None.
     """
     q, n, rows = grid.q, grid.order, grid.rows
-    kappa = _row_map(q, n, rows)
-    if kappa is None:
-        _check_rows(rows, n)
-    return kappa
-
-
-def _row_map(q: int, n: int, rows: list[list[int]]) -> tuple[int, ...] | None:
-    """coset_kernel's kappa, or None for a grid that fails its shape (a row
-    that is not a Sequence included), type, row-0 range, column and box
-    tests or parent-row condition (or whose q is not a prime power)."""
-    try:
-        if len(rows) != n or set(map(len, rows)) != {n}:
-            return None
-    except TypeError:
-        return None
+    if not _shaped(rows, n):
+        raise MalformedGrid(f"grid must be {n}x{n}")
     row0 = rows[0]
-    if (not all(issubclass(kind, Sequence) for kind in set(map(type, rows)))
-            or set(map(type, chain.from_iterable(rows))) != {int} or min(row0) < 0
+    if (set(map(type, chain.from_iterable(rows))) != {int} or min(row0) < 0
             or max(row0) >= n or len(set(row0)) != n):
-        return None
+        return _check_rows(rows, n)
     try:
         p, k, sums = _digit_sums(q)
         kappa = tuple(map(methodcaller("index", row0[0]), rows))
     except ValueError:  # q is not a prime power, or a row lacks the symbol
-        return None
+        return _check_rows(rows, n)
     if 0 in kappa[1:] or min(kappa[1:q]) < q:  # K meets column 0 or box 0
-        return None
+        return _check_rows(rows, n)
     for g in [p ** i for i in range(2 * k)]:  # p^i, then q*p^i = p^(k+i)
         shifted = itemgetter(*_shift(sums, q, kappa[g]))
         if not all(shifted(rows[r]) == tuple(rows[r - g]) for r in range(g, n, g) if r // g % p):
-            return None
+            return _check_rows(rows, n)
     return kappa
 
 

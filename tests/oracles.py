@@ -251,14 +251,17 @@ def sudoku_flags_per_cell(grid):
     """(latin_rows, latin_cols, subsquares), checked one cell at a time.
 
     Raises MalformedGrid on wrong dimensions or on the first symbol, row by
-    row, that is not an exact int (type(s) is int) in [0, n).
+    row, that is not an exact int (type(s) is int), named by its type, or
+    not in [0, n), named by its range.
     """
     q, n, rows = grid.q, grid.order, grid.rows
     if len(rows) != n or any(len(row) != n for row in rows):
         raise MalformedGrid(f"grid must be {n}x{n}")
     for row in rows:
         for s in row:
-            if type(s) is not int or not 0 <= s < n:
+            if type(s) is not int:
+                raise MalformedGrid(f"symbol {s!r} is a {type(s).__name__}, not an int")
+            if not 0 <= s < n:
                 raise MalformedGrid(f"symbol {s!r} out of range [0, {n})")
     full = set(range(n))
     return (

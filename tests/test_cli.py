@@ -546,7 +546,7 @@ def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
     """verify range-checks each document's grid on its own call and keeps
     nothing from an earlier run: after the family passes, its fourth grid
     is built with True (equal to 1) in row 5, and verify stops there with
-    the range check's message, exit 2."""
+    the range check's message, which names True's type, exit 2."""
     files = _write_family(tmp_path)
     assert main(["verify", "--files", *files]) == 0
     original = SquareDocument.to_grid
@@ -564,7 +564,7 @@ def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--files", *files]) == 2
     out, err = capsys.readouterr()
     assert out == "".join(f"OK {path}\n" for path in files[:3])
-    assert err == "error: symbol True out of range [0, 9)\n"
+    assert err == "error: symbol True is a bool, not an int\n"
 
 
 def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
@@ -661,8 +661,18 @@ class _FailingWrite:
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
                          ids=["no-space", "interrupt"])
 def test_family_write_failure_leaves_no_partial_file(exc, tmp_path, monkeypatch, capsys):
+    """A failed write removes its temp file and leaves whole files only; a
+    successful run removes nothing, as every temp file was replaced."""
     clean, outdir = tmp_path / "clean", tmp_path / "fam"
+    unlinked, unlink = [], Path.unlink
+
+    def recording_unlink(path, *args, **kwargs):
+        unlinked.append(path.name)
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", recording_unlink)
     assert main(["family", "--q", "3", "--out", str(clean)]) == 0
+    assert unlinked == []
     expected = {f.name: f.read_bytes() for f in clean.iterdir()}
 
     def failing_run():
@@ -680,6 +690,7 @@ def test_family_write_failure_leaves_no_partial_file(exc, tmp_path, monkeypatch,
 
     # into a new directory: the two files before the failure are whole
     failing_run()
+    assert len(unlinked) == 1 and unlinked[0].startswith(".square_02.json.")
     assert {f.name: f.read_bytes() for f in outdir.iterdir()} == {
         name: expected[name] for name in ("square_00.json", "square_01.json")}
 

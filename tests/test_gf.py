@@ -343,10 +343,14 @@ def test_sqrt_spec_values():
 
 @pytest.mark.parametrize("bad", [-1, 7, True])
 def test_residue_methods_reject_non_indices(bad):
+    """An int outside [0, 7) is named by its range, True by its type."""
     f7 = GF(7)
+    message = (f"element index must lie in [0, 7), got {bad}" if type(bad) is int
+               else "element index True is a bool, not an int")
     for method in (f7.is_square, f7.sqrt):
-        with pytest.raises(IndexError, match=rf"^element index must lie in \[0, 7\), got {bad!r}$"):
+        with pytest.raises(IndexError) as exc_info:
             method(bad)
+        assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)

@@ -177,6 +177,14 @@ def test_verify_flags_constant_columns():
     assert not report.subsquares
 
 
+def symbol_text(s, n):
+    """The MalformedGrid text for the first bad symbol s of an order-n grid:
+    a value that is not an exact int is named by its type, an int by its range."""
+    if type(s) is int:
+        return f"symbol {s!r} out of range [0, {n})"
+    return f"symbol {s!r} is a {type(s).__name__}, not an int"
+
+
 def test_verify_malformed():
     with pytest.raises(MalformedGrid):
         verify_sudoku(SudokuGrid(3, [list(range(9))] * 8))
@@ -206,6 +214,39 @@ def test_verify_malformed():
     assert not verify_orthogonal_bruteforce(tuples, tuples)
 
 
+ROW_WRAPPERS = {"list": list, "tuple": tuple, "bytes": bytes,
+                "str": lambda row: "".join(map(str, row)), "dict": lambda row: {s: s for s in row},
+                "set": set, "generator": lambda row: (s for s in row)}
+OUTER_WRAPPERS = {"list": list, "tuple": tuple, "generator": lambda rows: (r for r in rows),
+                  "dict": lambda rows: dict(enumerate(rows))}
+
+
+@pytest.mark.parametrize("outer", OUTER_WRAPPERS)
+@pytest.mark.parametrize("row", ROW_WRAPPERS)
+def test_checks_share_one_shape_rule(row, outer):
+    """coset_kernel, verify_sudoku and the census, a first or b first, judge
+    a grid's shape by one rule: the golden q = 3 grid in lists, tuples or
+    bytes (Sequences of ints) is read by all four; digit strings are the
+    right shape and all four name the first symbol's type; rows that are
+    dicts, sets or generators, and outer containers that are generators or
+    dicts, are the wrong shape to all four."""
+    def grid():
+        return SudokuGrid(3, OUTER_WRAPPERS[outer](ROW_WRAPPERS[row](r) for r in GOLDEN_GRID_Q3))
+
+    partner = SudokuGrid(3, GOLDEN_GRID_Q3)
+    outcomes = [_outcome(coset_kernel, grid()), _outcome(verify_sudoku, grid()),
+                _outcome(verify_orthogonal_bruteforce, grid(), partner),
+                _outcome(verify_orthogonal_bruteforce, partner, grid())]
+    if outer in ("generator", "dict") or row in ("dict", "set", "generator"):
+        assert outcomes == [("malformed", "grid must be 9x9")] * 4
+    elif row == "str":
+        assert outcomes == [("malformed", "symbol '0' is a str, not an int")] * 4
+    else:
+        assert [kind for kind, _ in outcomes] == ["ok"] * 4
+        assert outcomes[0][1] == coset_kernel(partner) and outcomes[1][1].ok
+        assert not outcomes[2][1] and not outcomes[3][1]
+
+
 @pytest.mark.parametrize("cell", [81, -1, True, 1.0])
 @pytest.mark.parametrize("later", [None, -5])
 def test_a_bad_symbol_in_the_last_row_is_named(cell, later):
@@ -226,7 +267,7 @@ def test_a_bad_symbol_in_the_last_row_is_named(cell, later):
                   lambda g: verify_orthogonal_bruteforce(g, SudokuGrid(9, bad_b))):
         with pytest.raises(MalformedGrid) as exc_info:
             check(grid)
-        assert str(exc_info.value) == f"symbol {cell!r} out of range [0, 81)"
+        assert str(exc_info.value) == symbol_text(cell, 81)
 
 
 def test_checks_build_only_the_caches_they_read():
@@ -248,8 +289,7 @@ def test_checks_build_only_the_caches_they_read():
             a.rows[4][cols[0]], b.rows[4][cols[1]] = bad, -1
             with pytest.raises(MalformedGrid) as exc_info:
                 check()
-            symbol = bad if first is a else -1
-            assert str(exc_info.value) == f"symbol {symbol!r} out of range [0, 9)"
+            assert str(exc_info.value) == symbol_text(bad if first is a else -1, 9)
             a.rows[4][cols[0]] = b.rows[4][cols[1]] = 1
             assert check()
 
@@ -326,10 +366,11 @@ def test_orthogonality_rejects_symbols_out_of_range():
     shifted = SudokuGrid(3, [[s + 100 for s in row] for row in GOLDEN_GRID_Q3])
     assert orthogonal_by_pair_census(partner, shifted)
     cases = [(shifted, "symbol 100 out of range [0, 9)")]
-    for bad, text in ((-1, "-1"), (9, "9"), (True, "True")):
+    for bad, message in ((-1, "symbol -1 out of range [0, 9)"), (9, "symbol 9 out of range [0, 9)"),
+                         (True, "symbol True is a bool, not an int")):
         rows = copy.deepcopy(GOLDEN_GRID_Q3)
         rows[5][7] = bad
-        cases.append((SudokuGrid(3, rows), f"symbol {text} out of range [0, 9)"))
+        cases.append((SudokuGrid(3, rows), message))
     for grid, message in cases:
         for pair in ((partner, grid), (grid, partner)):
             with pytest.raises(MalformedGrid) as exc_info:
@@ -789,10 +830,12 @@ def test_coset_kernel_range_checks_the_rows_past_row_0():
     first."""
     rows = build_from_canonical(family_matrices(9)[0]).rows
     cases = []
-    for bad in (True, -1, 1.0):
+    for bad, message in ((True, "symbol True is a bool, not an int"),
+                         (-1, "symbol -1 out of range [0, 81)"),
+                         (1.0, "symbol 1.0 is a float, not an int")):
         changed = [list(row) for row in rows]
         changed[40][changed[40].index(1)] = bad
-        cases.append((changed, f"symbol {bad!r} out of range [0, 81)"))
+        cases.append((changed, message))
     changed = [list(row) for row in rows]
     changed[3][0], changed[3][1] = changed[3][1], changed[3][0]
     changed[50][7] = 100
@@ -959,7 +1002,7 @@ def test_int_subclass_symbols_are_one_malformed_grid_to_every_check(q):
         outcomes = [_outcome(coset_kernel, grid), _outcome(verify_sudoku, grid),
                     _outcome(verify_orthogonal_bruteforce, grid, other),
                     _outcome(verify_orthogonal_bruteforce, other, grid)]
-        expected = ("malformed", f"symbol {member.rows[0][0]} out of range [0, {q * q})")
+        expected = ("malformed", f"symbol {member.rows[0][0]} is a Symbol, not an int")
         assert outcomes == [expected] * 4
 
 
@@ -983,22 +1026,25 @@ def _grid_with_cell(value):
     (lambda m: Field(3, 2, modulus=(m, 0, 1)), 1, ValueError,
      "modulus coefficients must be ints, got ({}, 0, 1)"),
     (lambda i: Mat2.from_indices(get_field(3), ((0, i), (1, 1))), 1, IndexError,
-     "element index must lie in [0, 3), got {}"),
+     "element index {} is a {kind}, not an int"),
     (lambda i: get_field(3).is_square(i), 1, IndexError,
-     "element index must lie in [0, 3), got {}"),
+     "element index {} is a {kind}, not an int"),
     (lambda q: SudokuGrid(q, []), 3, MalformedGrid, "q must be a positive int, got {}"),
-    (_grid_with_cell, 0, MalformedGrid, "symbol {} out of range [0, 9)"),
+    (_grid_with_cell, 0, MalformedGrid, "symbol {} is a {kind}, not an int"),
     (_document_with_q, 3, SchemaViolation, "q: expected an integer, got {}"),
 ], ids=["GF", "Field-p", "Field-k", "Field-modulus", "Mat2.from_indices", "Field.is_square",
         "SudokuGrid", "verify_sudoku-cell", "SquareDocument-header"])
 def test_integer_entry_points_take_exact_ints(entry, plain, error, message, kind):
     """Every integer entry point takes type(x) is int: True and a Symbol
-    are rejected with the message any bad value gets, the plain int passes."""
+    are rejected, and the plain int passes.  An element index or a grid
+    symbol is named by its type ("True is a bool, not an int"); the other
+    entry points give the message any bad value gets."""
     entry(plain)
     value = True if kind == "bool" else Symbol(plain)
     with pytest.raises(error) as exc_info:
         entry(value)
-    assert type(exc_info.value) is error and str(exc_info.value) == message.format(repr(value))
+    expected = message.format(repr(value), kind=type(value).__name__)
+    assert type(exc_info.value) is error and str(exc_info.value) == expected
 
 
 def test_orthogonality_census_without_generator_precondition():
