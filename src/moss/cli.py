@@ -7,8 +7,8 @@ grid).  Every grid is printed by render_grid or SquareDocument.to_json
 from its generator matrix, never from an int grid.  Exit codes: 0 success,
 1 verification failure, 2 usage, parse, I/O or out-of-memory error.  Every
 moss error is a ValueError, and main alone maps a ValueError, OSError or
-MemoryError to exit 2; verify reports a document that breaks the schema as
-a FAIL line instead.
+MemoryError to exit 2; a schema violation is re-raised as a SchemaViolation
+that names its file, which verify reports as a FAIL line instead.
 
 verify certifies each document's grid with the one grid certifier,
 sudoku.coset_kernel, fails a grid that it gives no row map, keeps the row
@@ -30,10 +30,6 @@ from .serialize import SchemaViolation, SquareDocument
 from .sudoku import coset_kernel, non_orthogonal_pairs, render_grid
 # Not called here: bench/tests/test_bench.py checks that the tracer rebinds this name.
 from .sudoku import verify_orthogonal_bruteforce  # noqa: F401
-
-
-class BadDocument(ValueError):
-    """A document that parses as JSON but breaks the schema; names its file."""
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -94,12 +90,13 @@ def _load_document(path: Path) -> SquareDocument:
     """Read and validate one document.
 
     Raises OSError for an unreadable file, ValueError for text that is not
-    JSON and BadDocument for a schema violation; the last two name the path.
+    JSON, and re-raises a schema violation as a SchemaViolation whose path
+    is the file's; the last two name the file.
     """
     try:
         return SquareDocument.from_json(path.read_text(encoding="utf-8"))
     except SchemaViolation as exc:
-        raise BadDocument(f"{path}: {exc}") from None
+        raise SchemaViolation(str(path), str(exc)) from None
     except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
@@ -119,7 +116,7 @@ def _cmd_verify(args) -> int:
         path = Path(name)
         try:
             doc = _load_document(path)
-        except BadDocument as exc:
+        except SchemaViolation as exc:
             print(f"FAIL {exc}")
             failures += 1
             continue
@@ -222,7 +219,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

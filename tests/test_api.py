@@ -1,7 +1,7 @@
 """The package's surface: the README's example, the names the benchmark
 reads, the plane specification that lives in oracles.py instead, the one
-grid certifier, the semantics of the eight record classes, and the one
-error base, ValueError."""
+grid certifier, the semantics of the eight record classes, the one
+error base, ValueError, and source that compiles without a warning."""
 
 import contextlib
 import copy
@@ -11,6 +11,7 @@ import inspect
 import io
 import pickle
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -230,16 +231,31 @@ def test_record_equality_and_hashing():
 
 
 def test_every_moss_error_is_a_value_error():
-    """Every exception class the modules define subclasses ValueError, as the
-    README promises, and a modulus that is no sequence is one too."""
+    """The modules define exactly these nine exception classes, each a
+    subclass of ValueError, as the README promises, and a modulus that is no
+    sequence is a ValueError too."""
     errors = [cls for name in ("gf", "planes", "sudoku", "family", "serialize", "cli")
               for _, cls in inspect.getmembers(importlib.import_module(f"moss.{name}"),
                                                inspect.isclass)
               if issubclass(cls, BaseException) and cls.__module__ == f"moss.{name}"]
-    assert len(errors) >= 10
+    assert sorted(cls.__name__ for cls in errors) == [
+        "DegreeTooSmall", "FieldMismatch", "MalformedGrid", "NoSquareRoot", "NotAGenerator",
+        "NotOddPrime", "OrderMismatch", "OrderTooLarge", "SchemaViolation"]
     assert all(issubclass(cls, ValueError) for cls in errors), errors
     for modulus in (5, 3.5):
         with pytest.raises(ValueError, match="modulus"):
             Field(3, 2, modulus=modulus)
     with pytest.raises(ValueError):
         GF(7).sqrt(3)
+
+
+def test_every_module_compiles_without_a_warning():
+    """Each src/moss module compiles from its source with every warning an
+    error, so a SyntaxWarning such as an invalid escape fails here on every
+    Python, whether or not the module's bytecode is cached."""
+    sources = sorted((ROOT / "src" / "moss").glob("*.py"))
+    assert len(sources) == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in sources:
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")

@@ -1066,17 +1066,24 @@ def test_family_and_verify_are_clean_under_dev_mode_and_warnings_as_errors(tmp_p
 
 
 def test_module_entrypoint_runs_in_subprocess(tmp_path):
+    """python -m moss runs cli.entry: its output is deterministic, and a moss
+    error, an argparse usage error and --help leave through entry's
+    sys.exit with exit codes 2, 2 and 0 and no traceback."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    cmd = [sys.executable, "-m", "moss", "generate", "--q", "3", "--c", "0,2;2,1"]
-    runs = [
-        subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path)
-        for _ in range(2)
-    ]
+
+    def moss_run(*args):
+        return subprocess.run([sys.executable, "-m", "moss", *args],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    runs = [moss_run("generate", "--q", "3", "--c", "0,2;2,1") for _ in range(2)]
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
-    bad = subprocess.run(
-        [sys.executable, "-m", "moss", "field", "--q", "4"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
+    bad = moss_run("field", "--q", "4")
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:") and "Traceback" not in bad.stderr
+    usage = moss_run("family")  # --q is missing
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert usage.stderr.startswith("usage: moss") and "Traceback" not in usage.stderr
+    help_run = moss_run("--help")
+    assert help_run.returncode == 0 and help_run.stderr == ""
+    assert help_run.stdout.startswith("usage: moss")
