@@ -80,7 +80,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_generate(args) -> int:
     text = SquareDocument.from_matrix(parse_mat2(GF(args.q), args.c)).to_json()
     if args.out:
-        _write_atomic(Path(args.out), text)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -151,7 +151,7 @@ def _cmd_family(args) -> int:
 
     # One square at a time, so memory does not grow with the family.
     if args.out:
-        outdir = Path(args.out)
+        outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
         width = max(2, len(str(fam.size - 1)))
         for i, m in enumerate(fam):
@@ -169,6 +169,13 @@ def _cmd_family(args) -> int:
             return 1
         print(f"{report.size} squares, {report.pairs} orthogonal pairs")
     return 0
+
+
+def _out_path(text: str) -> Path:
+    """--out's type: a Path; the empty string, as from an unset variable, is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a path")
+    return Path(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="emit the complete family of q(q-1) squares")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--format", choices=("grid", "json", "csv"), default="json")
-    p.add_argument("--out", help="directory to write one file per square")
+    p.add_argument("--out", type=_out_path, help="directory to write one file per square")
     p.add_argument("--verify", choices=("fast", "bruteforce"),
                    help="verify the family and print a report")
     p.set_defaults(func=_cmd_family)
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--c", required=True, metavar="a,b;c,d",
                    help="row-major generator matrix of element indices")
-    p.add_argument("--out", help="file to write instead of stdout")
+    p.add_argument("--out", type=_out_path, help="file to write instead of stdout")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="verify square documents and their orthogonality")

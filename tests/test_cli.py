@@ -3,9 +3,6 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -13,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import moss
 import moss.cli
 import moss.serialize
 import moss.sudoku
@@ -21,9 +17,8 @@ from moss.cli import main
 from moss.family import build_family
 from moss.gf import Field
 from moss.serialize import SquareDocument
+from conftest import needs_vmhwm, run_python
 from oracles import get_field, orthogonal_by_pair_census
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN_TEXT = "\n".join([
     "0 1 2 | 4 5 3 | 8 6 7",
@@ -196,13 +191,22 @@ def test_family_out_below_regular_file_is_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_usage_errors_and_help(capsys):
+def test_usage_errors_and_help(tmp_path, monkeypatch, capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["generate", "--q", "3"]) == 2  # --c is required
     capsys.readouterr()
     assert main(["--help"]) == 0
     assert "moss" in capsys.readouterr().out
+    # an empty --out, as from an unset shell variable, writes nowhere
+    monkeypatch.chdir(tmp_path)
+    for argv in (["family", "--q", "3"], ["generate", "--q", "3", "--c", "0,1;1,1"]):
+        assert main([*argv, "--out", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # only the last line: argparse wraps the usage text to the terminal width
+        assert err.splitlines()[-1] == f"moss {argv[0]}: error: argument --out: must name a path"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_family_emits_documents(tmp_path, capsys):
@@ -278,7 +282,6 @@ def test_out_of_memory_is_exit_2(tmp_path):
     """A child that caps its own address space at 300 MB cannot render the
     q = 81 grid: main reports it on one line, exits 2, and leaves no file.
     Unmapped, the MemoryError escaped as a traceback with exit 1."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
@@ -287,9 +290,8 @@ def test_out_of_memory_is_exit_2(tmp_path):
     )
     out = tmp_path / "out"
     out.mkdir()
-    run = subprocess.run([sys.executable, "-c", code, "generate", "--q", "81",
-                          "--c", "0,1;1,2", "--out", str(out / "square.json")],
-                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    run = run_python("-c", code, "generate", "--q", "81", "--c", "0,1;1,2",
+                     "--out", str(out / "square.json"), cwd=tmp_path)
     assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: out of memory\n")
     assert not any(out.iterdir())
 
@@ -385,7 +387,6 @@ def _child_peak_mb(argv, cwd):
     VmHWM is the peak of the child's own address space: ru_maxrss would
     carry over the RSS of this test process across fork and exec.
     """
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     code = (
         "import sys\n"
         "import moss.cli\n"
@@ -394,13 +395,12 @@ def _child_peak_mb(argv, cwd):
         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')),\n"
         "          file=sys.stderr)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code, *argv],
-                         capture_output=True, text=True, env=env, cwd=cwd)
+    run = run_python("-c", code, *argv, cwd=cwd)
     assert run.returncode == 0, run.stderr
     return int(run.stderr.split()[-1]) / 1024, run.stdout  # VmHWM is in kB
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+@needs_vmhwm
 def test_family_emission_memory_does_not_hold_the_family(tmp_path):
     """A fresh process writing the 156 q = 13 squares stays small.
 
@@ -411,7 +411,7 @@ def test_family_emission_memory_does_not_hold_the_family(tmp_path):
     assert peak_mb < 40
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+@needs_vmhwm
 def test_verify_memory_holds_no_key_tuples(tmp_path, capsys):
     """A fresh process verifying the 110 q = 11 documents stays small.
 
@@ -425,7 +425,7 @@ def test_verify_memory_holds_no_key_tuples(tmp_path, capsys):
     assert _child_peak_mb(["verify", "--files", *files], tmp_path)[0] < 36
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+@needs_vmhwm
 def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
     """A fresh process verifying the 156 q = 13 documents stays near the
     interpreter's own size: about 19 MB, against 59 MB when every grid's
@@ -438,23 +438,17 @@ def test_verify_memory_does_not_grow_with_the_documents(tmp_path, capsys):
     assert out.splitlines()[-1] == "156 squares ok, 12090 pairs checked, 0 failures"
 
 
-def _bar_cell_checks(monkeypatch):
+def _bar_cell_checks(rebind):
     """Make verify_sudoku, the cell census and the per-cell walks raise
     wherever moss binds them: the certifier must decide every grid and pair
     by coset kernels, and a canonical document is accepted by comparing its
     text, so no walk reads a grid's cells (the 2x2 c is still walked)."""
-    for name in ("verify_sudoku", "verify_orthogonal_bruteforce"):
-        original = getattr(moss.sudoku, name)
-
-        def barred(*grids, name=name):
+    for check in (moss.sudoku.verify_sudoku, moss.sudoku.verify_orthogonal_bruteforce,
+                  moss.sudoku._check_rows):
+        def barred(*args, name=check.__name__):
             raise AssertionError(f"{name} was called")
 
-        for module in (moss, moss.sudoku, moss.cli):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, barred)
-
-    def barred_rows(rows, n):
-        raise AssertionError("_check_rows was called")
+        rebind(check, barred)
 
     require_int_matrix = moss.serialize._require_int_matrix
 
@@ -463,12 +457,11 @@ def _bar_cell_checks(monkeypatch):
             raise AssertionError("_require_int_matrix walked a grid")
         return require_int_matrix(value, path, *bounds)
 
-    monkeypatch.setattr(moss.sudoku, "_check_rows", barred_rows)
-    monkeypatch.setattr(moss.serialize, "_require_int_matrix", barred_grid)
+    rebind(require_int_matrix, barred_grid)
 
 
 @pytest.mark.parametrize("field", [Field(5, 2), Field(3, 3)], ids=["q25", "q27"])
-def test_verify_q25_takes_the_kernel_path(field, tmp_path, monkeypatch, capsys):
+def test_verify_q25_takes_the_kernel_path(field, tmp_path, rebind, capsys):
     """Documents of order 625 and 729 are decided by their coset kernels:
     the cell census, about 0.1 s a pair there, and verify_sudoku are never
     called.  At k = 3 each row map is checked at 6 generators."""
@@ -476,7 +469,7 @@ def test_verify_q25_takes_the_kernel_path(field, tmp_path, monkeypatch, capsys):
     for i, m in enumerate(build_family(field).matrices[:8]):
         paths.append(tmp_path / f"square_{i}.json")
         paths[-1].write_text(SquareDocument.from_matrix(m).to_json())
-    _bar_cell_checks(monkeypatch)
+    _bar_cell_checks(rebind)
     assert main(["verify", "--files", *map(str, paths)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "8 squares ok, 28 pairs checked, 0 failures"
     twin = tmp_path / "twin.json"
@@ -507,18 +500,11 @@ def test_verify_accepts_clean_family(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == last
 
 
-def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
+def test_verify_builds_each_field_once(tmp_path, spy, capsys):
     files = _write_family(tmp_path)
     capsys.readouterr()
     moss.serialize._field.cache_clear()
-    calls = []
-    original = Field.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Field, "__init__", counting_init)
+    calls = spy(Field.__init__)
     assert main(["verify", "--files", *files]) == 0
     assert len(calls) <= 1
 
@@ -527,22 +513,15 @@ def test_verify_builds_each_field_once(tmp_path, monkeypatch, capsys):
     ["family", "--q", "5"],
     ["generate", "--q", "5", "--c", "0,1;1,1"],
 ])
-def test_emitting_json_builds_one_field(argv, monkeypatch, capsys):
+def test_emitting_json_builds_one_field(argv, spy, capsys):
     """The document keeps the matrix it was made from, so to_json reuses its field."""
     moss.serialize._field.cache_clear()
-    calls = []
-    original = Field.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Field, "__init__", counting_init)
+    calls = spy(Field.__init__)
     assert main(argv) == 0
     assert len(calls) == 1
 
 
-def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
+def test_verify_range_checks_every_grid(tmp_path, spy, capsys):
     """verify range-checks each document's grid on its own call and keeps
     nothing from an earlier run: after the family passes, its fourth grid
     is built with True (equal to 1) in row 5, and verify stops there with
@@ -550,16 +529,15 @@ def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
     files = _write_family(tmp_path)
     assert main(["verify", "--files", *files]) == 0
     original = SquareDocument.to_grid
-    built = []
 
     def changed(doc):
-        built.append(original(doc))
+        grid = original(doc)
         if len(built) == 4:
-            row = built[-1].rows[5]
+            row = grid.rows[5]
             row[row.index(1)] = True
-        return built[-1]
+        return grid
 
-    monkeypatch.setattr(SquareDocument, "to_grid", changed)
+    built = spy(original, then=changed)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 2
     out, err = capsys.readouterr()
@@ -567,21 +545,21 @@ def test_verify_range_checks_every_grid(tmp_path, monkeypatch, capsys):
     assert err == "error: symbol True is a bool, not an int\n"
 
 
-def test_verify_runs_no_census_on_a_clean_family(tmp_path, monkeypatch, capsys):
+def test_verify_runs_no_census_on_a_clean_family(tmp_path, rebind, capsys):
     """Every square of a clean family has a coset kernel, so verify decides
     every square and every pair by kernels and never calls the cell census
     or verify_sudoku."""
     files = _write_family(tmp_path)
-    _bar_cell_checks(monkeypatch)
+    _bar_cell_checks(rebind)
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6 squares ok, 15 pairs checked, 0 failures"
 
 
-def test_q9_verify_and_bruteforce_mode_walk_no_grid(tmp_path, monkeypatch, capsys):
+def test_q9_verify_and_bruteforce_mode_walk_no_grid(tmp_path, rebind, capsys):
     """verify on the 72 documents of GF(9) and family --q 9 --verify
     bruteforce read no grid cell by cell."""
     files = _write_family(tmp_path, q=9)
-    _bar_cell_checks(monkeypatch)
+    _bar_cell_checks(rebind)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "72 squares ok, 2556 pairs checked, 0 failures"
@@ -589,49 +567,34 @@ def test_q9_verify_and_bruteforce_mode_walk_no_grid(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out.splitlines()[-1] == "72 squares, 2556 orthogonal pairs"
 
 
-def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, monkeypatch, capsys):
+def test_verify_takes_the_sudoku_verdict_from_the_kernel(tmp_path, rebind, capsys):
     """A document's kernel decides that it is a sudoku square, so verify runs
     verify_sudoku on none of a family's documents; when no kernel is found,
     each document is a FAIL line, still without verify_sudoku, and no pair
     is checked."""
     files = _write_family(tmp_path)
-    _bar_cell_checks(monkeypatch)
+    _bar_cell_checks(rebind)
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 0
     assert capsys.readouterr().out == "".join(f"OK {path}\n" for path in files) + \
         "6 squares ok, 15 pairs checked, 0 failures\n"
-    monkeypatch.setattr(moss.cli, "coset_kernel", lambda grid: None)
+    rebind(moss.cli.coset_kernel, lambda grid: None)
     assert main(["verify", "--files", *files]) == 1
     assert capsys.readouterr().out == "".join(f"FAIL {path}: no coset kernel\n" for path in files) + \
         "0 squares ok, 0 pairs checked, 6 failures\n"
 
 
-def _count_builds(monkeypatch):
-    """Count build_from_canonical calls through every moss name bound to it."""
-    calls = []
-    original = moss.sudoku.build_from_canonical
-
-    def counted(c):
-        calls.append(c)
-        return original(c)
-
-    for module in (moss, moss.sudoku, moss.serialize, moss.cli):
-        if getattr(module, "build_from_canonical", None) is original:
-            monkeypatch.setattr(module, "build_from_canonical", counted)
-    return calls
-
-
-def test_verify_builds_each_grid_once(tmp_path, monkeypatch, capsys):
+def test_verify_builds_each_grid_once(tmp_path, spy, capsys):
     """from_json accepts canonical text without building its grid; verify
     builds it once, for the kernel."""
     files = _write_family(tmp_path)
-    calls = _count_builds(monkeypatch)
+    calls = spy(moss.sudoku.build_from_canonical)
     assert main(["verify", "--files", *files]) == 0
     assert len(calls) == len(files) == 6
 
 
-def test_family_json_builds_no_grid(tmp_path, monkeypatch, capsys):
-    calls = _count_builds(monkeypatch)
+def test_family_json_builds_no_grid(tmp_path, spy, capsys):
+    calls = spy(moss.sudoku.build_from_canonical)
     assert main(["family", "--q", "5", "--out", str(tmp_path / "fam")]) == 0
     assert len(list((tmp_path / "fam").iterdir())) == 20
     assert calls == []
@@ -754,22 +717,21 @@ def test_verify_mixed_q9_list_golden_bytes(tmp_path, monkeypatch, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MIXED_Q9_LIST
 
 
-def test_verify_fails_the_squares_without_a_kernel(tmp_path, monkeypatch, capsys):
+def test_verify_fails_the_squares_without_a_kernel(tmp_path, monkeypatch, rebind, spy, capsys):
     """With every other square's kernel withheld, from the first, verify
     prints "no coset kernel" for each square without one, never OK, and
     leaves it out of the pair phase, which builds no grid: twin.json keeps
     its kernel, square_05 does not, so their pair is not checked.  The
     two schema breaks stay FAIL lines of their own."""
-    builds = _count_builds(monkeypatch)
+    builds = spy(moss.sudoku.build_from_canonical)
     kernels, builds_at_kernel = [], []
-    original_kernel = moss.cli.coset_kernel
 
     def every_other(grid):
         kernels.append(original_kernel(grid))
         builds_at_kernel.append(len(builds))
         return kernels[-1] if len(kernels) % 2 else None
 
-    monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
+    original_kernel = rebind(moss.cli.coset_kernel, every_other)
     code, out = _verify_mixed_q9_list(tmp_path, monkeypatch, capsys)
     files = sorted(f"fam/{path.name}" for path in Path("fam").iterdir())
     loaded = files[:36] + ["twin.json"] + files[36:]
@@ -784,7 +746,7 @@ def test_verify_fails_the_squares_without_a_kernel(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("withheld", [None, 0, 1])
-def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypatch, capsys):
+def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, spy, capsys):
     """The row scan finds the failing pairs row by row, but verify prints
     them in the order of itertools.combinations, and they are exactly the
     pairs that the oracle's census rejects: 12 q = 9 squares with member 0
@@ -808,14 +770,8 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
                  if not orthogonal_by_pair_census(grids[i], grids[j])]
     assert len(expected) == {None: 4, 0: 8, 1: 6}[withheld]
     if withheld is not None:
-        calls = []
         original = moss.cli.coset_kernel
-
-        def every_other(grid):
-            calls.append(grid)
-            return None if len(calls) % 2 != withheld else original(grid)
-
-        monkeypatch.setattr(moss.cli, "coset_kernel", every_other)
+        calls = spy(original, then=lambda grid: None if len(calls) % 2 != withheld else original(grid))
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 1
     out = capsys.readouterr().out.splitlines()
@@ -824,19 +780,13 @@ def test_verify_prints_failing_pairs_in_pair_order(withheld, tmp_path, monkeypat
     assert out[-1] == f"{len(kept)} squares ok, {pairs} pairs checked, {len(expected)} failures"
 
 
-def test_verify_fails_one_square_without_a_kernel(tmp_path, monkeypatch, capsys):
+def test_verify_fails_one_square_without_a_kernel(tmp_path, spy, capsys):
     """A q = 5 tree with one document's kernel withheld: that document is
     "FAIL <path>: no coset kernel", never OK, exit 1, and the summary counts
     the other 19 squares and their 171 pairs."""
     files = _write_family(tmp_path, q=5)
     original = moss.cli.coset_kernel
-    calls = []
-
-    def withhold_the_eighth(grid):
-        calls.append(grid)
-        return None if len(calls) == 8 else original(grid)
-
-    monkeypatch.setattr(moss.cli, "coset_kernel", withhold_the_eighth)
+    calls = spy(original, then=lambda grid: None if len(calls) == 8 else original(grid))
     capsys.readouterr()
     assert main(["verify", "--files", *files]) == 1
     out = capsys.readouterr().out.splitlines()
@@ -1051,17 +1001,14 @@ def test_family_and_verify_are_clean_under_dev_mode_and_warnings_as_errors(tmp_p
     """Under -X dev -W error, a DeprecationWarning or ResourceWarning from
     moss is an error: family --verify bruteforce and verify of its 72
     documents exit 0 with nothing on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    moss_cmd = [sys.executable, "-X", "dev", "-W", "error", "-m", "moss"]
+    moss_cmd = ["-X", "dev", "-W", "error", "-m", "moss"]
     out = tmp_path / "D"
-    family = subprocess.run(moss_cmd + ["family", "--q", "9", "--out", str(out),
-                                        "--verify", "bruteforce"],
-                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    family = run_python(*moss_cmd, "family", "--q", "9", "--out", str(out),
+                        "--verify", "bruteforce", cwd=tmp_path)
     assert (family.returncode, family.stderr) == (0, "")
     files = sorted(map(str, out.glob("*.json")))
     assert len(files) == 72
-    verify = subprocess.run(moss_cmd + ["verify", "--files", *files],
-                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    verify = run_python(*moss_cmd, "verify", "--files", *files, cwd=tmp_path)
     assert (verify.returncode, verify.stderr) == (0, "")
 
 
@@ -1069,11 +1016,8 @@ def test_module_entrypoint_runs_in_subprocess(tmp_path):
     """python -m moss runs cli.entry: its output is deterministic, and a moss
     error, an argparse usage error and --help leave through entry's
     sys.exit with exit codes 2, 2 and 0 and no traceback."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-
     def moss_run(*args):
-        return subprocess.run([sys.executable, "-m", "moss", *args],
-                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        return run_python("-m", "moss", *args, cwd=tmp_path)
 
     runs = [moss_run("generate", "--q", "3", "--c", "0,2;2,1") for _ in range(2)]
     assert all(r.returncode == 0 for r in runs)

@@ -197,39 +197,17 @@ def test_bruteforce_violations_with_copies_and_an_invalid_member():
     assert repr(report) == "FamilyReport(mode='bruteforce', size=11, pairs=55, 5 violations)"
 
 
-def _rebind(monkeypatch, name, replacement):
-    """Bind replacement to name wherever moss.sudoku or moss.family holds
-    moss.sudoku's function of that name; returns that function."""
-    original = getattr(moss.sudoku, name)
-    for module in (moss.sudoku, moss.family):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
-    return original
-
-
-def _count_builds(monkeypatch):
-    """Count build_from_canonical calls made by verify_family."""
-    calls = []
-
-    def counted(c):
-        calls.append(c)
-        return original(c)
-
-    original = _rebind(monkeypatch, "build_from_canonical", counted)
-    return calls
-
-
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_bruteforce_mode_runs_no_census_on_a_clean_family(q, monkeypatch):
+def test_bruteforce_mode_runs_no_census_on_a_clean_family(q, rebind, spy):
     """Every member's grid has a coset kernel, so bruteforce mode builds each
     grid once, decides every grid and pair by kernels and never calls the
     census or verify_sudoku."""
-    for name in ("verify_sudoku", "verify_orthogonal_bruteforce"):
-        def barred(*grids, name=name):
+    for check in (moss.sudoku.verify_sudoku, moss.sudoku.verify_orthogonal_bruteforce):
+        def barred(*grids, name=check.__name__):
             raise AssertionError(f"{name} was called")
 
-        _rebind(monkeypatch, name, barred)
-    builds = _count_builds(monkeypatch)
+        rebind(check, barred)
+    builds = spy(build_from_canonical)
     report = verify_family(build_family(get_field(q)), "bruteforce")
     assert report.ok and report.size == q * (q - 1)
     assert len(builds) == q * (q - 1)
@@ -257,7 +235,7 @@ CORRUPTED = {
 
 
 @pytest.mark.parametrize("name", CORRUPTED)
-def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
+def test_bruteforce_pairs_match_the_pair_census_oracle(name, rebind):
     """The not_orthogonal_bruteforce pairs are those that the oracle's cell
     census rejects among the valid members.  With every other valid
     member's kernel withheld, from the first, each of those members is
@@ -279,7 +257,7 @@ def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
         kernels.append(original_kernel(grid))
         return None if len(kernels) % 2 else kernels[-1]
 
-    original_kernel = _rebind(monkeypatch, "coset_kernel", every_other)
+    original_kernel = rebind(moss.sudoku.coset_kernel, every_other)
     withheld = verify_family(family, "bruteforce")
     assert len(kernels) == len(grids) and all(kernels)
     assert withheld.violations == sorted(
@@ -290,7 +268,7 @@ def test_bruteforce_pairs_match_the_pair_census_oracle(name, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_bruteforce_mode_fails_a_member_without_a_kernel(q, monkeypatch):
+def test_bruteforce_mode_fails_a_member_without_a_kernel(q, spy):
     """The family with a copy of member 2 appended as member n = q(q - 1):
     both proofs name the pair (2, n).  With member 2's kernel withheld,
     bruteforce mode reports it not_sudoku and no pair with it, so only the
@@ -300,13 +278,8 @@ def test_bruteforce_mode_fails_a_member_without_a_kernel(q, monkeypatch):
     n = q * (q - 1)
     assert verify_family(family, "bruteforce").violations == [
         ("not_orthogonal", (2, n)), ("not_orthogonal_bruteforce", (2, n))]
-    calls = []
-
-    def withhold_the_third(grid):
-        calls.append(grid)
-        return None if len(calls) == 3 else original(grid)
-
-    original = _rebind(monkeypatch, "coset_kernel", withhold_the_third)
+    original = moss.sudoku.coset_kernel
+    calls = spy(original, then=lambda grid: None if len(calls) == 3 else original(grid))
     report = verify_family(family, "bruteforce")
     assert report.violations == [("not_orthogonal", (2, n)), ("not_sudoku", (2,))]
     assert repr(report) == \

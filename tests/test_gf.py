@@ -214,17 +214,10 @@ def test_mul_table_matches_polynomial_oracle(q, n):
 
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS_127)
-def test_field_takes_at_most_4q_polynomial_products(q, monkeypatch):
+def test_field_takes_at_most_4q_polynomial_products(q, spy):
     """The tables come from the powers of one generator, not from all q^2
     products: the search for it costs at most 2.95q products up to q = 127."""
-    calls = []
-    poly_mul = moss.gf._poly_mul
-
-    def counted(*args):
-        calls.append(args)
-        return poly_mul(*args)
-
-    monkeypatch.setattr(moss.gf, "_poly_mul", counted)
+    calls = spy(moss.gf._poly_mul)
     Field(*factor_prime_power(q))
     assert len(calls) <= 4 * q
 

@@ -223,21 +223,14 @@ def test_matrix_literals():
             parse_mat2(f3, bad)
 
 
-def test_matrix_paths_build_no_field_elements(monkeypatch):
+def test_matrix_paths_build_no_field_elements(spy):
     """Matrix, family and document paths compute on element indices alone."""
     f9 = GF(9)
     fam = build_family(f9)
     c = fam.matrices[0]
     text = SquareDocument.from_matrix(c).to_json()
 
-    built = []
-    original = FieldElement.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        original(self, *args)
-
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
+    built = spy(FieldElement.__init__)
     build_from_canonical(c)
     is_valid_generator(c)
     Plane.from_generator(c)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import moss.serialize
 from moss.family import build_family
-from moss.planes import Mat2
+from moss.planes import Mat2, is_valid_generator
 from moss.serialize import KEY_ORDER, SchemaViolation, SquareDocument, _reject_float
 from moss.sudoku import NotAGenerator, build_from_canonical, verify_sudoku
 from oracles import GOLDEN_C_Q3, GOLDEN_GRID_Q3, get_field, mat_det, reference_document_json
@@ -217,19 +217,8 @@ def test_the_earlier_of_a_bad_cell_and_a_short_row_is_named(bad_row, short_row, 
     assert str(exc_info.value) == expected
 
 
-def test_generator_is_tested_once_per_document(monkeypatch):
-    import moss
-    from moss import planes
-    calls = []
-    original = planes.is_valid_generator
-
-    def counted(m):
-        calls.append(m)
-        return original(m)
-
-    for module in (moss, *(getattr(moss, name) for name in ("planes", "sudoku", "serialize", "family"))):
-        if getattr(module, "is_valid_generator", None) is original:
-            monkeypatch.setattr(module, "is_valid_generator", counted)
+def test_generator_is_tested_once_per_document(spy):
+    calls = spy(is_valid_generator)
     texts = [SquareDocument.from_matrix(Mat2.from_indices(get_field(5), c)).to_json()
              for c in (((0, 1), (1, 1)), ((1, 2), (2, 3)), ((4, 1), (1, 0)))]
     calls.clear()
@@ -330,23 +319,11 @@ def test_grid_is_derived_from_c():
     assert doc.to_grid() is not doc.to_grid()
 
 
-def _count_builds(monkeypatch):
-    calls = []
-    original = moss.serialize.build_from_canonical
-
-    def counted(c):
-        calls.append(c)
-        return original(c)
-
-    monkeypatch.setattr(moss.serialize, "build_from_canonical", counted)
-    return calls
-
-
-def test_full_path_keeps_only_the_matrix(monkeypatch):
+def test_full_path_keeps_only_the_matrix(spy):
     """Non-canonical text (json.dumps spacing) takes the full path, which
     builds the grid once to validate it and keeps only the matrix, so each
     to_grid() builds a fresh grid."""
-    calls = _count_builds(monkeypatch)
+    calls = spy(build_from_canonical)
     doc = SquareDocument.from_json(json.dumps(json.loads(golden_document().to_json())))
     assert len(calls) == 1
     assert vars(doc) == {"matrix": doc.matrix}
@@ -361,10 +338,10 @@ def test_full_path_keeps_only_the_matrix(monkeypatch):
     assert first.rows == second.rows == GOLDEN_GRID_Q3
 
 
-def test_canonical_text_builds_no_grid(monkeypatch):
+def test_canonical_text_builds_no_grid(spy):
     """Canonical text is accepted by comparison with to_json(), so from_json
     builds no grid and each to_grid() builds one."""
-    calls = _count_builds(monkeypatch)
+    calls = spy(build_from_canonical)
     doc = SquareDocument.from_json(golden_document().to_json())
     assert doc == golden_document()
     assert calls == []

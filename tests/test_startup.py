@@ -3,16 +3,11 @@ small: `import moss` loads no module, and each public name loads its own
 module on first use, read there on every access."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import moss
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import run_python
 
 # The names that moss/__init__.py imported eagerly, by module.
 EXPORTS = {
@@ -30,10 +25,7 @@ EXPORTS = {
 
 def _loaded(code: str) -> set[str]:
     """The modules in sys.modules after code runs in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
+    run = run_python("-c", f"{code}\nimport sys\nprint(*sys.modules)", check=True)
     return set(run.stdout.split())
 
 

@@ -2,13 +2,9 @@
 
 import copy
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +26,7 @@ from moss.sudoku import (
     verify_orthogonal_bruteforce,
     verify_sudoku,
 )
+from conftest import needs_vmhwm, run_python
 from oracles import (
     GOLDEN_GRID_Q3,
     GOLDEN_PLANE_Q3,
@@ -312,21 +309,14 @@ def test_non_orthogonal_pairs_reads_row_maps_of_one_order():
             moss.sudoku.non_orthogonal_pairs(mixed)
 
 
-def test_census_checks_each_grid_once(monkeypatch):
+def test_census_checks_each_grid_once(spy):
     """verify_orthogonal_bruteforce range-checks each grid once, a before
     b, and grids of different orders raise OrderMismatch before either is
     checked."""
     a, b = (build_from_canonical(m) for m in build_family(get_field(3)).matrices[:2])
-    checked = []
-    original = moss.sudoku._check_rows
-
-    def counting_check(rows, n):
-        checked.append(rows)
-        original(rows, n)
-
-    monkeypatch.setattr(moss.sudoku, "_check_rows", counting_check)
+    checked = spy(moss.sudoku._check_rows)
     assert verify_orthogonal_bruteforce(a, b) and not verify_orthogonal_bruteforce(b, b)
-    assert list(map(id, checked)) == [id(a.rows), id(b.rows), id(b.rows), id(b.rows)]
+    assert [id(rows) for rows, n in checked] == [id(a.rows), id(b.rows), id(b.rows), id(b.rows)]
     checked.clear()
     other = build_from_canonical(build_family(get_field(5)).matrices[0])
     with pytest.raises(OrderMismatch, match=r"^order 9 vs 25$"):
@@ -753,7 +743,7 @@ def test_coset_kernel_certifies_member_1_of_every_family(q):
     assert kappa is not None and len(kappa) == q * q
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+@needs_vmhwm
 def test_coset_kernel_holds_no_per_q_table():
     """A fresh process's peak memory rises by less than 1 MB over the first
     coset_kernel of a GF(25) grid: the kernel builds its 2k shift maps per
@@ -769,8 +759,7 @@ def test_coset_kernel_holds_no_per_q_table():
         "assert coset_kernel(grid) is not None\n"
         "print(peak_kb() - before)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(moss.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) < 1024
 
